@@ -63,6 +63,15 @@ def _resolve_out(out, command):
     return out
 
 
+def _claim_manifest(out, doc):
+    """Checks out's manifest before any artifact is written, so a rerun with
+    conflicting settings fails without touching the first run's outputs.
+    Returns the manifest path; the command writes the manifest last."""
+    path = os.path.join(out, MANIFEST_FILENAME)
+    experiments.check_manifest(path, doc)
+    return path
+
+
 def _load_config(path, seed=None):
     cfg = training.load_config(path) if path else experiments.default_benchmark_config()
     if seed is not None:
@@ -125,6 +134,18 @@ def build_parser():
 
 def cmd_gen_data(args):
     out = _resolve_out(args.out, "gen-data")
+    doc = {
+        "experiment": "gen-data",
+        "seed": args.seed,
+        "dataset_paths": [DATASET_FILENAME],
+        "flags": {
+            "n": args.n, "dim": args.dim, "spoof_types": args.spoof_types,
+            "overlap": args.overlap, "semantic_noise": args.semantic_noise,
+            "binary_noise": args.binary_noise, "data_noise": args.data_noise,
+            "severity": args.severity,
+        },
+    }
+    manifest = _claim_manifest(out, doc)
     ds = data.generate_synthetic(
         n_per_class=args.n, D=args.dim, categories={"spoof_type": args.spoof_types},
         cluster_overlap=args.overlap, seed=args.seed,
@@ -139,17 +160,7 @@ def cmd_gen_data(args):
     ds = data.apply_noise(ds, spec, args.seed)
     path = os.path.join(out, DATASET_FILENAME)
     data.save_dataset(ds, path)
-    experiments.write_manifest(os.path.join(out, MANIFEST_FILENAME), {
-        "experiment": "gen-data",
-        "seed": args.seed,
-        "dataset_paths": [DATASET_FILENAME],
-        "flags": {
-            "n": args.n, "dim": args.dim, "spoof_types": args.spoof_types,
-            "overlap": args.overlap, "semantic_noise": args.semantic_noise,
-            "binary_noise": args.binary_noise, "data_noise": args.data_noise,
-            "severity": args.severity,
-        },
-    })
+    experiments.write_manifest(manifest, doc)
     n_live = int(np.sum(ds.c_labels() == data.LIVE))
     print(f"seed={args.seed} n={len(ds)} live={n_live} spoof={len(ds) - n_live} -> {path}")
     return 0
@@ -162,16 +173,18 @@ def cmd_train(args):
     ds = data.load_dataset(args.data)
     cfg = _load_config(args.config, args.seed)
     cfg = training.arm_config(args.arm, cfg)
-    params, log = training.train_two_stage(ds, cfg)
-    training.save_checkpoint(os.path.join(out, CHECKPOINT_FILENAME), params, config=cfg)
-    training.save_trainlog(log, os.path.join(out, TRAINLOG_FILENAME))
-    experiments.write_manifest(os.path.join(out, MANIFEST_FILENAME), {
+    doc = {
         "experiment": "train",
         "arm": args.arm,
         "config": cfg.to_dict(),
         "dataset_paths": [args.data],
         "flags": {"seed": cfg.seed},
-    })
+    }
+    manifest = _claim_manifest(out, doc)
+    params, log = training.train_two_stage(ds, cfg)
+    training.save_checkpoint(os.path.join(out, CHECKPOINT_FILENAME), params, config=cfg)
+    training.save_trainlog(log, os.path.join(out, TRAINLOG_FILENAME))
+    experiments.write_manifest(manifest, doc)
     print(f"arm={args.arm} seed={cfg.seed} epochs={len(log)} -> {out}")
     return 0
 
@@ -197,6 +210,13 @@ def cmd_eval(args):
         modes = ["corrected"]
     elif args.uncorrected:
         modes = ["uncorrected"]
+    doc = {
+        "experiment": "eval",
+        "dataset_paths": [args.data],
+        "checkpoint": args.checkpoint,
+        "flags": {"threshold": args.threshold, "modes": modes},
+    }
+    manifest = _claim_manifest(out, doc)
     reports = {}
     for tag in modes:
         reports[tag] = _eval_mode(params, ds, tag == "corrected", args.threshold, out, tag)
@@ -207,12 +227,7 @@ def cmd_eval(args):
         }
         with open(os.path.join(out, "report_delta.json"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(delta, sort_keys=True, separators=(",", ":")) + "\n")
-    experiments.write_manifest(os.path.join(out, MANIFEST_FILENAME), {
-        "experiment": "eval",
-        "dataset_paths": [args.data],
-        "checkpoint": args.checkpoint,
-        "flags": {"threshold": args.threshold, "modes": modes},
-    })
+    experiments.write_manifest(manifest, doc)
     for tag, rep in reports.items():
         print(f"{tag}: apcer={rep.apcer:.4f} bpcer={rep.bpcer:.4f} acer={rep.acer:.4f}")
     return 0
@@ -231,15 +246,17 @@ def cmd_noise_sweep(args):
         else:
             fractions_by_kind[kind] = list(experiments.LABEL_NOISE_FRACTIONS)
     cfg = _load_config(args.config)
-    rows = experiments.noise_sweep(kinds, fractions_by_kind, arms, args.seeds, cfg, args.threshold)
-    experiments.sweep_rows_to_csv(rows, os.path.join(out, "sweep.csv"))
-    experiments.write_manifest(os.path.join(out, MANIFEST_FILENAME), {
+    doc = {
         "experiment": "noise-sweep",
         "config": cfg.to_dict(),
         "seeds": args.seeds,
         "flags": {"kinds": kinds, "arms": arms, "fractions": fractions_by_kind,
                   "threshold": args.threshold},
-    })
+    }
+    manifest = _claim_manifest(out, doc)
+    rows = experiments.noise_sweep(kinds, fractions_by_kind, arms, args.seeds, cfg, args.threshold)
+    experiments.sweep_rows_to_csv(rows, os.path.join(out, "sweep.csv"))
+    experiments.write_manifest(manifest, doc)
     print(f"{len(rows)} sweep rows -> {os.path.join(out, 'sweep.csv')}")
     return 0
 
@@ -250,6 +267,13 @@ def cmd_quality_report(args):
         raise data.DataError(f"dataset file not found: {args.data}")
     ds = data.load_dataset(args.data)
     params, _, _, _ = training.load_checkpoint(args.checkpoint)
+    doc = {
+        "experiment": "quality-report",
+        "dataset_paths": [args.data],
+        "checkpoint": args.checkpoint,
+        "flags": {},
+    }
+    manifest = _claim_manifest(out, doc)
     per_sample, hist, summary = experiments.quality_report(params, ds)
     with open(os.path.join(out, "quality.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(per_sample)
@@ -257,12 +281,7 @@ def cmd_quality_report(args):
         fh.write(hist)
     with open(os.path.join(out, "quality_summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
-    experiments.write_manifest(os.path.join(out, MANIFEST_FILENAME), {
-        "experiment": "quality-report",
-        "dataset_paths": [args.data],
-        "checkpoint": args.checkpoint,
-        "flags": {},
-    })
+    experiments.write_manifest(manifest, doc)
     print(f"quality report for {summary['n']} samples -> {out}")
     return 0
 

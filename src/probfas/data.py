@@ -363,7 +363,7 @@ def load_dataset(path):
         raise DataError(f"{path}: malformed metadata line: {lines[1]!r}") from exc
     names = list(categories)
     expected_fields = 1 + D + 1 + len(names) + 2
-    samples = []
+    samples, features = [], []
     for ln in lines[3:]:
         parts = ln.split(",")
         row_id = parts[0]
@@ -373,7 +373,7 @@ def load_dataset(path):
             )
         try:
             sid = int(parts[0])
-            x = np.array([float(v) for v in parts[1 : 1 + D]], dtype=np.float64)
+            features.extend([float(v) for v in parts[1 : 1 + D]])
             c = int(parts[1 + D])
             s = {n: int(parts[2 + D + i]) for i, n in enumerate(names)}
             bits = parts[2 + D + len(names)]
@@ -388,9 +388,16 @@ def load_dataset(path):
             data_corrupted=bits[2] == "1",
             corruption_severity=severity,
         )
-        samples.append(Sample(id=sid, x=x, c=c, s=s, flags=flags))
+        samples.append(Sample(id=sid, x=None, c=c, s=s, flags=flags))
     if not samples:
         raise DataError(f"{path}: dataset file has no sample rows")
+    # one array for all features, checked at once; each x is a row view of it
+    X = np.array(features, dtype=np.float64).reshape(len(samples), D)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: row {samples[bad[0]].id}: non-finite feature value")
+    for smp, x in zip(samples, X):
+        smp.x = x
     try:
         return Dataset(samples=samples, feature_dim=D, categories=categories, seed_provenance=seed)
     except DataError as exc:

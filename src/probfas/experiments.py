@@ -175,14 +175,23 @@ class ManifestError(Exception):
     pass
 
 
+def check_manifest(path, doc):
+    """Manifests are immutable: raises ManifestError if path holds a
+    manifest other than doc. Returns whether it holds doc."""
+    if not os.path.exists(path):
+        return False
+    with open(path, encoding="utf-8") as fh:
+        if fh.read() == _manifest_text(doc):
+            return True
+    raise ManifestError(f"{path}: manifest exists with different content")
+
+
 def write_manifest(path, doc):
-    """Manifests are immutable: rewriting identical content is a no-op,
-    any other overwrite is an error."""
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            if fh.read() == text:
-                return
-        raise ManifestError(f"{path}: manifest exists with different content")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Rewriting identical content is a no-op, any other overwrite is an error."""
+    if not check_manifest(path, doc):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_manifest_text(doc))
+
+
+def _manifest_text(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -43,27 +43,20 @@ def train_tagger(d_suf, category, config):
         B=config.embedding_dim, hidden=config.hidden, seed=config.seed,
     )
     X = d_suf.X()[spoof]
-    n = X.shape[0]
-    bs = config.stage1.batch_size
-    flat = model.flatten_params(params)
-    opt = training.OptState.create(config.stage1, flat.size)
-    for epoch in range(config.stage1.epochs):
-        rng, _ = training._epoch_rngs(config.seed, 3, epoch)
-        order = rng.permutation(n)
-        for lo in range(0, n, bs):
-            idx = order[lo : lo + bs]
-            params = model.unflatten_params(flat, params)
-            mu, cache = model.embed_with_cache(params, X[idx])
-            loss, dz, domega = losses.semantic_ce_with_grads(mu, params.omega_s[category], labels[idx])
-            training._check_finite(3, epoch, loss.total, {"tagger_loss": loss.total})
-            grads = model.zeros_like_params(params)
-            grads.omega_s[category] += domega
-            layer_grads, _ = model.embed_backward(params, cache, dz)
-            for (gW, gb), (GW, Gb) in zip(layer_grads, grads.layers):
-                GW += gW
-                Gb += gb
-            opt.step(flat, model.flatten_params(grads))
-    params = model.unflatten_params(flat, params)
+
+    def step(idx, _):
+        mu, cache = model.embed_with_cache(params, X[idx])
+        loss, dz, domega = losses.semantic_ce_with_grads(mu, params.omega_s[category], labels[idx])
+        grads = params.zeros_like()
+        grads.omega_s[category] += domega
+        layer_grads, _ = model.embed_backward(params, cache, dz)
+        for (gW, gb), (GW, Gb) in zip(layer_grads, grads.layers):
+            GW += gW
+            Gb += gb
+        return grads, {"total": loss.total}
+
+    for _ in training.run_stage(params, X.shape[0], 3, config.stage1, config.seed, step):
+        pass  # the tagger keeps no per-epoch log
     return TaggerModel(params=params, category=category)
 
 

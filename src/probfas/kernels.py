@@ -1,138 +1,12 @@
-"""Hot numeric kernels with optional numba acceleration.
-
-Every kernel has two implementations: an explicit-loop version compiled
-with numba ``@njit`` and a vectorized pure-numpy fallback. The active
-path is chosen once at import time; set ``PROBFAS_NUMBA=0`` to force the
-numpy fallback. Both paths agree to ~1e-12 relative tolerance (summation
-order differs), and each path is bitwise deterministic across runs.
-"""
+"""Numeric kernels shared by the losses, the optimizer and data-noise
+injection. Each is plain vectorized numpy and bitwise deterministic."""
 
 import math
-import os
 
 import numpy as np
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-
-def _numba_requested() -> bool:
-    return os.environ.get("PROBFAS_NUMBA", "1").lower() not in ("0", "false", "no", "off")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback path
-# ---------------------------------------------------------------------------
-
-def _softmax_xent_np(logits, labels):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expv = np.exp(shifted)
-    denom = expv.sum(axis=1)
-    probs = expv / denom[:, None]
-    n = logits.shape[0]
-    picked = shifted[np.arange(n), labels]
-    loss = np.log(denom) - picked
-    return loss, probs
-
-
-def _gaussian_nll_np(d2, s2):
-    return 0.5 * (np.log(s2) + d2 / s2) + _HALF_LOG_2PI
-
-
-def _smooth_rows_np(X, window):
-    if window == 1:
-        return X.copy()
-    r = (window - 1) // 2
-    D = X.shape[1]
-    out = np.empty_like(X)
-    for j in range(D):
-        lo = max(0, j - r)
-        hi = min(D, j + r + 1)
-        out[:, j] = X[:, lo:hi].mean(axis=1)
-    return out
-
-
-def _adam_step_np(p, g, m, v, lr, beta1, beta2, eps, t):
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    p -= lr * mhat / (np.sqrt(vhat) + eps)
-
-
-# ---------------------------------------------------------------------------
-# numba path (same math, explicit loops)
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _softmax_xent_nb(logits, labels):  # pragma: no cover - exercised via dispatch
-        n, a = logits.shape
-        loss = np.empty(n)
-        probs = np.empty((n, a))
-        for i in range(n):
-            mx = logits[i, 0]
-            for j in range(1, a):
-                if logits[i, j] > mx:
-                    mx = logits[i, j]
-            denom = 0.0
-            for j in range(a):
-                e = math.exp(logits[i, j] - mx)
-                probs[i, j] = e
-                denom += e
-            for j in range(a):
-                probs[i, j] /= denom
-            loss[i] = math.log(denom) - (logits[i, labels[i]] - mx)
-        return loss, probs
-
-    @njit(cache=True)
-    def _gaussian_nll_nb(d2, s2):  # pragma: no cover
-        n = d2.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = 0.5 * (math.log(s2[i]) + d2[i] / s2[i]) + _HALF_LOG_2PI
-        return out
-
-    @njit(cache=True)
-    def _smooth_rows_nb(X, window):  # pragma: no cover
-        n, d = X.shape
-        out = np.empty((n, d))
-        r = (window - 1) // 2
-        for i in range(n):
-            for j in range(d):
-                lo = max(0, j - r)
-                hi = min(d, j + r + 1)
-                acc = 0.0
-                for k in range(lo, hi):
-                    acc += X[i, k]
-                out[i, j] = acc / (hi - lo)
-        return out
-
-    @njit(cache=True)
-    def _adam_step_nb(p, g, m, v, lr, beta1, beta2, eps, t):  # pragma: no cover
-        c1 = 1.0 - beta1 ** t
-        c2 = 1.0 - beta2 ** t
-        for i in range(p.shape[0]):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
-            p[i] -= lr * (m[i] / c1) / (math.sqrt(v[i] / c2) + eps)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
 
 def softmax_xent(logits, labels):
     """Per-sample stabilized cross-entropy and softmax probabilities.
@@ -142,55 +16,42 @@ def softmax_xent(logits, labels):
     """
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if NUMBA_ENABLED:
-        return _softmax_xent_nb(logits, labels)
-    return _softmax_xent_np(logits, labels)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expv = np.exp(shifted)
+    denom = expv.sum(axis=1)
+    probs = expv / denom[:, None]
+    picked = shifted[np.arange(logits.shape[0]), labels]
+    return np.log(denom) - picked, probs
 
 
 def gaussian_nll(d2, s2):
     """Per-sample Gaussian NLL: 0.5*(ln s2 + d2/s2) + 0.5*ln(2*pi)."""
     d2 = np.ascontiguousarray(d2, dtype=np.float64)
     s2 = np.ascontiguousarray(s2, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _gaussian_nll_nb(d2, s2)
-    return _gaussian_nll_np(d2, s2)
+    return 0.5 * (np.log(s2) + d2 / s2) + _HALF_LOG_2PI
 
 
 def smooth_rows(X, window):
     """Boxcar-average each row with a clamped window (window=1 is identity)."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be a positive odd integer, got {window}")
-    if NUMBA_ENABLED:
-        return _smooth_rows_nb(X, window)
-    return _smooth_rows_np(X, window)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if window == 1:
+        return X.copy()
+    r = (window - 1) // 2
+    D = X.shape[1]
+    out = np.empty_like(X)
+    for j in range(D):
+        out[:, j] = X[:, max(0, j - r) : min(D, j + r + 1)].mean(axis=1)
+    return out
 
 
 def adam_step(p, g, m, v, lr, beta1, beta2, eps, t):
-    """In-place Adam update on flat float64 views."""
-    if NUMBA_ENABLED:
-        _adam_step_nb(p, g, m, v, lr, beta1, beta2, eps, t)
-    else:
-        _adam_step_np(p, g, m, v, lr, beta1, beta2, eps, t)
-
-
-def numpy_impls():
-    """Expose the fallback implementations (used by tests and the benchmark)."""
-    return {
-        "softmax_xent": _softmax_xent_np,
-        "gaussian_nll": _gaussian_nll_np,
-        "smooth_rows": _smooth_rows_np,
-        "adam_step": _adam_step_np,
-    }
-
-
-def numba_impls():
-    """Expose the njit implementations, or None when numba is inactive."""
-    if not NUMBA_ENABLED:
-        return None
-    return {
-        "softmax_xent": _softmax_xent_nb,
-        "gaussian_nll": _gaussian_nll_nb,
-        "smooth_rows": _smooth_rows_nb,
-        "adam_step": _adam_step_nb,
-    }
+    """In-place Adam update on flat float64 vectors."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    mhat = m / (1.0 - beta1 ** t)
+    vhat = v / (1.0 - beta2 ** t)
+    p -= lr * mhat / (np.sqrt(vhat) + eps)

@@ -6,7 +6,6 @@ the per-sample vector; gradient helpers return gradients of the *total*
 only; live samples carry a placeholder semantic value.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,6 @@ import numpy as np
 from . import kernels, model
 from .data import SPOOF
 
-HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 SIGMA_SQ_FLOOR = 1e-8
 
 
@@ -147,7 +145,7 @@ def stage1_objective(params, X, c, s_by_category, epsilon, lambda_s=1.0, enable_
     c = _check_labels(c, 2)
     mu, cache = model.embed_with_cache(params, X)
     n = X.shape[0]
-    grads = model.zeros_like_params(params)
+    grads = params.zeros_like()
 
     loss_c, dlogits_c, probs_c = softmax_ce_with_grads(mu @ params.omega_c.T, c)
     grads.omega_c += dlogits_c.T @ mu
@@ -217,24 +215,17 @@ def stage2_objective(params, X, c):
     mu_n = l2_normalize_rows(mu)
     w_n = l2_normalize_rows(params.omega_c)
     s2_raw = model.dq_variance(params, mu)
-    s2 = np.maximum(s2_raw, SIGMA_SQ_FLOOR)
+    # an exp() that underflows to 0 is floored like any tiny variance, with
+    # zero gradient, rather than rejected as non-positive
+    s2 = np.maximum(s2_raw, np.finfo(float).tiny)
+    loss, (_, dw_n, ds2) = dq_gaussian_nll_with_grads(mu_n, w_n, c, s2)
 
-    diff = w_n[c] - mu_n
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    per = kernels.gaussian_nll(d2, s2)
-    n = mu.shape[0]
-
-    grads = model.zeros_like_params(params)
-    ddiff = (1.0 / (s2 * n))[:, None] * diff
-    dw_n = np.zeros_like(w_n)
-    np.add.at(dw_n, c, ddiff)
+    grads = params.zeros_like()
     grads.omega_c += l2_normalize_rows_backward(params.omega_c, w_n, dw_n)
-
-    ds2 = 0.5 * (1.0 / s2 - d2 / (s2 * s2)) / n
-    ds2 = np.where(s2_raw < SIGMA_SQ_FLOOR, 0.0, ds2)
     dw_dq, db_dq, _ = model.dq_variance_backward(params, mu, s2_raw, ds2)
     grads.w_dq += dw_dq
     grads.b_dq += db_dq
 
-    aux = {"sigma_d_sq": s2_raw, "d2": d2, "mu": mu}
-    return _make_loss(per), grads, aux
+    diff = w_n[c] - mu_n
+    aux = {"sigma_d_sq": s2_raw, "d2": np.einsum("ij,ij->i", diff, diff), "mu": mu}
+    return loss, grads, aux

@@ -14,6 +14,11 @@ import numpy as np
 
 @dataclass
 class ModelParams:
+    """Every tensor is a view into one contiguous float64 vector, ``flat``,
+    laid out in ``named_tensors()`` order (the checkpoint's byte order), so
+    optimizers step ``flat`` in place. The constructor packs the given
+    tensors into a new vector."""
+
     layers: list  # [(W: (out,in), b: (out,)), ...], tanh between, last linear
     w_lq: np.ndarray  # (B, B) log-variance head, sigma_L = exp(0.5 * affine)
     b_lq: np.ndarray  # (B,)
@@ -21,6 +26,21 @@ class ModelParams:
     b_dq: np.ndarray  # ()
     omega_c: np.ndarray  # (2, B) live/spoof classifier rows
     omega_s: dict  # category -> (A_k, B)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tensors = [np.asarray(t, dtype=np.float64) for _, t in self.named_tensors()]
+        ends = np.cumsum([t.size for t in tensors]).tolist()
+        self._slots = [(end - t.size, end, t.shape) for t, end in zip(tensors, ends)]
+        self._bind(np.concatenate([t.ravel() for t in tensors]))
+
+    def _bind(self, flat):
+        """Point every tensor at its slice of flat, in named_tensors() order."""
+        views = iter([flat[start:end].reshape(shape) for start, end, shape in self._slots])
+        self.layers = [(next(views), next(views)) for _ in self.layers]
+        self.w_lq, self.b_lq, self.w_dq, self.b_dq, self.omega_c = (next(views) for _ in range(5))
+        self.omega_s = {name: next(views) for name in sorted(self.omega_s)}
+        self.flat = flat
 
     @property
     def D(self):
@@ -30,16 +50,21 @@ class ModelParams:
     def B(self):
         return self.layers[-1][0].shape[0]
 
+    def with_flat(self, flat):
+        """Same layout, with every tensor a view into ``flat`` (not copied)."""
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"flat vector shape {flat.shape} != parameter count ({self.flat.size},)")
+        out = object.__new__(ModelParams)
+        out.layers, out.omega_s, out._slots = self.layers, self.omega_s, self._slots
+        out._bind(flat)
+        return out
+
     def copy(self):
-        return ModelParams(
-            layers=[(W.copy(), b.copy()) for W, b in self.layers],
-            w_lq=self.w_lq.copy(),
-            b_lq=self.b_lq.copy(),
-            w_dq=self.w_dq.copy(),
-            b_dq=self.b_dq.copy(),
-            omega_c=self.omega_c.copy(),
-            omega_s={k: v.copy() for k, v in self.omega_s.items()},
-        )
+        return self.with_flat(self.flat.copy())
+
+    def zeros_like(self):
+        return self.with_flat(np.zeros(self.flat.size))
 
     def named_tensors(self):
         """Stable (name, array) listing of every parameter tensor."""
@@ -79,34 +104,6 @@ def init_params(D, categories, B=32, hidden=(64, 64), seed=0):
         omega_c=omega_c,
         omega_s=omega_s,
     )
-
-
-def zeros_like_params(params):
-    return ModelParams(
-        layers=[(np.zeros_like(W), np.zeros_like(b)) for W, b in params.layers],
-        w_lq=np.zeros_like(params.w_lq),
-        b_lq=np.zeros_like(params.b_lq),
-        w_dq=np.zeros_like(params.w_dq),
-        b_dq=np.zeros_like(params.b_dq),
-        omega_c=np.zeros_like(params.omega_c),
-        omega_s={k: np.zeros_like(v) for k, v in params.omega_s.items()},
-    )
-
-
-def flatten_params(params):
-    return np.concatenate([t.ravel() for _, t in params.named_tensors()])
-
-
-def unflatten_params(vec, template):
-    out = template.copy()
-    offset = 0
-    for _, t in out.named_tensors():
-        n = t.size
-        t[...] = np.asarray(vec[offset : offset + n]).reshape(t.shape)
-        offset += n
-    if offset != vec.size:
-        raise ValueError(f"flat vector size {vec.size} != parameter count {offset}")
-    return out
 
 
 @dataclass

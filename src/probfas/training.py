@@ -11,6 +11,7 @@ resumed from a checkpoint and reproduce the uninterrupted result.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -167,7 +168,7 @@ def save_config(cfg, path):
 
 
 # ---------------------------------------------------------------------------
-# optimizer state (operates on the flattened parameter vector)
+# optimizer state (operates on the flat parameter vector)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -198,9 +199,34 @@ def _epoch_rngs(seed, stage, epoch):
     return shuffle, eps
 
 
-def _check_finite(stage, epoch, total, components):
-    if not np.isfinite(total) or abs(total) > DIVERGENCE_CAP:
-        raise TrainingDiverged(stage, epoch, components)
+def run_stage(params, n, stage, stage_cfg, seed, step, start_epoch=0, opt_state=None):
+    """Minibatch training of ``params`` in place over n samples, for epochs
+    start_epoch .. stage_cfg.epochs - 1.
+
+    Each epoch shuffles with, and hands ``step`` noise from, streams derived
+    from (seed, stage, epoch), so a resumed run (same opt_state) reproduces
+    the uninterrupted one. ``step(idx, eps_rng) -> (grads, figures)`` gets a
+    batch's sample indices; ``figures["total"]`` is the batch loss, and all
+    figures are reported if it is non-finite or beyond DIVERGENCE_CAP.
+    Yields (epoch, means) after each epoch, means holding the epoch mean of
+    every float figure.
+    """
+    if opt_state is None:
+        opt_state = OptState.create(stage_cfg, params.flat.size)
+    bs = stage_cfg.batch_size
+    for epoch in range(start_epoch, stage_cfg.epochs):
+        shuffle_rng, eps_rng = _epoch_rngs(seed, stage, epoch)
+        order = shuffle_rng.permutation(n)
+        history = {}
+        for lo in range(0, n, bs):
+            grads, figures = step(order[lo : lo + bs], eps_rng)
+            total = figures["total"]
+            if not np.isfinite(total) or abs(total) > DIVERGENCE_CAP:
+                raise TrainingDiverged(stage, epoch, figures)
+            opt_state.step(params.flat, grads.flat)
+            for key, value in figures.items():
+                history.setdefault(key, []).append(value)
+        yield epoch, {key: float(np.mean(v)) for key, v in history.items() if isinstance(v[0], float)}
 
 
 # ---------------------------------------------------------------------------
@@ -225,45 +251,28 @@ def train_stage1_lq(ds, config, params=None, start_epoch=0, opt_state=None):
     X = ds.X()
     c = ds.c_labels()
     s_by_cat = {cat: ds.s_labels(cat) for cat in ds.categories}
-    n = len(ds)
-    bs = config.stage1.batch_size
-    flat = model.flatten_params(params)
-    if opt_state is None:
-        opt_state = OptState.create(config.stage1, flat.size)
-    log = []
 
-    for epoch in range(start_epoch, config.stage1.epochs):
-        shuffle_rng, eps_rng = _epoch_rngs(config.seed, 1, epoch)
-        order = shuffle_rng.permutation(n)
-        epoch_loss = []
-        epoch_loss_c = []
-        for lo in range(0, n, bs):
-            idx = order[lo : lo + bs]
-            eps = eps_rng.standard_normal((idx.size, params.B))
-            params = model.unflatten_params(flat, params)
-            loss, grads, aux = losses.stage1_objective(
-                params, X[idx], c[idx], {k: v[idx] for k, v in s_by_cat.items()},
-                eps, lambda_s=config.lambda_s, enable_lq=config.enable_lq,
-            )
-            _check_finite(1, epoch, loss.total, {"total": loss.total, "loss_c": aux["loss_c"], "loss_s": aux["loss_s"]})
-            opt_state.step(flat, model.flatten_params(grads))
-            epoch_loss.append(loss.total)
-            epoch_loss_c.append(aux["loss_c"])
-        params = model.unflatten_params(flat, params)
+    def step(idx, eps_rng):
+        eps = eps_rng.standard_normal((idx.size, params.B))
+        loss, grads, aux = losses.stage1_objective(
+            params, X[idx], c[idx], {k: v[idx] for k, v in s_by_cat.items()},
+            eps, lambda_s=config.lambda_s, enable_lq=config.enable_lq,
+        )
+        return grads, {"total": loss.total, "loss_c": aux["loss_c"], "loss_s": aux["loss_s"]}
+
+    log = []
+    stage = run_stage(params, len(ds), 1, config.stage1, config.seed, step, start_epoch, opt_state)
+    for epoch, means in stage:
         mu_full = model.embed(params, X)
-        acc = float(np.mean(np.argmax(mu_full @ params.omega_c.T, axis=1) == c))
-        sigma_l = model.lq_variance(params, mu_full)
-        row = {
+        log.append({
             "stage": 1,
             "epoch": epoch,
-            "loss_total": float(np.mean(epoch_loss)),
-            "loss_c": float(np.mean(epoch_loss_c)),
-            "mean_sigma_l": float(sigma_l.mean()),
+            "loss_total": means["total"],
+            "loss_c": means["loss_c"],
+            "mean_sigma_l": float(model.lq_variance(params, mu_full).mean()),
             "mean_sigma_d_sq": float(model.dq_variance(params, mu_full).mean()),
-            "train_acc": acc,
-        }
-        log.append(row)
-    params = model.unflatten_params(flat, params)
+            "train_acc": float(np.mean(np.argmax(mu_full @ params.omega_c.T, axis=1) == c)),
+        })
     return params, log
 
 
@@ -273,39 +282,26 @@ def train_stage1_lq(ds, config, params=None, start_epoch=0, opt_state=None):
 
 def train_stage2_dq(params, ds, config, start_epoch=0, opt_state=None):
     """Finetune omega_c and the data-quality head on the normalized NLL;
-    backbone and label-quality head are exact no-ops."""
+    backbone and label-quality head get zero gradients, so they stay
+    bit-identical under SGD and Adam alike."""
     config.validate()
     params = params.copy()
     X = ds.X()
     c = ds.c_labels()
-    n = len(ds)
-    bs = config.stage2.batch_size
-    flat = model.flatten_params(params)
-    if opt_state is None:
-        opt_state = OptState.create(config.stage2, flat.size)
-    log = []
 
-    for epoch in range(start_epoch, config.stage2.epochs):
-        shuffle_rng, _ = _epoch_rngs(config.seed, 2, epoch)
-        order = shuffle_rng.permutation(n)
-        epoch_loss = []
-        for lo in range(0, n, bs):
-            idx = order[lo : lo + bs]
-            params = model.unflatten_params(flat, params)
-            loss, grads, aux = losses.stage2_objective(params, X[idx], c[idx])
-            _check_finite(2, epoch, loss.total, {"total": loss.total, "mean_d2": float(aux["d2"].mean())})
-            opt_state.step(flat, model.flatten_params(grads))
-            epoch_loss.append(loss.total)
-        params = model.unflatten_params(flat, params)
-        mu_full = model.embed(params, X)
-        s2_full = model.dq_variance(params, mu_full)
+    def step(idx, _):
+        loss, grads, aux = losses.stage2_objective(params, X[idx], c[idx])
+        return grads, {"total": loss.total, "mean_d2": float(aux["d2"].mean())}
+
+    log = []
+    stage = run_stage(params, len(ds), 2, config.stage2, config.seed, step, start_epoch, opt_state)
+    for epoch, means in stage:
         log.append({
             "stage": 2,
             "epoch": epoch,
-            "loss_total": float(np.mean(epoch_loss)),
-            "mean_sigma_d_sq": float(s2_full.mean()),
+            "loss_total": means["total"],
+            "mean_sigma_d_sq": float(model.dq_variance(params, model.embed(params, X)).mean()),
         })
-    params = model.unflatten_params(flat, params)
     return params, log
 
 
@@ -362,11 +358,10 @@ _CKPT_MAGIC = b"PROBFAS-CKPT v1\n"
 
 def save_checkpoint(path, params, config=None, extra_arrays=None, extra_meta=None):
     params.check_finite()
-    tensors = params.named_tensors()
     extra_arrays = extra_arrays or {}
     header = {
         "version": 1,
-        "tensors": [{"name": name, "shape": list(t.shape)} for name, t in tensors],
+        "tensors": [{"name": name, "shape": list(t.shape)} for name, t in params.named_tensors()],
         "extra_arrays": [
             {"name": name, "shape": list(np.asarray(a).shape)} for name, a in sorted(extra_arrays.items())
         ],
@@ -378,8 +373,7 @@ def save_checkpoint(path, params, config=None, extra_arrays=None, extra_meta=Non
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, t in tensors:
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
         for name, a in sorted(extra_arrays.items()):
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
@@ -387,19 +381,37 @@ def save_checkpoint(path, params, config=None, extra_arrays=None, extra_meta=Non
 def load_checkpoint(path, expect_config=None):
     """Returns (params, config_or_None, extra_arrays, extra_meta)."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        arrays = {}
-        for spec in header["tensors"] + header["extra_arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise CheckpointError(f"{path}: truncated tensor {spec['name']}")
-            arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        blob = fh.read()
+    if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic")
+    header_start = len(_CKPT_MAGIC) + 4
+    if len(blob) < header_start:
+        raise CheckpointError(f"{path}: truncated header length")
+    (hlen,) = struct.unpack_from("<I", blob, len(_CKPT_MAGIC))
+    body_start = header_start + hlen
+    if body_start > len(blob):
+        raise CheckpointError(
+            f"{path}: truncated header: {hlen} bytes declared, {len(blob) - header_start} present"
+        )
+    try:
+        header = json.loads(blob[header_start:body_start].decode("utf-8"))
+        specs = [(spec["name"], tuple(int(d) for d in spec["shape"]))
+                 for spec in header["tensors"] + header["extra_arrays"]]
+        config = TrainConfig.from_dict(header["config"]) if header["config"] else None
+        extra_meta = header["extra_meta"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
+
+    sizes = [math.prod(shape) for _, shape in specs]
+    body_len = len(blob) - body_start
+    if body_len != 8 * sum(sizes):
+        problem = "truncated body" if body_len < 8 * sum(sizes) else "trailing bytes after body"
+        raise CheckpointError(f"{path}: {problem}: {body_len} bytes, header declares {8 * sum(sizes)}")
+    body = np.frombuffer(blob, dtype="<f8", offset=body_start)
+    arrays, offset = {}, 0
+    for (name, shape), size in zip(specs, sizes):
+        arrays[name] = body[offset : offset + size].reshape(shape)
+        offset += size
 
     layer_idx = sorted({int(n.split(".")[1]) for n in arrays if n.startswith("layers.")})
     try:
@@ -416,12 +428,11 @@ def load_checkpoint(path, expect_config=None):
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing tensor {exc}") from exc
 
-    config = TrainConfig.from_dict(header["config"]) if header["config"] else None
     check_against = expect_config or config
     if check_against is not None and params.B != check_against.embedding_dim:
         raise CheckpointError(
             f"{path}: embedding dim {params.B} does not match config embedding_dim "
             f"{check_against.embedding_dim}"
         )
-    extras = {spec["name"]: arrays[spec["name"]] for spec in header["extra_arrays"]}
-    return params, config, extras, header["extra_meta"]
+    extras = {name: arrays[name].copy() for name, _ in specs[len(header["tensors"]):]}
+    return params, config, extras, extra_meta

@@ -1,4 +1,4 @@
-"""Shared helpers: finite-difference gradient checking over the flattened
+"""Shared helpers: finite-difference gradient checking over the flat
 parameter vector, and small dataset builders."""
 
 import numpy as np
@@ -37,19 +37,17 @@ def check_param_gradients(params, loss_and_grads, mask=None, tol=FD_TOL):
     mask: optional ModelParams whose nonzero entries select the parameters
     that carry gradients (all others are held out of the comparison).
     """
-    flat0 = model.flatten_params(params)
-    template = params.copy()
+    flat0 = params.flat.copy()
 
     def f(vec):
-        p = model.unflatten_params(vec.copy(), template.copy())
-        loss, _ = loss_and_grads(p)
+        loss, _ = loss_and_grads(params.with_flat(vec.copy()))
         return loss
 
     _, grads = loss_and_grads(params)
-    analytic = model.flatten_params(grads)
+    analytic = grads.flat
     numeric = fd_gradient(f, flat0)
     if mask is not None:
-        m = model.flatten_params(mask) != 0
+        m = mask.flat != 0
         analytic = analytic[m]
         numeric = numeric[m]
     err = rel_err(analytic, numeric)
@@ -59,7 +57,7 @@ def check_param_gradients(params, loss_and_grads, mask=None, tol=FD_TOL):
 
 def selection_mask(params, tensor_names):
     """ModelParams whose listed tensors are ones and the rest zeros."""
-    mask = model.zeros_like_params(params)
+    mask = params.zeros_like()
     for name, t in mask.named_tensors():
         if name in tensor_names:
             t[...] = 1.0

@@ -34,6 +34,21 @@ def dataset_dir(tmp_path):
     return out
 
 
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def with_feature(src, dst, value):
+    """Copy a dataset file, setting x0 of its first sample row to value."""
+    lines = src.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = value
+    lines[3] = ",".join(fields)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
 class TestGenData:
     def test_contract_example(self, tmp_path):
         out = tmp_path / "d"
@@ -105,6 +120,17 @@ class TestTrain:
         assert run(["train", "--data", str(dataset_dir / "dataset.txt"),
                     "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_data_error(self, dataset_dir, tmp_path, capsys, value):
+        bad = with_feature(dataset_dir / "dataset.txt", tmp_path / "bad.txt", value)
+        cfg_path = tmp_path / "cfg.txt"
+        write_quick_config(cfg_path)
+        capsys.readouterr()
+        assert run(["train", "--data", str(bad), "--config", str(cfg_path),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert one_line_error(capsys)
+        assert not (tmp_path / "o" / "checkpoint.ckpt").exists()
+
     def test_seed_flag_overrides_config(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         write_quick_config(cfg_path)
@@ -154,6 +180,34 @@ class TestEval:
                     "--uncorrected", "--out", str(out)]) == 0
         rep = json.loads((out / "report_uncorrected.json").read_text())
         assert rep["threshold_used"] == 0.8
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_is_data_error(self, dataset_dir, trained, tmp_path, capsys, value):
+        bad = with_feature(dataset_dir / "dataset.txt", tmp_path / "bad.txt", value)
+        capsys.readouterr()
+        assert run(["eval", "--data", str(bad), "--checkpoint", str(trained),
+                    "--out", str(tmp_path / "e")]) == 2
+        assert one_line_error(capsys)
+        assert not (tmp_path / "e" / "report_uncorrected.json").exists()
+
+    @pytest.mark.parametrize("damage", ["magic", "length", "header", "body", "trailing"])
+    def test_damaged_checkpoint_is_data_error(self, dataset_dir, trained, tmp_path, capsys, damage):
+        blob = trained.read_bytes()
+        magic_len = len(training._CKPT_MAGIC)
+        header_end = magic_len + 4 + int.from_bytes(blob[magic_len : magic_len + 4], "little")
+        damaged = {
+            "magic": blob[: magic_len - 3],
+            "length": blob[: magic_len + 2],
+            "header": blob[: header_end - 5],
+            "body": blob[:-4],
+            "trailing": blob + b"\0",
+        }[damage]
+        ckpt = tmp_path / "damaged.ckpt"
+        ckpt.write_bytes(damaged)
+        capsys.readouterr()
+        assert run(["eval", "--data", str(dataset_dir / "dataset.txt"),
+                    "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")]) == 2
+        assert one_line_error(capsys)
 
     def test_report_matches_in_process_metrics(self, dataset_dir, trained, tmp_path):
         out = tmp_path / "eval_m"
@@ -245,6 +299,39 @@ class TestManifest:
         out = tmp_path / "d"
         assert run(["gen-data", "--n", "5", "--dim", "4", "--seed", "0", "--out", str(out)]) == 0
         assert run(["gen-data", "--n", "6", "--dim", "4", "--seed", "0", "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "noise-sweep", "quality-report"])
+    def test_conflicting_rerun_leaves_artifacts_untouched(self, dataset_dir, tmp_path, command):
+        dataset = str(dataset_dir / "dataset.txt")
+        cfg_path = tmp_path / "cfg.txt"
+        write_quick_config(cfg_path)
+        train = ["train", "--data", dataset, "--config", str(cfg_path)]
+        checkpoints = []
+        for seed in ("0", "1"):
+            assert run(train + ["--seed", seed, "--out", str(tmp_path / f"ckpt{seed}")]) == 0
+            checkpoints.append(str(tmp_path / f"ckpt{seed}" / "checkpoint.ckpt"))
+        first, conflicting = {
+            "gen-data": (["gen-data", "--n", "5", "--dim", "4", "--seed", "0"],
+                         ["gen-data", "--n", "5", "--dim", "4", "--seed", "1"]),
+            "train": (train, train + ["--seed", "3"]),
+            "eval": (["eval", "--data", dataset, "--checkpoint", checkpoints[0]],
+                     ["eval", "--data", dataset, "--checkpoint", checkpoints[1]]),
+            "noise-sweep": (["noise-sweep", "--noise-kind", "semantic", "--fractions", "0",
+                             "--arm", "s", "--seeds", "0", "--config", str(cfg_path)],
+                            ["noise-sweep", "--noise-kind", "semantic", "--fractions", "0",
+                             "--arm", "s", "--seeds", "1", "--config", str(cfg_path)]),
+            "quality-report": (["quality-report", "--data", dataset, "--checkpoint", checkpoints[0]],
+                               ["quality-report", "--data", dataset, "--checkpoint", checkpoints[1]]),
+        }[command]
+        out = tmp_path / "out"
+        assert run(first + ["--out", str(out)]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert run(conflicting + ["--out", str(out)]) == 2
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        # the conflicting settings do produce other bytes when given their own directory
+        assert run(conflicting + ["--out", str(tmp_path / "other")]) == 0
+        other = {f.name: f.read_bytes() for f in (tmp_path / "other").iterdir()}
+        assert any(other[name] != data for name, data in before.items() if name != "manifest.json")
 
     def test_commands_do_not_mutate_inputs(self, dataset_dir, tmp_path):
         before = (dataset_dir / "dataset.txt").read_bytes()

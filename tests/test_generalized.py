@@ -31,7 +31,7 @@ class TestTagger:
         cfg = quick_config(3)
         a = generalized.train_tagger(d_suf, "spoof_type", cfg)
         b = generalized.train_tagger(d_suf, "spoof_type", cfg)
-        assert np.array_equal(model.flatten_params(a.params), model.flatten_params(b.params))
+        assert np.array_equal(a.params.flat, b.params.flat)
 
     def test_probabilities_form_a_simplex(self):
         d_suf = sep_dataset(2)
@@ -110,7 +110,7 @@ class TestPipeline:
         arm = training.arm_config("s-lq-dq", cfg)
         p_tagged, _ = training.train_two_stage(tagged, arm)
         p_direct, _ = training.train_two_stage(d_def, arm)
-        assert np.array_equal(model.flatten_params(p_tagged), model.flatten_params(p_direct))
+        assert np.array_equal(p_tagged.flat, p_direct.flat)
 
     def test_runs_under_total_semantic_noise(self):
         d_suf = sep_dataset(15)
@@ -125,7 +125,7 @@ class TestPipeline:
         params_a, rep_a = generalized.run_generalized_pipeline(d_suf, d_def, cfg, arms=("s",))
         params_b, rep_b = generalized.run_generalized_pipeline(d_suf, d_def, cfg, arms=("s",))
         assert np.array_equal(
-            model.flatten_params(params_a["s"]), model.flatten_params(params_b["s"])
+            params_a["s"].flat, params_b["s"].flat
         )
         assert rep_a.to_json() == rep_b.to_json()
 

@@ -1,10 +1,6 @@
-"""Kernel-level checks: frozen numeric oracles, stability, and agreement
-between the numba and pure-numpy paths."""
+"""Kernel-level checks: frozen numeric oracles and stability."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -115,51 +111,3 @@ class TestAdamStep:
             vhat = ref_v / (1 - 0.999**t)
             ref_p = ref_p - 0.05 * mhat / (np.sqrt(vhat) + 1e-8)
         assert np.allclose(p, ref_p, rtol=1e-12)
-
-
-class TestDualPath:
-    def test_paths_agree(self):
-        nb = kernels.numba_impls()
-        if nb is None:
-            pytest.skip("numba path inactive")
-        npi = kernels.numpy_impls()
-        rng = np.random.default_rng(3)
-
-        logits = np.ascontiguousarray(rng.standard_normal((50, 4)) * 5)
-        labels = np.ascontiguousarray(rng.integers(0, 4, 50))
-        l1, p1 = nb["softmax_xent"](logits, labels)
-        l2, p2 = npi["softmax_xent"](logits, labels)
-        assert np.allclose(l1, l2, rtol=1e-12)
-        assert np.allclose(p1, p2, rtol=1e-12)
-
-        d2 = np.ascontiguousarray(rng.uniform(0.01, 4.0, 50))
-        s2 = np.ascontiguousarray(rng.uniform(0.1, 4.0, 50))
-        assert np.allclose(nb["gaussian_nll"](d2, s2), npi["gaussian_nll"](d2, s2), rtol=1e-12)
-
-        X = np.ascontiguousarray(rng.standard_normal((20, 9)))
-        assert np.allclose(nb["smooth_rows"](X, 3), npi["smooth_rows"](X, 3), rtol=1e-12)
-
-        p_a = rng.standard_normal(30)
-        p_b = p_a.copy()
-        g = rng.standard_normal(30)
-        m_a, v_a = np.zeros(30), np.zeros(30)
-        m_b, v_b = np.zeros(30), np.zeros(30)
-        nb["adam_step"](p_a, g, m_a, v_a, 0.01, 0.9, 0.999, 1e-8, 1)
-        npi["adam_step"](p_b, g, m_b, v_b, 0.01, 0.9, 0.999, 1e-8, 1)
-        assert np.allclose(p_a, p_b, rtol=1e-12)
-
-    def test_env_flag_disables_numba(self):
-        env = dict(os.environ, PROBFAS_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", "from probfas import kernels; print(kernels.NUMBA_ENABLED)"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_env_flag_default_enables_numba(self):
-        env = {k: v for k, v in os.environ.items() if k != "PROBFAS_NUMBA"}
-        out = subprocess.run(
-            [sys.executable, "-c", "from probfas import kernels; print(kernels.NUMBA_ENABLED)"],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() in ("True", "False")  # False only if numba is absent

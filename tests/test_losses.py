@@ -291,6 +291,19 @@ class TestStage2Objective:
             if name not in live:
                 assert np.all(t == 0.0), f"{name} should carry no stage-2 gradient"
 
+    def test_underflowed_variance_is_floored_with_zero_gradient(self):
+        params, X, c, _, _ = make_stage_case(302)
+        params.b_dq[...] = -1e4  # exp() underflows to exactly 0
+        loss, grads, aux = losses.stage2_objective(params, X, c)
+        assert np.all(aux["sigma_d_sq"] == 0.0)
+        floored = losses.dq_gaussian_nll(
+            losses.l2_normalize_rows(aux["mu"]), losses.l2_normalize_rows(params.omega_c),
+            c, np.full(len(c), losses.SIGMA_SQ_FLOOR),
+        )
+        assert loss.total == floored.total
+        assert np.all(grads.w_dq == 0.0) and grads.b_dq == 0.0
+        assert np.any(grads.omega_c != 0.0)
+
     def test_parallel_row_distance_zero(self):
         params, X, c, _, _ = make_stage_case(301)
         # embed, then point omega_c rows exactly along each sample's mu

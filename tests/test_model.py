@@ -1,10 +1,12 @@
 """Model parameter container, backbone, variance heads, and their
 hand-written gradients against finite differences."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from probfas import model
+from probfas import losses, model, training
 from conftest import fd_gradient, rel_err, FD_TOL
 
 
@@ -34,24 +36,84 @@ class TestInit:
     def test_deterministic(self):
         a = model.init_params(4, {"spoof_type": 2}, B=5, hidden=(6,), seed=3)
         b = model.init_params(4, {"spoof_type": 2}, B=5, hidden=(6,), seed=3)
-        assert np.array_equal(model.flatten_params(a), model.flatten_params(b))
+        assert np.array_equal(a.flat, b.flat)
 
 
 class TestFlatten:
     def test_round_trip(self, tiny_params):
-        flat = model.flatten_params(tiny_params)
-        rebuilt = model.unflatten_params(flat, tiny_params)
-        assert np.array_equal(model.flatten_params(rebuilt), flat)
+        vec = tiny_params.flat.copy()
+        rebuilt = tiny_params.with_flat(vec)
+        assert np.array_equal(rebuilt.flat, tiny_params.flat)
+        assert rebuilt.flat is vec
+        for (name, a), (_, b) in zip(rebuilt.named_tensors(), tiny_params.named_tensors()):
+            assert np.array_equal(a, b), name
 
     def test_named_tensor_ordering_is_stable(self, tiny_params):
         names1 = [n for n, _ in tiny_params.named_tensors()]
         names2 = [n for n, _ in tiny_params.copy().named_tensors()]
         assert names1 == names2
 
+    def test_flat_is_named_tensors_in_order(self, tiny_params):
+        expected = np.concatenate([t.ravel() for _, t in tiny_params.named_tensors()])
+        assert np.array_equal(tiny_params.flat, expected)
+        assert tiny_params.flat.flags.c_contiguous and tiny_params.flat.dtype == np.float64
+
     def test_size_mismatch_rejected(self, tiny_params):
-        flat = model.flatten_params(tiny_params)
         with pytest.raises(ValueError):
-            model.unflatten_params(flat[:-1], tiny_params)
+            tiny_params.with_flat(tiny_params.flat[:-1].copy())
+        with pytest.raises(ValueError):
+            tiny_params.with_flat(np.zeros(tiny_params.flat.size + 1))
+
+    @pytest.mark.parametrize("make", [
+        lambda p: p,
+        lambda p: p.copy(),
+        lambda p: p.zeros_like(),
+        lambda p: p.with_flat(p.flat.copy()),
+    ], ids=["init", "copy", "zeros_like", "with_flat"])
+    def test_every_tensor_is_a_view_of_flat(self, tiny_params, make):
+        p = make(tiny_params)
+        for name, t in p.named_tensors():
+            assert np.shares_memory(t, p.flat), name
+
+    def test_copy_and_zeros_like_share_no_memory_with_source(self, tiny_params):
+        for other in (tiny_params.copy(), tiny_params.zeros_like()):
+            assert not np.shares_memory(other.flat, tiny_params.flat)
+            for (_, a), (_, b) in zip(other.named_tensors(), tiny_params.named_tensors()):
+                assert not np.shares_memory(a, b)
+        assert not np.any(tiny_params.zeros_like().flat)
+
+    def test_writes_through_a_tensor_reach_flat(self, tiny_params):
+        p = tiny_params.copy()
+        p.omega_c[1, 2] = 7.5
+        p.b_dq += 1.25
+        names = [n for n, _ in p.named_tensors()]
+        offset = sum(t.size for n, t in p.named_tensors()[: names.index("omega_c")])
+        assert p.flat[offset + 1 * p.B + 2] == 7.5
+        assert p.flat[offset - 1] == 1.25  # b_dq is stored just before omega_c
+        assert tiny_params.omega_c[1, 2] != 7.5
+
+    def test_checkpoint_body_is_flat_and_loads_as_views(self, tiny_params, tmp_path):
+        path = tmp_path / "p.ckpt"
+        training.save_checkpoint(path, tiny_params)
+        blob = path.read_bytes()
+        magic_len = len(b"PROBFAS-CKPT v1\n")
+        (hlen,) = struct.unpack("<I", blob[magic_len : magic_len + 4])
+        assert blob[magic_len + 4 + hlen :] == tiny_params.flat.tobytes()
+        loaded, _, _, _ = training.load_checkpoint(path)
+        assert np.array_equal(loaded.flat, tiny_params.flat)
+        for name, t in loaded.named_tensors():
+            assert np.shares_memory(t, loaded.flat), name
+
+    def test_stage_objective_gradients_are_views_of_flat(self, tiny_dataset, tiny_params):
+        X, c = tiny_dataset.X(), tiny_dataset.c_labels()
+        s = {"spoof_type": tiny_dataset.s_labels("spoof_type")}
+        eps = np.random.default_rng(0).standard_normal((len(c), tiny_params.B))
+        _, g1, _ = losses.stage1_objective(tiny_params, X, c, s, eps)
+        _, g2, _ = losses.stage2_objective(tiny_params, X, c)
+        for grads in (g1, g2):
+            assert not np.shares_memory(grads.flat, tiny_params.flat)
+            for name, t in grads.named_tensors():
+                assert np.shares_memory(t, grads.flat), name
 
     def test_check_finite(self, tiny_params):
         p = tiny_params.copy()
@@ -72,12 +134,12 @@ class TestBackbone:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((5, tiny_params.D))
         R = rng.standard_normal((5, tiny_params.B))
-        flat0 = model.flatten_params(tiny_params)
+        flat0 = tiny_params.flat.copy()
         # backbone parameters only: omega/variance heads do not enter this loss
         n_backbone = sum(W.size + b.size for W, b in tiny_params.layers)
 
         def f(vec):
-            p = model.unflatten_params(vec.copy(), tiny_params.copy())
+            p = tiny_params.with_flat(vec.copy())
             return float((model.embed(p, X) * R).sum())
 
         mu, cache = model.embed_with_cache(tiny_params, X)

@@ -17,10 +17,6 @@ def small_config(seed=0, epochs1=3, epochs2=3):
     return cfg.validate()
 
 
-def flat(params):
-    return model.flatten_params(params)
-
-
 class TestConfig:
     def test_defaults(self):
         cfg = training.TrainConfig()
@@ -84,13 +80,13 @@ class TestDeterminism:
         cfg = small_config()
         p1, log1 = training.train_two_stage(tiny_dataset, cfg)
         p2, log2 = training.train_two_stage(tiny_dataset, cfg)
-        assert np.array_equal(flat(p1), flat(p2))
+        assert np.array_equal(p1.flat, p2.flat)
         assert log1 == log2
 
     def test_different_seed_differs(self, tiny_dataset):
         p1, _ = training.train_two_stage(tiny_dataset, small_config(seed=0))
         p2, _ = training.train_two_stage(tiny_dataset, small_config(seed=1))
-        assert not np.array_equal(flat(p1), flat(p2))
+        assert not np.array_equal(p1.flat, p2.flat)
 
 
 class TestStage1:
@@ -135,14 +131,14 @@ class TestStage1:
         full_params, full_log = training.train_stage1_lq(tiny_dataset, cfg)
 
         cfg_half = small_config(epochs1=2)
-        opt = training.OptState.create(cfg.stage1, flat(model.init_params(
+        opt = training.OptState.create(cfg.stage1, model.init_params(
             tiny_dataset.feature_dim, tiny_dataset.categories, B=cfg.embedding_dim,
-            hidden=cfg.hidden, seed=cfg.seed)).size)
+            hidden=cfg.hidden, seed=cfg.seed).flat.size)
         half_params, half_log = training.train_stage1_lq(tiny_dataset, cfg_half, opt_state=opt)
         resumed, rest_log = training.train_stage1_lq(
             tiny_dataset, cfg, params=half_params, start_epoch=2, opt_state=opt
         )
-        assert np.array_equal(flat(resumed), flat(full_params))
+        assert np.array_equal(resumed.flat, full_params.flat)
         assert half_log + rest_log == full_log
 
 
@@ -158,6 +154,16 @@ class TestStage2:
                 continue
             assert np.array_equal(t, before[name]), f"{name} must not move in stage 2"
 
+    def test_frozen_tensors_stay_bit_identical_under_adam(self, tiny_dataset):
+        cfg = small_config()
+        stage1_params, _ = training.train_stage1_lq(tiny_dataset, cfg)
+        cfg.stage2 = training.StageConfig("adam", 1e-2, 3, 16)
+        after_params, _ = training.train_stage2_dq(stage1_params, tiny_dataset, cfg)
+        for (name, t), (_, before) in zip(after_params.named_tensors(), stage1_params.named_tensors()):
+            if name not in {"omega_c", "w_dq", "b_dq"}:
+                assert np.array_equal(t, before), f"{name} must not move in stage 2"
+        assert not np.array_equal(after_params.omega_c, stage1_params.omega_c)
+
     def test_finetuned_tensors_actually_move(self, tiny_dataset):
         cfg = small_config()
         stage1_params, _ = training.train_stage1_lq(tiny_dataset, cfg)
@@ -168,7 +174,7 @@ class TestStage2:
         cfg = small_config(epochs2=0)
         stage1_params, _ = training.train_stage1_lq(tiny_dataset, cfg)
         after_params, log = training.train_stage2_dq(stage1_params, tiny_dataset, cfg)
-        assert np.array_equal(flat(after_params), flat(stage1_params))
+        assert np.array_equal(after_params.flat, stage1_params.flat)
         assert log == []
 
     def test_resume_reproduces_uninterrupted_run(self, tiny_dataset):
@@ -178,7 +184,7 @@ class TestStage2:
         cfg_half = small_config(epochs2=2)
         half_params, _ = training.train_stage2_dq(stage1_params, tiny_dataset, cfg_half)
         resumed, _ = training.train_stage2_dq(half_params, tiny_dataset, cfg, start_epoch=2)
-        assert np.array_equal(flat(resumed), flat(full_params))
+        assert np.array_equal(resumed.flat, full_params.flat)
 
     def test_quality_separates_corrupted_samples(self):
         # after finetuning on 30% severity-2 corruption, corrupted samples
@@ -285,7 +291,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         training.save_checkpoint(path, params, config=cfg, extra_meta={"note": "x"})
         loaded, loaded_cfg, extras, meta = training.load_checkpoint(path)
-        assert np.array_equal(flat(loaded), flat(params))
+        assert np.array_equal(loaded.flat, params.flat)
         assert loaded_cfg.to_dict() == cfg.to_dict()
         assert meta == {"note": "x"}
         assert extras == {}
@@ -316,6 +322,39 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(training.CheckpointError, match="truncated"):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["magic", "length", "header", "body"])
+    def test_truncation_anywhere_is_checkpoint_error(self, tiny_params, tmp_path, where):
+        path = tmp_path / "model.ckpt"
+        training.save_checkpoint(path, tiny_params)
+        blob = path.read_bytes()
+        magic_len = len(training._CKPT_MAGIC)
+        header_end = magic_len + 4 + int.from_bytes(blob[magic_len : magic_len + 4], "little")
+        cut = {"magic": magic_len - 3, "length": magic_len + 2,
+               "header": header_end - 5, "body": len(blob) - 4}[where]
+        path.write_bytes(blob[:cut])
+        with pytest.raises(training.CheckpointError, match=str(path)):
+            training.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tiny_params, tmp_path):
+        path = tmp_path / "model.ckpt"
+        training.save_checkpoint(path, tiny_params)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(training.CheckpointError, match="trailing"):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        b"{}",  # no tensors
+        b'{"tensors": [], "extra_arrays": []}',  # no config or meta
+        b"[1, 2]",
+        b"{not json",
+        b"\xff\xfe",
+    ])
+    def test_malformed_header_is_checkpoint_error(self, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(training._CKPT_MAGIC + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(training.CheckpointError, match="malformed header"):
             training.load_checkpoint(path)
 
     def test_embedding_dim_mismatch_rejected(self, tiny_params, tmp_path):
