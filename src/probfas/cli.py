@@ -40,17 +40,21 @@ def _parse_seeds(text):
         if hi_i < lo_i:
             raise _UsageError(f"empty --seeds range {text!r}")
         return list(range(lo_i, hi_i + 1))
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise _UsageError(f"bad --seeds list {text!r}")
+    return _parse_list(text, int, "--seeds")
 
 
 def _parse_fractions(text):
+    return _parse_list(text, float, "--fractions")
+
+
+def _parse_list(text, typ, flag):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [typ(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise _UsageError(f"bad --fractions list {text!r}")
+        raise _UsageError(f"bad {flag} list {text!r}")
+    if not values:
+        raise _UsageError(f"empty {flag} list {text!r}")
+    return values
 
 
 def _resolve_out(out, command):
@@ -168,8 +172,6 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     out = _resolve_out(args.out, "train")
-    if not os.path.exists(args.data):
-        raise data.DataError(f"dataset file not found: {args.data}")
     ds = data.load_dataset(args.data)
     cfg = _load_config(args.config, args.seed)
     cfg = training.arm_config(args.arm, cfg)
@@ -190,9 +192,9 @@ def cmd_train(args):
 
 
 def _eval_mode(params, ds, corrected, threshold, out, tag):
-    preds, _ = inference.predict_batch(params, ds.X(), corrected=corrected)
-    inference.save_predictions(preds, os.path.join(out, f"predictions_{tag}.csv"))
-    report = metrics.evaluate_predictions(preds, ds.c_labels(), threshold)
+    probs, s2 = inference.predict_batch(params, ds.X(), corrected=corrected)
+    report = metrics.evaluate(probs[:, 1], ds.c_labels(), threshold)
+    inference.save_predictions(probs, s2, corrected, os.path.join(out, f"predictions_{tag}.csv"))
     with open(os.path.join(out, f"report_{tag}.json"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_json() + "\n")
     return report
@@ -200,8 +202,6 @@ def _eval_mode(params, ds, corrected, threshold, out, tag):
 
 def cmd_eval(args):
     out = _resolve_out(args.out, "eval")
-    if not os.path.exists(args.data):
-        raise data.DataError(f"dataset file not found: {args.data}")
     ds = data.load_dataset(args.data)
     params, _, _, _ = training.load_checkpoint(args.checkpoint)
 
@@ -263,8 +263,6 @@ def cmd_noise_sweep(args):
 
 def cmd_quality_report(args):
     out = _resolve_out(args.out, "quality-report")
-    if not os.path.exists(args.data):
-        raise data.DataError(f"dataset file not found: {args.data}")
     ds = data.load_dataset(args.data)
     params, _, _, _ = training.load_checkpoint(args.checkpoint)
     doc = {

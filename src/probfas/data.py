@@ -8,7 +8,7 @@ pure functions of (input, seed).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,109 +26,120 @@ class DataError(Exception):
     """Invalid configuration or malformed dataset file."""
 
 
-@dataclass
-class NoiseFlags:
-    label_flipped: bool = False
-    semantic_reassigned: bool = False
-    data_corrupted: bool = False
-    corruption_severity: float = 0.0
+FLAGS = ("label_flipped", "semantic_reassigned", "data_corrupted")
+_PROVENANCE = FLAGS + ("corruption_severity",)  # per-row noise columns
 
 
-@dataclass
-class Sample:
-    id: int
-    x: np.ndarray
-    c: int
-    s: dict
-    flags: NoiseFlags = field(default_factory=NoiseFlags)
-    s_annotated: dict | None = None  # original labels kept around after self-labeling
-
-    def copy(self):
-        return Sample(
-            id=self.id,
-            x=self.x.copy(),
-            c=self.c,
-            s=dict(self.s),
-            flags=replace(self.flags),
-            s_annotated=None if self.s_annotated is None else dict(self.s_annotated),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and np.array_equal(self.x, other.x)
-            and self.c == other.c
-            and self.s == other.s
-            and self.flags == other.flags
-            and self.s_annotated == other.s_annotated
-        )
-
-
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    samples: list
-    feature_dim: int
+    """Columnar dataset; a sample's id is its row index.
+
+    x is (N, D) float64, c the binary labels and s one int64 label array
+    per category. The noise flags and corruption_severity default to
+    all-clean columns. The accessors (X, c_labels, ...) return the stored
+    columns, not copies.
+    """
+
+    x: np.ndarray
+    c: np.ndarray
+    s: dict  # category name -> (N,) labels
     categories: dict  # name -> cardinality
     seed_provenance: int
+    label_flipped: np.ndarray = None
+    semantic_reassigned: np.ndarray = None
+    data_corrupted: np.ndarray = None
+    corruption_severity: np.ndarray = None
 
     def __post_init__(self):
-        for smp in self.samples:
-            if smp.x.shape != (self.feature_dim,):
-                raise DataError(f"sample {smp.id}: feature dim {smp.x.shape} != ({self.feature_dim},)")
-            for name, val in smp.s.items():
-                card = self.categories.get(name)
-                if card is None:
-                    raise DataError(f"sample {smp.id}: unknown category {name!r}")
-                if not 0 <= val < card:
-                    raise DataError(f"sample {smp.id}: label {val} out of range for {name!r} (<{card})")
-        ids = [smp.id for smp in self.samples]
-        if ids != list(range(len(ids))):
-            raise DataError("sample ids must be dense [0, N)")
+        self.x = np.asarray(self.x, dtype=np.float64)
+        if self.x.ndim != 2 or self.x.shape[1] < 1:
+            raise DataError(f"x must be (N, D) with D >= 1, got shape {self.x.shape}")
+        n = self.x.shape[0]
+        self.c = np.asarray(self.c, dtype=np.int64)
+        self.s = {name: np.asarray(v, dtype=np.int64) for name, v in self.s.items()}
+        for name in FLAGS:
+            v = getattr(self, name)
+            setattr(self, name, np.zeros(n, dtype=bool) if v is None else np.asarray(v, dtype=bool))
+        sev = self.corruption_severity
+        self.corruption_severity = np.zeros(n) if sev is None else np.asarray(sev, dtype=np.float64)
+        if set(self.s) != set(self.categories):
+            raise DataError(f"label columns {sorted(self.s)} do not match categories {sorted(self.categories)}")
+        for name, col in self._columns():
+            if name != "x" and col.shape != (n,):
+                raise DataError(f"column {name!r} has shape {col.shape}, expected ({n},)")
+        bad = np.flatnonzero((self.c != LIVE) & (self.c != SPOOF))
+        if bad.size:
+            raise DataError(f"row {bad[0]}: binary label {self.c[bad[0]]} is not 0 or 1")
+        for name, card in self.categories.items():
+            bad = np.flatnonzero((self.s[name] < 0) | (self.s[name] >= card))
+            if bad.size:
+                raise DataError(
+                    f"row {bad[0]}: label {self.s[name][bad[0]]} out of range for {name!r} (<{card})"
+                )
+
+    def _columns(self):
+        """(name, array) of every per-row column, x first."""
+        yield "x", self.x
+        yield "c", self.c
+        for name, col in self.s.items():
+            yield f"s:{name}", col
+        for name in _PROVENANCE:
+            yield name, getattr(self, name)
+
+    def _map_columns(self, fn):
+        return Dataset(
+            x=fn(self.x), c=fn(self.c), s={name: fn(col) for name, col in self.s.items()},
+            categories=dict(self.categories), seed_provenance=self.seed_provenance,
+            **{name: fn(getattr(self, name)) for name in _PROVENANCE},
+        )
+
+    def _rows(self, index):
+        """New dataset of the selected rows (a mask or ascending indices)."""
+        return self._map_columns(lambda col: col[index])
 
     def __len__(self):
-        return len(self.samples)
+        return self.x.shape[0]
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
+        mine, theirs = dict(self._columns()), dict(other._columns())
         return (
-            self.feature_dim == other.feature_dim
-            and self.categories == other.categories
+            self.categories == other.categories
             and self.seed_provenance == other.seed_provenance
-            and self.samples == other.samples
+            and mine.keys() == theirs.keys()
+            and all(np.array_equal(col, theirs[name]) for name, col in mine.items())
         )
 
     def copy(self):
-        return Dataset(
-            samples=[s.copy() for s in self.samples],
-            feature_dim=self.feature_dim,
-            categories=dict(self.categories),
-            seed_provenance=self.seed_provenance,
-        )
+        return self._map_columns(np.copy)
+
+    @property
+    def feature_dim(self):
+        return self.x.shape[1]
 
     @property
     def primary_category(self):
         return next(iter(self.categories))
 
-    # dense array views -----------------------------------------------------
+    # stored columns, under the names callers use -----------------------------
 
     def X(self):
-        return np.stack([s.x for s in self.samples]).astype(np.float64)
+        return self.x
 
     def c_labels(self):
-        return np.array([s.c for s in self.samples], dtype=np.int64)
+        return self.c
 
     def s_labels(self, category=None):
-        category = category or self.primary_category
-        return np.array([s.s[category] for s in self.samples], dtype=np.int64)
+        return self.s[category or self.primary_category]
 
     def spoof_mask(self):
-        return self.c_labels() == SPOOF
+        return self.c == SPOOF
 
     def flag_mask(self, flag_name):
-        return np.array([getattr(s.flags, flag_name) for s in self.samples], dtype=bool)
+        if flag_name not in FLAGS:
+            raise DataError(f"unknown noise flag {flag_name!r}")
+        return getattr(self, flag_name)
 
 
 @dataclass
@@ -144,10 +155,19 @@ class NoiseSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise DataError(f"{name} must be in [0,1], got {v}")
-        if self.data_noise_severity < 0:
-            raise DataError("data_noise_severity must be >= 0")
-        if self.cluster_overlap < 0:
-            raise DataError("cluster_overlap must be >= 0")
+        _check_severity(self.data_noise_severity, "data_noise_severity")
+        _check_overlap(self.cluster_overlap)
+
+
+def _check_severity(severity, name="severity"):
+    if not (math.isfinite(severity) and severity >= 0):
+        raise DataError(f"{name} must be finite and >= 0, got {severity}")
+
+
+def _check_overlap(overlap):
+    # inf is allowed: it shrinks every center to the origin
+    if not overlap >= 0:
+        raise DataError(f"cluster_overlap must be >= 0, got {overlap}")
 
 
 def _round_half_up(x):
@@ -168,12 +188,11 @@ def generate_synthetic(n_per_class, D, categories, cluster_overlap, seed):
     for name, card in categories.items():
         if card < 2:
             raise DataError(f"category {name!r} cardinality must be >= 2, got {card}")
-    if cluster_overlap < 0:
-        raise DataError("cluster_overlap must be >= 0")
+    _check_overlap(cluster_overlap)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
     names = list(categories)
-    primary = names[0]
+    primary, extra = names[0], names[1:]
     a_primary = categories[primary]
 
     radius = _BASE_RADIUS / (1.0 + cluster_overlap)
@@ -185,52 +204,42 @@ def generate_synthetic(n_per_class, D, categories, cluster_overlap, seed):
     # per-label offsets for auxiliary categories, weakly encoded in x
     extra_offsets = {
         name: rng.standard_normal((categories[name], D)) * _EXTRA_OFFSET_SCALE
-        for name in names[1:]
+        for name in extra
     }
 
-    samples = []
-    next_id = 0
-
-    def emit(center, c_label, s_primary):
-        nonlocal next_id
-        s = {primary: s_primary}
-        x = center + _CLUSTER_STD * rng.standard_normal(D)
-        for name in names[1:]:
-            lab = int(rng.integers(0, categories[name]))
-            s[name] = lab
-            x = x + extra_offsets[name][lab]
-        samples.append(Sample(id=next_id, x=x, c=c_label, s=s))
-        next_id += 1
-
-    for _ in range(n_per_class):
-        emit(centers[0], LIVE, 0)
-    for t in range(a_primary):
-        for _ in range(n_per_class):
-            emit(centers[t + 1], SPOOF, t)
-
-    return Dataset(samples=samples, feature_dim=D, categories=dict(categories), seed_provenance=int(seed))
+    # rows: n_per_class live, then n_per_class of each spoof type in turn
+    cluster = np.repeat(np.arange(a_primary + 1), n_per_class)
+    n = cluster.size
+    noise = np.empty((n, D))
+    s = {name: np.empty(n, dtype=np.int64) for name in extra}
+    for i in range(n):  # one row's draws at a time: its noise, then its extra labels
+        noise[i] = rng.standard_normal(D)
+        for name in extra:
+            s[name][i] = rng.integers(0, categories[name])
+    x = centers[cluster] + _CLUSTER_STD * noise
+    for name in extra:
+        x = x + extra_offsets[name][s[name]]
+    s[primary] = np.maximum(cluster - 1, 0)  # live rows carry spoof type 0
+    return Dataset(
+        x=x, c=np.where(cluster == 0, LIVE, SPOOF), s={name: s[name] for name in names},
+        categories=dict(categories), seed_provenance=int(seed),
+    )
 
 
 def split_dataset(ds, test_fraction, seed):
-    """Deterministic shuffled split; both halves are reindexed densely."""
+    """Deterministic shuffled split; both halves keep the original row order."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must be in (0,1), got {test_fraction}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5711]))
     order = rng.permutation(len(ds))
-    n_test = _round_half_up(test_fraction * len(ds))
-    test_ids = set(order[:n_test].tolist())
+    is_test = np.zeros(len(ds), dtype=bool)
+    is_test[order[: _round_half_up(test_fraction * len(ds))]] = True
+    return ds._rows(~is_test), ds._rows(is_test)
 
-    def rebuild(ids):
-        out = []
-        for new_id, old_id in enumerate(ids):
-            smp = ds.samples[old_id].copy()
-            smp.id = new_id
-            out.append(smp)
-        return Dataset(out, ds.feature_dim, dict(ds.categories), ds.seed_provenance)
 
-    train_ids = [i for i in range(len(ds)) if i not in test_ids]
-    test_ids_sorted = [i for i in range(len(ds)) if i in test_ids]
-    return rebuild(train_ids), rebuild(test_ids_sorted)
+def _pick(rng, n, fraction):
+    """Ascending indices of round(fraction * n) rows drawn without replacement."""
+    return np.sort(rng.choice(n, size=_round_half_up(fraction * n), replace=False))
 
 
 def inject_semantic_label_noise(ds, fraction, seed, category=None):
@@ -242,15 +251,11 @@ def inject_semantic_label_noise(ds, fraction, seed, category=None):
     if fraction == 0.0:
         return out
     category = category or ds.primary_category
-    card = ds.categories[category]
-    spoof_ids = [s.id for s in ds.samples if s.c == SPOOF]
-    n_pick = _round_half_up(fraction * len(spoof_ids))
+    spoof_rows = np.flatnonzero(ds.c == SPOOF)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E3A]))
-    picked = rng.choice(len(spoof_ids), size=n_pick, replace=False)
-    for k in sorted(picked.tolist()):
-        smp = out.samples[spoof_ids[k]]
-        smp.s[category] = int(rng.integers(0, card))
-        smp.flags.semantic_reassigned = True
+    rows = spoof_rows[_pick(rng, spoof_rows.size, fraction)]
+    out.s[category][rows] = rng.integers(0, ds.categories[category], size=rows.size)
+    out.semantic_reassigned[rows] = True
     return out
 
 
@@ -261,13 +266,10 @@ def inject_binary_label_noise(ds, fraction, seed):
     out = ds.copy()
     if fraction == 0.0:
         return out
-    n_pick = _round_half_up(fraction * len(ds))
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xF11B]))
-    picked = rng.choice(len(ds), size=n_pick, replace=False)
-    for idx in sorted(picked.tolist()):
-        smp = out.samples[idx]
-        smp.c = 1 - smp.c
-        smp.flags.label_flipped = True
+    rows = _pick(rng, len(ds), fraction)
+    out.c[rows] = 1 - out.c[rows]
+    out.label_flipped[rows] = True
     return out
 
 
@@ -276,24 +278,16 @@ def inject_data_noise(ds, fraction, severity, seed, window=3):
     feature axis plus additive Gaussian noise with std = severity."""
     if not 0.0 <= fraction <= 1.0:
         raise DataError(f"fraction must be in [0,1], got {fraction}")
-    if severity < 0:
-        raise DataError(f"severity must be >= 0, got {severity}")
+    _check_severity(severity)
     out = ds.copy()
     if fraction == 0.0:
         return out
-    n_pick = _round_half_up(fraction * len(ds))
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A2]))
-    picked = sorted(rng.choice(len(ds), size=n_pick, replace=False).tolist())
-    if picked:
-        X = np.stack([out.samples[i].x for i in picked])
-        smoothed = kernels.smooth_rows(X, window)
-        noise = rng.standard_normal(X.shape)
-        degraded = smoothed + severity * noise
-        for row, idx in enumerate(picked):
-            smp = out.samples[idx]
-            smp.x = degraded[row]
-            smp.flags.data_corrupted = True
-            smp.flags.corruption_severity = float(severity)
+    rows = _pick(rng, len(ds), fraction)
+    smoothed = kernels.smooth_rows(out.x[rows], window)
+    out.x[rows] = smoothed + severity * rng.standard_normal(smoothed.shape)
+    out.data_corrupted[rows] = True
+    out.corruption_severity[rows] = float(severity)
     return out
 
 
@@ -311,36 +305,35 @@ def apply_noise(ds, spec: NoiseSpec, seed):
 #   #probfas-dataset v1
 #   #D=<int> seed=<int> categories=<name>:<card>[,<name>:<card>...]
 #   id,x0,...,x{D-1},c,s:<name>,...,flags,severity
-# flags is a 3-char bitfield: label_flipped, semantic_reassigned, data_corrupted
+# ids are the row index 0..N-1; flags is a 3-char bitfield:
+# label_flipped, semantic_reassigned, data_corrupted
 
 _MAGIC = "#probfas-dataset v1"
-
-
-def _fmt_real(v):
-    return format(float(v), ".17g")
+_BITFIELDS = frozenset(f"{a}{b}{c}" for a in "01" for b in "01" for c in "01")
 
 
 def save_dataset(ds, path):
     names = list(ds.categories)
     cats = ",".join(f"{n}:{ds.categories[n]}" for n in names)
-    lines = [_MAGIC, f"#D={ds.feature_dim} seed={ds.seed_provenance} categories={cats}"]
-    header = ["id"] + [f"x{i}" for i in range(ds.feature_dim)] + ["c"]
-    header += [f"s:{n}" for n in names] + ["flags", "severity"]
-    lines.append(",".join(header))
-    for smp in ds.samples:
-        f = smp.flags
-        bits = f"{int(f.label_flipped)}{int(f.semantic_reassigned)}{int(f.data_corrupted)}"
-        row = [str(smp.id)] + [_fmt_real(v) for v in smp.x] + [str(smp.c)]
-        row += [str(smp.s[n]) for n in names]
-        row += [bits, _fmt_real(f.corruption_severity)]
-        lines.append(",".join(row))
+    D = ds.feature_dim
+    header = ["id"] + [f"x{i}" for i in range(D)] + ["c"] + [f"s:{n}" for n in names] + ["flags", "severity"]
+    # every cell goes through one %-format per row; integers ride as exact floats
+    row_fmt = "%d" + ",%.17g" * D + ",%d" * (1 + len(names)) + ",%03d,%.17g\n"
+    bits = 100 * ds.label_flipped + 10 * ds.semantic_reassigned + 1 * ds.data_corrupted
+    cells = np.column_stack(
+        [np.arange(len(ds)), ds.x, ds.c, *(ds.s[n] for n in names), bits, ds.corruption_severity]
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{_MAGIC}\n#D={D} seed={ds.seed_provenance} categories={cats}\n{','.join(header)}\n")
+        fh.write(row_fmt * len(ds) % tuple(cells.ravel().tolist()))
 
 
 def load_dataset(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read dataset: {exc.strerror or exc}") from exc
     lines = [ln for ln in lines if ln != ""]
     if not lines:
         raise DataError(f"{path}: empty dataset file")
@@ -361,9 +354,9 @@ def load_dataset(path):
             categories[name] = int(card)
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: malformed metadata line: {lines[1]!r}") from exc
-    names = list(categories)
-    expected_fields = 1 + D + 1 + len(names) + 2
-    samples, features = [], []
+    K = len(categories)
+    expected_fields = 1 + D + 1 + K + 2
+    ids, features, labels, bits, severity = [], [], [], [], []
     for ln in lines[3:]:
         parts = ln.split(",")
         row_id = parts[0]
@@ -372,33 +365,32 @@ def load_dataset(path):
                 f"{path}: row {row_id}: expected {expected_fields} fields, got {len(parts)}"
             )
         try:
-            sid = int(parts[0])
-            features.extend([float(v) for v in parts[1 : 1 + D]])
-            c = int(parts[1 + D])
-            s = {n: int(parts[2 + D + i]) for i, n in enumerate(names)}
-            bits = parts[2 + D + len(names)]
-            severity = float(parts[3 + D + len(names)])
+            ids.append(int(row_id))
+            features.extend(map(float, parts[1 : 1 + D]))
+            labels.extend(map(int, parts[1 + D : 2 + D + K]))
+            severity.append(float(parts[-1]))
         except ValueError as exc:
             raise DataError(f"{path}: row {row_id}: unparseable field ({exc})") from exc
-        if len(bits) != 3 or any(b not in "01" for b in bits):
-            raise DataError(f"{path}: row {row_id}: bad flags bitfield {bits!r}")
-        flags = NoiseFlags(
-            label_flipped=bits[0] == "1",
-            semantic_reassigned=bits[1] == "1",
-            data_corrupted=bits[2] == "1",
-            corruption_severity=severity,
-        )
-        samples.append(Sample(id=sid, x=None, c=c, s=s, flags=flags))
-    if not samples:
+        if parts[-2] not in _BITFIELDS:
+            raise DataError(f"{path}: row {row_id}: bad flags bitfield {parts[-2]!r}")
+        bits.append(parts[-2])
+    if not ids:
         raise DataError(f"{path}: dataset file has no sample rows")
-    # one array for all features, checked at once; each x is a row view of it
-    X = np.array(features, dtype=np.float64).reshape(len(samples), D)
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if ids != list(range(len(ids))):
+        raise DataError(f"{path}: sample ids must be dense [0, N) in order")
+    # one array for all features, checked at once
+    x = np.array(features, dtype=np.float64).reshape(len(ids), D)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
-        raise DataError(f"{path}: row {samples[bad[0]].id}: non-finite feature value")
-    for smp, x in zip(samples, X):
-        smp.x = x
+        raise DataError(f"{path}: row {bad[0]}: non-finite feature value")
+    labels = np.array(labels, dtype=np.int64).reshape(len(ids), 1 + K)
+    flags = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8).reshape(-1, 3) == ord("1")
     try:
-        return Dataset(samples=samples, feature_dim=D, categories=categories, seed_provenance=seed)
+        return Dataset(
+            x=x, c=labels[:, 0], s={name: labels[:, 1 + k] for k, name in enumerate(categories)},
+            categories=categories, seed_provenance=seed,
+            **{name: flags[:, k] for k, name in enumerate(FLAGS)},
+            corruption_severity=np.array(severity),
+        )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc

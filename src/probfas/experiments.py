@@ -70,8 +70,8 @@ def run_arm(train, test, arm, config, threshold=0.5):
     uses stage-2 training and corrected inference."""
     cfg = training.arm_config(arm, config)
     params, log = training.train_two_stage(train, cfg)
-    preds, _ = inference.predict_batch(params, test.X(), corrected=cfg.enable_dq)
-    report = metrics.evaluate_predictions(preds, test.c_labels(), threshold, include_roc=False)
+    probs, _ = inference.predict_batch(params, test.X(), corrected=cfg.enable_dq)
+    report = metrics.evaluate(probs[:, 1], test.c_labels(), threshold, include_roc=False)
     return ArmResult(arm=arm, seed=cfg.seed, params=params, log=log, report=report)
 
 
@@ -137,7 +137,6 @@ def quality_report(params, ds, n_bins=20):
     mu = model.embed(params, ds.X())
     s2 = model.dq_variance(params, mu)
     corrupted = ds.flag_mask("data_corrupted")
-    severities = np.array([s.flags.corruption_severity for s in ds.samples])
 
     lo, hi = float(s2.min()), float(s2.max())
     if hi == lo:
@@ -146,12 +145,10 @@ def quality_report(params, ds, n_bins=20):
     hist_corrupt, _ = np.histogram(s2[corrupted], bins=edges)
     hist_clean, _ = np.histogram(s2[~corrupted], bins=edges)
 
-    per_sample_lines = ["id,sigma_d_sq,data_corrupted,corruption_severity"]
-    for i, smp in enumerate(ds.samples):
-        per_sample_lines.append(
-            f"{smp.id},{format(float(s2[i]), '.17g')},{int(corrupted[i])},"
-            f"{format(float(severities[i]), '.17g')}"
-        )
+    # one %-format for all rows; the integer columns ride as exact floats
+    cells = np.column_stack([np.arange(len(ds)), s2, corrupted, ds.corruption_severity])
+    per_sample = "id,sigma_d_sq,data_corrupted,corruption_severity\n" + (
+        "%d,%.17g,%d,%.17g\n" * len(ds) % tuple(cells.ravel().tolist()))
     hist_lines = ["bin_lo,bin_hi,count_clean,count_corrupted"]
     for b in range(n_bins):
         hist_lines.append(
@@ -164,7 +161,7 @@ def quality_report(params, ds, n_bins=20):
         "mean_quality_clean": float(s2[~corrupted].mean()) if (~corrupted).any() else None,
         "mean_quality_corrupted": float(s2[corrupted].mean()) if corrupted.any() else None,
     }
-    return "\n".join(per_sample_lines) + "\n", "\n".join(hist_lines) + "\n", summary
+    return per_sample, "\n".join(hist_lines) + "\n", summary
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inference, losses, metrics, model, training
-from .data import SPOOF
 from .training import ConfigError
 
 
@@ -70,7 +69,7 @@ def tagger_accuracy(tagger, ds):
 
 def self_label(tagger, d_def, category=None):
     """Assign argmax tagger predictions as the category's labels on spoof
-    samples; originals are retained on each sample for agreement analysis.
+    samples of a copy of d_def; d_def keeps the prior annotations.
 
     Returns (dataset, agreement_rate): the fraction of relabeled samples
     whose self-distributed label equals the prior annotation."""
@@ -78,20 +77,15 @@ def self_label(tagger, d_def, category=None):
     if category != tagger.category:
         raise ConfigError(f"tagger was trained for {tagger.category!r}, not {category!r}")
     out = d_def.copy()
-    spoof_ids = [s.id for s in out.samples if s.c == SPOOF]
-    if not spoof_ids:
+    spoof = out.spoof_mask()
+    n_spoof = int(spoof.sum())
+    if not n_spoof:
         return out, float("nan")
-    X = np.stack([out.samples[i].x for i in spoof_ids])
-    pred = tagger.predict(X)
-    agree = 0
-    for k, sid in enumerate(spoof_ids):
-        smp = out.samples[sid]
-        if smp.s_annotated is None:
-            smp.s_annotated = dict(smp.s)
-        if smp.s[category] == int(pred[k]):
-            agree += 1
-        smp.s[category] = int(pred[k])
-    return out, agree / len(spoof_ids)
+    pred = tagger.predict(out.x[spoof])
+    labels = out.s[category]
+    agree = int(np.count_nonzero(labels[spoof] == pred))
+    labels[spoof] = pred
+    return out, agree / n_spoof
 
 
 @dataclass
@@ -128,8 +122,8 @@ def run_generalized_pipeline(d_suf, d_def, config, d_def_test=None, category=Non
         cfg = training.arm_config(arm, config)
         params, _ = training.train_two_stage(tagged, cfg)
         params_by_arm[arm] = params
-        preds, _ = inference.predict_batch(params, test.X(), corrected=cfg.enable_dq)
-        reports[arm] = metrics.evaluate_predictions(preds, test.c_labels(), threshold, include_roc=False)
+        probs, _ = inference.predict_batch(params, test.X(), corrected=cfg.enable_dq)
+        reports[arm] = metrics.evaluate(probs[:, 1], test.c_labels(), threshold, include_roc=False)
 
     report = PipelineReport(
         tagger_accuracy=tagger_accuracy(tagger, d_suf),

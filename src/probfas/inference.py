@@ -1,7 +1,9 @@
 """Prediction with and without data-quality confidence correction, plus
-the line-delimited prediction dump consumed by the metrics module."""
+the line-delimited prediction dump consumed by the metrics module.
 
-from dataclasses import dataclass
+Every function works on whole batches: rows of mu in, (N, 2) class
+probabilities out.
+"""
 
 import numpy as np
 
@@ -9,46 +11,35 @@ from . import model
 from .losses import l2_normalize_rows
 
 
-@dataclass
-class Prediction:
-    probs: np.ndarray  # (2,), sums to 1
-    predicted_class: int
-    quality: float  # sigma_D^2
-    corrected: bool
-
-    @property
-    def p_live(self):
-        return float(self.probs[1])
-
-
-def _softmax2(logits):
-    shifted = logits - logits.max()
+def _softmax_rows(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def standard_confidence(mu_row, omega_c, sigma_d_sq=1.0):
-    """Softmax of the plain inner-product logits."""
-    probs = _softmax2(omega_c @ mu_row)
-    return Prediction(probs, int(np.argmax(probs)), float(sigma_d_sq), corrected=False)
+def standard_confidence(mu, omega_c):
+    """Row-wise softmax of the plain inner-product logits; mu is (N, B)."""
+    # one matrix-vector product per row: a single (N, B) @ (B, 2) product
+    # rounds some logits differently
+    return _softmax_rows((omega_c[None] @ mu[:, :, None])[:, :, 0])
 
 
-def corrected_confidence(mu_row, omega_c, sigma_d_sq):
-    """Softmax over classes of -||omega_c - mu||^2 / (2 sigma^2).
+def corrected_confidence(mu, omega_c, sigma_d_sq):
+    """Row-wise softmax over classes of -||omega_c - mu_i||^2 / (2 sigma_i^2).
 
     Inputs are expected to be the l2-normalized mu and omega rows from
     the second training stage. Larger sigma^2 damps the confidence gap
     but never changes the argmax.
     """
-    if sigma_d_sq <= 0:
+    sigma_d_sq = np.asarray(sigma_d_sq, dtype=np.float64)
+    if np.any(sigma_d_sq <= 0):
         raise ValueError("sigma_d_sq must be strictly positive")
-    d2 = ((omega_c - mu_row) ** 2).sum(axis=1)
-    probs = _softmax2(-d2 / (2.0 * sigma_d_sq))
-    return Prediction(probs, int(np.argmax(probs)), float(sigma_d_sq), corrected=True)
+    d2 = ((omega_c[None] - mu[:, None]) ** 2).sum(axis=2)
+    return _softmax_rows(-d2 / (2.0 * sigma_d_sq[:, None]))
 
 
 def predict_batch(params, X, corrected):
-    """Batch prediction; returns (list of Prediction, EmbeddingBatch export).
+    """Returns (probs (N, 2), sigma_d_sq (N,)); column 1 of probs is p_live.
 
     When corrected, mu and omega_c are row-normalized (the stage-2
     geometry) and the distance softmax is used.
@@ -56,42 +47,36 @@ def predict_batch(params, X, corrected):
     mu = model.embed(params, X)
     s2 = model.dq_variance(params, mu)
     if corrected:
-        mu_eval = l2_normalize_rows(mu)
-        omega = l2_normalize_rows(params.omega_c)
-        preds = [corrected_confidence(mu_eval[i], omega, float(s2[i])) for i in range(len(mu))]
+        probs = corrected_confidence(l2_normalize_rows(mu), l2_normalize_rows(params.omega_c), s2)
     else:
-        preds = [standard_confidence(mu[i], params.omega_c, float(s2[i])) for i in range(len(mu))]
-    export = model.EmbeddingBatch(mu=mu, sigma_d_sq=s2)
-    return preds, export
+        probs = standard_confidence(mu, params.omega_c)
+    return probs, s2
 
 
 # ---------------------------------------------------------------------------
 # prediction dump: `id,p_live,predicted,quality,corrected`
 # ---------------------------------------------------------------------------
 
-def save_predictions(preds, path):
-    lines = ["id,p_live,predicted,quality,corrected"]
-    for i, p in enumerate(preds):
-        lines.append(
-            f"{i},{format(p.p_live, '.17g')},{p.predicted_class},"
-            f"{format(p.quality, '.17g')},{int(p.corrected)}"
-        )
+_HEADER = "id,p_live,predicted,quality,corrected"
+
+
+def save_predictions(probs, sigma_d_sq, corrected, path):
+    n = len(probs)
+    # one %-format for all rows; the integer columns ride as exact floats
+    cells = np.column_stack(
+        [np.arange(n), probs[:, 1], np.argmax(probs, axis=1), sigma_d_sq, np.full(n, int(corrected))]
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_HEADER + "\n" + "%d,%.17g,%d,%.17g,%d\n" * n % tuple(cells.ravel().tolist()))
 
 
 def load_predictions(path):
+    """Returns the dump's columns (p_live, predicted, quality, corrected)."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "id,p_live,predicted,quality,corrected":
+        header, _, body = fh.read().partition("\n")
+    if header != _HEADER:
         raise ValueError(f"{path}: not a prediction dump")
-    preds = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"{path}: row {parts[0]}: expected 5 fields")
-        p_live = float(parts[1])
-        predicted = int(parts[2])
-        probs = np.array([1.0 - p_live, p_live])
-        preds.append(Prediction(probs, predicted, float(parts[3]), bool(int(parts[4]))))
-    return preds
+    table = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2) if body.strip() else np.empty((0, 5))
+    if table.shape[1] != 5:
+        raise ValueError(f"{path}: expected 5 fields per row, got {table.shape[1]}")
+    return table[:, 1], table[:, 2].astype(np.int64), table[:, 3], table[:, 4].astype(bool)

@@ -7,6 +7,7 @@ values in the ROC, which are fractions in [0, 1].
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -69,48 +70,42 @@ def roc_sweep(scores, labels):
 
     Acceptance rule is score >= threshold, so fpr and tpr are
     non-increasing in threshold; endpoints (0,0) and (1,1) are always
-    present. Fractions, not percentages.
+    present. Fractions, not percentages. One sort per class: the count
+    of scores >= t is the class size minus the sorted position of t.
     """
     scores, labels = _as_arrays(scores, labels)
     _check_both_classes(labels)
-    n_live = int(np.sum(labels == 1))
-    n_spoof = int(np.sum(labels == 0))
     thresholds = np.concatenate(([-np.inf], np.unique(scores), [np.inf]))
-    out = []
-    for t in thresholds:
-        accepted = scores >= t
-        fpr = int(np.sum(accepted & (labels == 0))) / n_spoof
-        tpr = int(np.sum(accepted & (labels == 1))) / n_live
-        out.append((float(t), fpr, tpr))
-    return out
+    rates = []
+    for cls in (0, 1):
+        cls_scores = scores[labels == cls]
+        ranked = np.sort(cls_scores[~np.isnan(cls_scores)])  # a NaN score is never accepted
+        accepted = ranked.size - np.searchsorted(ranked, thresholds, side="left")
+        rates.append((accepted / cls_scores.size).tolist())
+    return list(zip(thresholds.tolist(), *rates))
+
+
+def _best_tpr(sweep, n_spoof, fpr_target):
+    """tpr_at_fpr over a roc_sweep result given as a (K, 3) array."""
+    if not 0.0 < fpr_target < 1.0:
+        raise ValueError(f"fpr_target must be in (0,1), got {fpr_target}")
+    within = sweep[:, 1] <= fpr_target  # always holds at the +inf sentinel
+    return float(sweep[within, 2].max()), n_spoof * fpr_target >= 1.0
 
 
 def tpr_at_fpr(scores, labels, fpr_target):
-    """Best attainable TPR subject to FPR <= fpr_target; ties go to the
-    higher threshold. Returns (tpr, attainable_flag): the flag is False
-    when there are too few spoof samples to resolve the target (fewer
-    than 1/fpr_target spoof samples)."""
-    if not 0.0 < fpr_target < 1.0:
-        raise ValueError(f"fpr_target must be in (0,1), got {fpr_target}")
+    """Best attainable TPR subject to FPR <= fpr_target. Returns (tpr,
+    attainable_flag): the flag is False when there are too few spoof
+    samples to resolve the target (fewer than 1/fpr_target spoof samples)."""
     scores, labels = _as_arrays(scores, labels)
-    _check_both_classes(labels)
-    n_spoof = int(np.sum(labels == 0))
-    attainable = n_spoof * fpr_target >= 1.0
-    best_tpr = 0.0
-    best_thr = np.inf
-    for t, fpr, tpr in roc_sweep(scores, labels):
-        if fpr <= fpr_target and (tpr > best_tpr or (tpr == best_tpr and t > best_thr)):
-            best_tpr = tpr
-            best_thr = t
-    return best_tpr, attainable
+    sweep = np.array(roc_sweep(scores, labels))
+    return _best_tpr(sweep, int(np.sum(labels == 0)), fpr_target)
 
 
 def auc(scores, labels):
     """Trapezoidal area under the ROC."""
-    pts = sorted((fpr, tpr) for _, fpr, tpr in roc_sweep(scores, labels))
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    return float(np.trapezoid(ys, xs))
+    sweep = np.array(roc_sweep(scores, labels))[::-1]  # fpr and tpr ascending
+    return float(np.trapezoid(sweep[:, 2], sweep[:, 1]))
 
 
 @dataclass
@@ -152,24 +147,25 @@ class EvalReport:
 
 
 def evaluate(scores, labels, threshold=0.5, fpr_targets=(0.01, 0.005, 0.001), include_roc=True):
+    """Rates at threshold plus TPR at each FPR target, all from one ROC sweep.
+    include_roc=False leaves the sweep out of the report."""
     scores, labels = _as_arrays(scores, labels)
     _check_both_classes(labels)
+    if not math.isfinite(threshold):
+        raise MetricError(f"threshold must be finite, got {threshold}")
     a = apcer(scores, labels, threshold)
     b = bpcer(scores, labels, threshold)
+    roc = roc_sweep(scores, labels)
+    sweep = np.array(roc)
+    n_spoof = int(np.sum(labels == 0))
     return EvalReport(
         apcer=a,
         bpcer=b,
         acer=acer(a, b),
-        hter=hter(scores, labels, threshold),
+        hter=acer(a, b),
         threshold_used=float(threshold),
         n_live=int(np.sum(labels == 1)),
-        n_spoof=int(np.sum(labels == 0)),
-        tpr_at_fpr={t: tpr_at_fpr(scores, labels, t) for t in fpr_targets},
-        roc=roc_sweep(scores, labels) if include_roc else [],
+        n_spoof=n_spoof,
+        tpr_at_fpr={t: _best_tpr(sweep, n_spoof, t) for t in fpr_targets},
+        roc=roc if include_roc else [],
     )
-
-
-def evaluate_predictions(preds, labels, threshold=0.5, **kw):
-    """Evaluate a list of inference.Prediction against true labels."""
-    scores = [p.p_live for p in preds]
-    return evaluate(scores, labels, threshold, **kw)

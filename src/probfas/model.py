@@ -11,6 +11,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Rows per matrix product in embed and dq_variance. OpenBLAS runs a product
+# over more rows on every core, its idle workers then spin for about 0.1 s,
+# and with two threads it rounds some sigma_D^2 rows differently than with
+# one. Blocks of at most 512 rows stay on one thread at the default widths
+# and give the one-thread bytes of a single product over all rows, provided
+# every block starts at a multiple of 256 rows and has at least 256: a
+# smaller block takes OpenBLAS's small-matrix kernel and rounds differently.
+_ROW_BLOCK = 512
+
+
+def _by_row_blocks(fn, M):
+    starts = list(range(0, len(M), _ROW_BLOCK)) or [0]
+    if len(starts) > 1 and len(M) - starts[-1] < _ROW_BLOCK // 2:
+        starts[-1] -= _ROW_BLOCK // 2  # the last two blocks share 512 + r rows
+    ends = starts[1:] + [len(M)]
+    return np.concatenate([fn(M[a:b]) for a, b in zip(starts, ends)])
+
 
 @dataclass
 class ModelParams:
@@ -106,13 +123,6 @@ def init_params(D, categories, B=32, hidden=(64, 64), seed=0):
     )
 
 
-@dataclass
-class EmbeddingBatch:
-    mu: np.ndarray
-    sigma_l: np.ndarray | None = None
-    sigma_d_sq: np.ndarray | None = None
-
-
 # ---------------------------------------------------------------------------
 # backbone
 # ---------------------------------------------------------------------------
@@ -132,8 +142,7 @@ def embed_with_cache(params, X):
 
 
 def embed(params, X):
-    mu, _ = embed_with_cache(params, X)
-    return mu
+    return _by_row_blocks(lambda rows: embed_with_cache(params, rows)[0], np.asarray(X, dtype=np.float64))
 
 
 def embed_backward(params, activations, dmu):
@@ -169,7 +178,7 @@ def lq_variance_backward(params, mu, sigma_l, dsigma):
 
 def dq_variance(params, mu):
     """Per-sample data-quality variance: exp(affine(mu)), shape (N,)."""
-    return np.exp(mu @ params.w_dq + params.b_dq)
+    return _by_row_blocks(lambda rows: np.exp(rows @ params.w_dq + params.b_dq), mu)
 
 
 def dq_variance_backward(params, mu, sigma_d_sq, ds2):

@@ -124,31 +124,35 @@ def _parse_bool(v):
 def load_config(path):
     """Flat `key = value` config file; unknown keys are rejected."""
     cfg = TrainConfig()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            typ = _CONFIG_KEYS[key]
-            try:
-                if typ is bool:
-                    parsed = _parse_bool(val)
-                elif typ is tuple:
-                    parsed = tuple(int(tok) for tok in val.split(",") if tok.strip())
-                else:
-                    parsed = typ(val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
-            if "." in key:
-                stage_name, attr = key.split(".")
-                setattr(getattr(cfg, stage_name), attr, parsed)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        typ = _CONFIG_KEYS[key]
+        try:
+            if typ is bool:
+                parsed = _parse_bool(val)
+            elif typ is tuple:
+                parsed = tuple(int(tok) for tok in val.split(",") if tok.strip())
             else:
-                setattr(cfg, key, parsed)
+                parsed = typ(val)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+        if "." in key:
+            stage_name, attr = key.split(".")
+            setattr(getattr(cfg, stage_name), attr, parsed)
+        else:
+            setattr(cfg, key, parsed)
     return cfg.validate()
 
 
@@ -380,8 +384,11 @@ def save_checkpoint(path, params, config=None, extra_arrays=None, extra_meta=Non
 
 def load_checkpoint(path, expect_config=None):
     """Returns (params, config_or_None, extra_arrays, extra_meta)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from exc
     if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad magic")
     header_start = len(_CKPT_MAGIC) + 4

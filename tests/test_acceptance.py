@@ -130,10 +130,10 @@ def test_criterion_2_reduction_identities():
     for _ in range(5):
         m = rng.standard_normal(4)
         oc = rng.standard_normal((2, 4))
-        pred = inference.corrected_confidence(m, oc, 0.5)
+        probs = inference.corrected_confidence(m[None], oc, np.array([0.5]))[0]
         d2 = ((oc - m) ** 2).sum(axis=1)
         e = np.exp(-(d2 - d2.min()))
-        assert np.max(np.abs(pred.probs - e / e.sum())) <= EXACT_TOL
+        assert np.max(np.abs(probs - e / e.sum())) <= EXACT_TOL
 
     a, b = 7.25, 3.75
     assert abs(metrics.acer(a, b) - (a + b) / 2) <= EXACT_TOL
@@ -230,10 +230,8 @@ def test_criterion_6_data_noise_quality_separation_and_damping():
         corrupted = test.flag_mask("data_corrupted")
         separation_wins += s2[corrupted].mean() > s2[~corrupted].mean()
 
-        preds_u, _ = inference.predict_batch(params, test.X(), corrected=False)
-        preds_c, _ = inference.predict_batch(params, test.X(), corrected=True)
-        p_u = np.array([p.p_live for p in preds_u])
-        p_c = np.array([p.p_live for p in preds_c])
+        p_u = inference.predict_batch(params, test.X(), corrected=False)[0][:, 1]
+        p_c = inference.predict_batch(params, test.X(), corrected=True)[0][:, 1]
         # corrupted live samples still accepted: the ones at risk of a
         # false rejection, whose confidence the correction should damp
         cand = corrupted & (test.c_labels() == data.LIVE) & (p_u >= 0.5)

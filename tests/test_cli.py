@@ -81,6 +81,23 @@ class TestGenData:
     def test_unknown_command_is_usage_error(self):
         assert run(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--overlap", "nan"],
+        ["--data-noise", "0.5", "--severity", "nan"],
+        ["--data-noise", "0.5", "--severity", "inf"],
+    ])
+    def test_non_finite_generation_settings_are_data_errors(self, tmp_path, capsys, flags):
+        out = tmp_path / "d"
+        capsys.readouterr()
+        assert run(["gen-data", "--n", "5", "--dim", "4", "--out", str(out)] + flags) == 2
+        assert one_line_error(capsys)
+        assert not (out / "dataset.txt").exists()
+
+    def test_infinite_overlap_gives_loadable_dataset(self, tmp_path):
+        out = tmp_path / "d"
+        assert run(["gen-data", "--n", "5", "--dim", "4", "--overlap", "inf", "--out", str(out)]) == 0
+        assert len(data.load_dataset(out / "dataset.txt")) == 20
+
 
 class TestTrain:
     def test_writes_artifacts(self, dataset_dir, tmp_path):
@@ -209,14 +226,22 @@ class TestEval:
                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "e")]) == 2
         assert one_line_error(capsys)
 
+    def test_non_finite_threshold_is_metric_error(self, dataset_dir, trained, tmp_path, capsys):
+        out = tmp_path / "e"
+        capsys.readouterr()
+        assert run(["eval", "--data", str(dataset_dir / "dataset.txt"), "--checkpoint", str(trained),
+                    "--threshold", "nan", "--out", str(out)]) == 2
+        assert one_line_error(capsys)
+        assert list(out.iterdir()) == []
+
     def test_report_matches_in_process_metrics(self, dataset_dir, trained, tmp_path):
         out = tmp_path / "eval_m"
         assert run(["eval", "--data", str(dataset_dir / "dataset.txt"),
                     "--checkpoint", str(trained), "--uncorrected",
                     "--out", str(out)]) == 0
         ds = data.load_dataset(dataset_dir / "dataset.txt")
-        preds = inference.load_predictions(out / "predictions_uncorrected.csv")
-        rep = metrics.evaluate_predictions(preds, ds.c_labels(), 0.5)
+        p_live, _, _, _ = inference.load_predictions(out / "predictions_uncorrected.csv")
+        rep = metrics.evaluate(p_live, ds.c_labels(), 0.5)
         on_disk = json.loads((out / "report_uncorrected.json").read_text())
         assert on_disk["acer"] == pytest.approx(rep.acer, abs=1e-12)
 
@@ -240,6 +265,23 @@ class TestNoiseSweep:
     def test_seed_list_parsing(self, tmp_path):
         assert run(["noise-sweep", "--seeds", "5..3", "--out", str(tmp_path / "x")]) == 1
         assert run(["noise-sweep", "--seeds", "a,b", "--out", str(tmp_path / "y")]) == 1
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--fractions"])
+    def test_empty_list_is_usage_error(self, tmp_path, flag):
+        for text in (",", "", " , "):
+            assert run(["noise-sweep", flag, text, "--out", str(tmp_path / "x")]) == 1
+        assert not (tmp_path / "x" / "sweep.csv").exists()
+
+    def test_non_finite_threshold_is_metric_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        write_quick_config(cfg_path)
+        out = tmp_path / "s"
+        capsys.readouterr()
+        assert run(["noise-sweep", "--noise-kind", "semantic", "--fractions", "0", "--arm", "s",
+                    "--seeds", "0", "--config", str(cfg_path), "--threshold", "nan",
+                    "--out", str(out)]) == 2
+        assert one_line_error(capsys)
+        assert list(out.iterdir()) == []
 
 
 class TestQualityReport:
@@ -275,6 +317,32 @@ class TestQualityReport:
         assert run(["quality-report", "--data", str(tmp_path / "no.txt"),
                     "--checkpoint", str(tmp_path / "no.ckpt"),
                     "--out", str(tmp_path / "o")]) == 2
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("case", [
+        "eval-checkpoint", "quality-report-checkpoint", "train-config",
+        "noise-sweep-config", "train-data-dir", "eval-data-dir",
+    ])
+    def test_is_one_line_data_error(self, dataset_dir, tmp_path, capsys, case):
+        dataset = str(dataset_dir / "dataset.txt")
+        missing_ckpt = str(tmp_path / "missing.ckpt")
+        missing_cfg = str(tmp_path / "missing.cfg")
+        argv = {
+            "eval-checkpoint": ["eval", "--data", dataset, "--checkpoint", missing_ckpt],
+            "quality-report-checkpoint": ["quality-report", "--data", dataset, "--checkpoint", missing_ckpt],
+            "train-config": ["train", "--data", dataset, "--config", missing_cfg],
+            "noise-sweep-config": ["noise-sweep", "--config", missing_cfg],
+            "train-data-dir": ["train", "--data", str(dataset_dir)],
+            "eval-data-dir": ["eval", "--data", str(dataset_dir), "--checkpoint", missing_ckpt],
+        }[case]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("missing" in err) if "data-dir" not in case else (str(dataset_dir) in err)
+        assert list(out.iterdir()) == []
 
 
 class TestOutputRoot:

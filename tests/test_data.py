@@ -60,6 +60,12 @@ class TestGenerate:
             data.generate_synthetic(5, 4, {"spoof_type": 1}, 0.5, 0)
         with pytest.raises(data.DataError):
             data.generate_synthetic(5, 4, {"spoof_type": 2}, -0.1, 0)
+        with pytest.raises(data.DataError):
+            data.generate_synthetic(5, 4, {"spoof_type": 2}, float("nan"), 0)
+
+    def test_infinite_overlap_gives_finite_features(self):
+        ds = data.generate_synthetic(5, 4, {"spoof_type": 2}, float("inf"), 0)
+        assert np.all(np.isfinite(ds.X()))
 
 
 class TestSplit:
@@ -67,14 +73,21 @@ class TestSplit:
         train, test = data.split_dataset(tiny_dataset, 0.25, seed=3)
         assert len(train) + len(test) == len(tiny_dataset)
         assert len(test) == round(0.25 * len(tiny_dataset))
-        train_x = {tuple(s.x) for s in train.samples}
-        test_x = {tuple(s.x) for s in test.samples}
+        train_x = {tuple(row) for row in train.X()}
+        test_x = {tuple(row) for row in test.X()}
         assert not train_x & test_x
 
-    def test_dense_reindexing(self, tiny_dataset):
+    def test_dense_reindexing(self, tiny_dataset, tmp_path):
+        # ids are row indices: each half is written with ids 0..N-1 and
+        # keeps the rows in their original order
         train, test = data.split_dataset(tiny_dataset, 0.5, seed=3)
-        assert [s.id for s in train.samples] == list(range(len(train)))
-        assert [s.id for s in test.samples] == list(range(len(test)))
+        for half in (train, test):
+            path = tmp_path / "half.txt"
+            data.save_dataset(half, path)
+            ids = [int(ln.split(",")[0]) for ln in path.read_text().splitlines()[3:]]
+            assert ids == list(range(len(half)))
+            src_rows = [np.flatnonzero((tiny_dataset.X() == row).all(axis=1))[0] for row in half.X()]
+            assert src_rows == sorted(src_rows)
 
     def test_deterministic(self, tiny_dataset):
         a = data.split_dataset(tiny_dataset, 0.5, seed=3)
@@ -134,7 +147,7 @@ class TestDataNoise:
         X1 = noisy.X()
         changed = np.any(X0 != X1, axis=1)
         assert np.array_equal(changed, flagged)
-        sev = np.array([s.flags.corruption_severity for s in noisy.samples])
+        sev = noisy.corruption_severity
         assert np.all(sev[flagged] == 2.0)
         assert np.all(sev[~flagged] == 0.0)
 
@@ -172,6 +185,18 @@ class TestApplyNoise:
             data.NoiseSpec(semantic_noise_fraction=1.5)
         with pytest.raises(data.DataError):
             data.NoiseSpec(data_noise_severity=-1.0)
+
+    @pytest.mark.parametrize("severity", [float("nan"), float("inf")])
+    def test_non_finite_severity_rejected(self, tiny_dataset, severity):
+        with pytest.raises(data.DataError, match="finite"):
+            data.NoiseSpec(data_noise_fraction=0.5, data_noise_severity=severity)
+        with pytest.raises(data.DataError, match="finite"):
+            data.inject_data_noise(tiny_dataset, 0.5, severity, seed=0)
+
+    def test_nan_overlap_rejected(self):
+        with pytest.raises(data.DataError):
+            data.NoiseSpec(cluster_overlap=float("nan"))
+        data.NoiseSpec(cluster_overlap=float("inf"))
 
 
 class TestFileFormat:
@@ -249,14 +274,52 @@ class TestFileFormat:
 
 
 class TestDatasetValidation:
-    def test_non_dense_ids_rejected(self, tiny_dataset):
-        samples = [s.copy() for s in tiny_dataset.samples]
-        samples[0].id = 99
+    def test_non_dense_ids_rejected(self, tiny_dataset, tmp_path):
+        path = tmp_path / "ds.txt"
+        data.save_dataset(tiny_dataset, path)
+        lines = path.read_text().splitlines()
+        lines[3] = "99" + lines[3][lines[3].index(","):]
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(data.DataError, match="dense"):
-            data.Dataset(samples, tiny_dataset.feature_dim, dict(tiny_dataset.categories), 0)
+            data.load_dataset(path)
+
+    def columns(self, ds, **changes):
+        cols = dict(x=ds.X(), c=ds.c_labels(), s={"spoof_type": ds.s_labels()},
+                    categories=dict(ds.categories), seed_provenance=0)
+        cols.update(changes)
+        return cols
 
     def test_wrong_feature_dim_rejected(self, tiny_dataset):
-        samples = [s.copy() for s in tiny_dataset.samples]
-        samples[1].x = np.zeros(tiny_dataset.feature_dim + 1)
-        with pytest.raises(data.DataError):
-            data.Dataset(samples, tiny_dataset.feature_dim, dict(tiny_dataset.categories), 0)
+        for x in (tiny_dataset.X()[:, 0], tiny_dataset.X()[:, :0]):
+            with pytest.raises(data.DataError, match="x must be"):
+                data.Dataset(**self.columns(tiny_dataset, x=x))
+
+    def test_mismatched_column_lengths_rejected(self, tiny_dataset):
+        n = len(tiny_dataset)
+        for change in ({"c": tiny_dataset.c_labels()[:-1]},
+                       {"s": {"spoof_type": tiny_dataset.s_labels()[1:]}},
+                       {"data_corrupted": np.zeros(n + 1, dtype=bool)},
+                       {"corruption_severity": np.zeros(n - 1)}):
+            with pytest.raises(data.DataError, match="shape"):
+                data.Dataset(**self.columns(tiny_dataset, **change))
+
+    def test_out_of_range_label_rejected(self, tiny_dataset):
+        s = tiny_dataset.s_labels().copy()
+        s[5] = 3  # the category has three values
+        with pytest.raises(data.DataError, match="row 5: label 3 out of range"):
+            data.Dataset(**self.columns(tiny_dataset, s={"spoof_type": s}))
+        c = tiny_dataset.c_labels().copy()
+        c[2] = 2
+        with pytest.raises(data.DataError, match="row 2: binary label 2"):
+            data.Dataset(**self.columns(tiny_dataset, c=c))
+
+    def test_label_columns_must_match_categories(self, tiny_dataset):
+        with pytest.raises(data.DataError, match="categories"):
+            data.Dataset(**self.columns(tiny_dataset, s={"other": tiny_dataset.s_labels()}))
+
+    def test_copy_shares_no_column(self, tiny_dataset):
+        noisy = data.apply_noise(tiny_dataset, data.NoiseSpec(0.5, 0.2, 0.3, 1.0), seed=1)
+        dup = noisy.copy()
+        assert dup == noisy
+        for (name, a), (_, b) in zip(noisy._columns(), dup._columns()):
+            assert not np.shares_memory(a, b), name

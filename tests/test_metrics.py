@@ -22,6 +22,21 @@ def brute_force_tpr_at_fpr(scores, labels, target):
     return best_tpr
 
 
+def brute_force_roc_sweep(scores, labels):
+    """Quadratic oracle: rescan every score at each distinct threshold."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_live = int(np.sum(labels == 1))
+    n_spoof = int(np.sum(labels == 0))
+    out = []
+    for t in np.concatenate(([-np.inf], np.unique(scores), [np.inf])):
+        accepted = scores >= t
+        fpr = int(np.sum(accepted & (labels == 0))) / n_spoof
+        tpr = int(np.sum(accepted & (labels == 1))) / n_live
+        out.append((float(t), fpr, tpr))
+    return out
+
+
 def pairwise_auc(scores, labels):
     """O(n^2) oracle: P(live > spoof) + 0.5 P(tie)."""
     live = scores[labels == 1]
@@ -103,6 +118,28 @@ class TestRocSweep:
         assert thr == sorted(thr)
         assert all(a >= b for a, b in zip(fpr, fpr[1:]))
         assert all(a >= b for a, b in zip(tpr, tpr[1:]))
+
+    def test_equals_brute_force_oracle(self):
+        rng = np.random.default_rng(7)
+        cases = []
+        for _ in range(40):
+            n = int(rng.integers(2, 300))
+            scores = np.round(rng.uniform(0, 1, n), int(rng.integers(1, 4)))  # ties
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            cases.append((scores, labels))
+        cases += [
+            (np.full(9, 0.25), np.array([0, 1] * 4 + [1])),  # all scores equal
+            (rng.uniform(0, 1, 12), np.array([1] + [0] * 11)),  # a single live sample
+            (rng.uniform(0, 1, 12), np.array([0] + [1] * 11)),  # a single spoof sample
+        ]
+        for scores, labels in cases:
+            assert metrics.roc_sweep(scores, labels) == brute_force_roc_sweep(scores, labels)
+        # a NaN score is never accepted; NaN thresholds compare equal here only
+        scores = np.array([0.3, np.nan, 0.7, 0.3, np.inf, -np.inf, np.nan])
+        labels = np.array([0, 1, 1, 0, 0, 1, 0])
+        got = np.array(metrics.roc_sweep(scores, labels))
+        assert np.array_equal(got, np.array(brute_force_roc_sweep(scores, labels)), equal_nan=True)
 
     def test_duplicate_scores_collapse(self):
         scores = np.array([0.5, 0.5, 0.5, 0.9])
@@ -187,15 +224,27 @@ class TestEvalReport:
 
     def test_dump_file_equals_in_process(self, tmp_path):
         rng = np.random.default_rng(6)
-        preds = []
         labels = rng.integers(0, 2, 30)
         labels[:2] = [0, 1]
-        for i in range(30):
-            p_live = float(np.round(rng.uniform(0, 1), 3))
-            preds.append(inference.Prediction(np.array([1 - p_live, p_live]), int(p_live >= 0.5), 1.0, False))
+        p_live = np.round(rng.uniform(0, 1, 30), 3)
         path = tmp_path / "preds.csv"
-        inference.save_predictions(preds, path)
-        loaded = inference.load_predictions(path)
-        rep_a = metrics.evaluate_predictions(preds, labels, 0.5)
-        rep_b = metrics.evaluate_predictions(loaded, labels, 0.5)
+        inference.save_predictions(np.column_stack([1 - p_live, p_live]), np.ones(30), False, path)
+        loaded, _, _, _ = inference.load_predictions(path)
+        rep_a = metrics.evaluate(p_live, labels, 0.5)
+        rep_b = metrics.evaluate(loaded, labels, 0.5)
         assert rep_a.to_json() == rep_b.to_json()
+
+    def test_one_roc_sweep_per_evaluate(self, monkeypatch):
+        calls = []
+        sweep = metrics.roc_sweep
+        monkeypatch.setattr(metrics, "roc_sweep", lambda *a: calls.append(1) or sweep(*a))
+        scores = np.array([0.9, 0.4, 0.2, 0.6])
+        labels = np.array([1, 1, 0, 0])
+        metrics.evaluate(scores, labels)
+        metrics.evaluate(scores, labels, include_roc=False)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(metrics.MetricError, match="finite"):
+            metrics.evaluate(np.array([0.9, 0.1]), np.array([1, 0]), threshold)

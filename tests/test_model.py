@@ -1,7 +1,11 @@
 """Model parameter container, backbone, variance heads, and their
 hand-written gradients against finite differences."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +164,65 @@ class TestBackbone:
         _, dX = model.embed_backward(tiny_params, cache, R)
         numeric = fd_gradient(f, X.ravel()).reshape(X.shape)
         assert rel_err(dX, numeric) < FD_TOL
+
+
+# embed and dq_variance of a wide head on many rows; prints their SHA-256
+_WIDE_HEAD_SCRIPT = """
+import hashlib
+import numpy as np
+from probfas import model
+p = model.init_params(4, {"a": 3}, B=19, hidden=(32,), seed=25)
+rng = np.random.default_rng(25)
+for _, t in p.named_tensors():
+    t[...] += rng.standard_normal(t.shape) * 0.3
+mu = model.embed(p, rng.standard_normal((28636, 4)) * 3)
+print(hashlib.sha256(mu.tobytes() + model.dq_variance(p, mu).tobytes()).hexdigest())
+"""
+
+# prints the sizes at which the blocked embed or dq_variance differs from
+# one product over all rows
+_ONE_PRODUCT_SCRIPT = """
+import numpy as np
+from probfas import model
+rng = np.random.default_rng(3)
+bad = []
+for D, B, hidden in [(8, 16, (32,)), (4, 6, (8,))]:
+    p = model.init_params(D, {"a": 3}, B=B, hidden=hidden, seed=3)
+    for _, t in p.named_tensors():
+        t[...] += rng.standard_normal(t.shape) * 0.3
+    for n in (511, 512, 513, 514, 519, 520, 587, 600, 767, 768, 1024, 1025, 1100, 10000, 80000):
+        X = rng.standard_normal((n, D)) * 3
+        one = model.embed_with_cache(p, X)[0]
+        if model.embed(p, X).tobytes() != one.tobytes():
+            bad.append(("embed", B, n))
+        if model.dq_variance(p, one).tobytes() != np.exp(one @ p.w_dq + p.b_dq).tobytes():
+            bad.append(("dq_variance", B, n))
+print(bad)
+"""
+
+
+def _run(script, blas_threads=None):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    if blas_threads:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return proc.stdout.strip()
+
+
+class TestRowBlocks:
+    def test_empty_batch(self, tiny_params):
+        assert model.embed(tiny_params, np.zeros((0, tiny_params.D))).shape == (0, tiny_params.B)
+        assert model.dq_variance(tiny_params, np.zeros((0, tiny_params.B))).shape == (0,)
+
+    def test_blocks_give_the_one_product_bytes(self):
+        # on one BLAS thread, where one product over all rows is well defined
+        assert _run(_ONE_PRODUCT_SCRIPT, blas_threads="1") == "[]"
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # a one-call product of this size runs on every core, and for this
+        # head a few sigma_D^2 rows then round differently than on one core
+        assert _run(_WIDE_HEAD_SCRIPT, blas_threads="1") == _run(_WIDE_HEAD_SCRIPT)
 
 
 class TestVarianceHeads:
