@@ -70,9 +70,13 @@ def run_arm(train, test, arm, config, threshold=0.5):
     uses stage-2 training and corrected inference."""
     cfg = training.arm_config(arm, config)
     params, log = training.train_two_stage(train, cfg)
+    return ArmResult(arm=arm, seed=cfg.seed, params=params, log=log,
+                     report=_evaluate(params, test, cfg, threshold))
+
+
+def _evaluate(params, test, cfg, threshold):
     probs, _ = inference.predict_batch(params, test.X(), corrected=cfg.enable_dq)
-    report = metrics.evaluate(probs[:, 1], test.c_labels(), threshold, include_roc=False)
-    return ArmResult(arm=arm, seed=cfg.seed, params=params, log=log, report=report)
+    return metrics.evaluate(probs[:, 1], test.c_labels(), threshold, include_roc=False)
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +85,33 @@ def run_arm(train, test, arm, config, threshold=0.5):
 
 def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, threshold=0.5):
     """Returns raw rows [(kind, fraction, arm, seed, acer, apcer, bpcer)]
-    in canonical order plus aggregate mean/std rows per cell."""
+    in canonical order plus aggregate mean/std rows per cell.
+
+    Each cell's seeds train as one stacked model per arm. If a run
+    diverges, the TrainingDiverged raised is the one of the first arm, and
+    within it the first seed in ``seeds`` order, that diverges: the error
+    one run after another would meet first.
+    """
+    base = base_config or default_benchmark_config()
+    configs = []
+    for seed in seeds:
+        cfg = training.TrainConfig.from_dict(base.to_dict())
+        cfg.seed = seed
+        configs.append(cfg)
     rows = []
     for kind in kinds:
         for fraction in fractions_by_kind[kind]:
+            splits = [apply_noise_kind(*make_benchmark_data(seed), kind, fraction, seed) for seed in seeds]
+            trains = [train for train, _ in splits]
             for arm in training.ARMS if arms is None else arms:
-                for seed in seeds:
-                    cfg = base_config or default_benchmark_config()
-                    cfg = training.TrainConfig.from_dict(cfg.to_dict())
-                    cfg.seed = seed
-                    train, test = make_benchmark_data(seed)
-                    train, test = apply_noise_kind(train, test, kind, fraction, seed)
-                    res = run_arm(train, test, arm, cfg, threshold)
-                    rows.append((kind, fraction, arm, seed, res.report.acer,
-                                 res.report.apcer, res.report.bpcer))
+                arm_cfgs = [training.arm_config(arm, cfg) for cfg in configs]
+                params, logs = training.train_two_stage(trains, arm_cfgs)
+                for log in logs:
+                    if isinstance(log, training.TrainingDiverged):
+                        raise log
+                for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs)):
+                    report = _evaluate(params.replica(r), test, cfg, threshold)
+                    rows.append((kind, fraction, arm, cfg.seed, report.acer, report.apcer, report.bpcer))
     return rows
 
 

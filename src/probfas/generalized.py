@@ -37,15 +37,15 @@ def train_tagger(d_suf, category, config):
     if np.unique(labels).size < 2:
         raise ConfigError(f"category {category!r} is degenerate: fewer than 2 observed classes")
 
-    params = model.init_params(
+    params = model.ModelParams.stack([model.init_params(
         d_suf.feature_dim, {category: d_suf.categories[category]},
         B=config.embedding_dim, hidden=config.hidden, seed=config.seed,
-    )
-    X = d_suf.X()[spoof]
+    )])
 
-    def step(idx, _):
-        mu, cache = model.embed_with_cache(params, X[idx])
-        loss, dz, domega = losses.semantic_ce_with_grads(mu, params.omega_s[category], labels[idx])
+    def step(batch, _):
+        X, y = batch
+        mu, cache = model.embed_with_cache(params, X)
+        loss, dz, domega = losses.semantic_ce_with_grads(mu, params.omega_s[category], y)
         grads = params.zeros_like()
         grads.omega_s[category] += domega
         layer_grads, _ = model.embed_backward(params, cache, dz)
@@ -54,9 +54,13 @@ def train_tagger(d_suf, category, config):
             Gb += gb
         return grads, {"total": loss.total}
 
-    for _ in training.run_stage(params, X.shape[0], 3, config.stage1, config.seed, step):
+    errors = [None]
+    columns = [d_suf.X()[spoof][None], labels[None]]
+    for _ in training.run_stage(params, columns, 3, config.stage1, [config.seed], step, errors):
         pass  # the tagger keeps no per-epoch log
-    return TaggerModel(params=params, category=category)
+    if errors[0] is not None:
+        raise errors[0]
+    return TaggerModel(params=params.replica(0), category=category)
 
 
 def tagger_accuracy(tagger, ds):

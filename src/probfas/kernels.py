@@ -11,16 +11,16 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 def softmax_xent(logits, labels):
     """Per-sample stabilized cross-entropy and softmax probabilities.
 
-    logits: (N, A) float64; labels: (N,) int64 in [0, A).
-    Returns (loss (N,), probs (N, A)).
+    logits: (..., N, A) float64; labels: (..., N) int64 in [0, A).
+    Returns (loss (..., N), probs (..., N, A)).
     """
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     expv = np.exp(shifted)
-    denom = expv.sum(axis=1)
-    probs = expv / denom[:, None]
-    picked = shifted[np.arange(logits.shape[0]), labels]
+    denom = expv.sum(axis=-1)
+    probs = expv / denom[..., None]
+    picked = shifted[labels[..., None] == np.arange(logits.shape[-1])].reshape(labels.shape)
     return np.log(denom) - picked, probs
 
 
@@ -47,7 +47,7 @@ def smooth_rows(X, window):
 
 
 def adam_step(p, g, m, v, lr, beta1, beta2, eps, t):
-    """In-place Adam update on flat float64 vectors."""
+    """In-place Adam update on flat float64 arrays of one shape."""
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2

@@ -3,6 +3,12 @@ a per-dimension log-variance head for label-quality learning, a scalar
 log-variance head for data-quality learning, and bias-free linear
 classifiers for the live/spoof label and each semantic category.
 
+The forward and backward functions also take a stack of S models trained
+side by side: the parameters then carry a leading replica axis, and so do
+the inputs ((S, N, D) rows, one batch per replica). Replica r of a stacked
+result is bit for bit what model r gives alone, because each matrix
+product runs per replica with the same BLAS call as for one model.
+
 Gradients are hand-written; the test suite checks every path against
 central finite differences.
 """
@@ -22,19 +28,32 @@ _ROW_BLOCK = 512
 
 
 def _by_row_blocks(fn, M):
-    starts = list(range(0, len(M), _ROW_BLOCK)) or [0]
-    if len(starts) > 1 and len(M) - starts[-1] < _ROW_BLOCK // 2:
+    """fn over blocks of the rows (axis -2) of M, concatenated; fn's result
+    keeps the row axis at the same position."""
+    n, axis = M.shape[-2], M.ndim - 2
+    starts = list(range(0, n, _ROW_BLOCK)) or [0]
+    if len(starts) > 1 and n - starts[-1] < _ROW_BLOCK // 2:
         starts[-1] -= _ROW_BLOCK // 2  # the last two blocks share 512 + r rows
-    ends = starts[1:] + [len(M)]
-    return np.concatenate([fn(M[a:b]) for a, b in zip(starts, ends)])
+    if len(starts) == 1:
+        return fn(M)
+    ends = starts[1:] + [n]
+    return np.concatenate([fn(M[..., a:b, :]) for a, b in zip(starts, ends)], axis=axis)
+
+
+def _t(M):
+    """Transpose of the last two axes: M.T of one matrix, per replica of a stack."""
+    return M.swapaxes(-1, -2)
 
 
 @dataclass
 class ModelParams:
-    """Every tensor is a view into one contiguous float64 vector, ``flat``,
-    laid out in ``named_tensors()`` order (the checkpoint's byte order), so
-    optimizers step ``flat`` in place. The constructor packs the given
-    tensors into a new vector."""
+    """Every tensor is a view into one contiguous float64 array, ``flat``,
+    laid out along its last axis in ``named_tensors()`` order (the
+    checkpoint's byte order), so optimizers step ``flat`` in place. The
+    constructor packs the given tensors into a new (P,) vector.
+
+    ``flat`` is (P,) for one model and (S, P) for a stack of S replicas
+    (see ``stack``), whose tensors are then (S, *shape) views."""
 
     layers: list  # [(W: (out,in), b: (out,)), ...], tanh between, last linear
     w_lq: np.ndarray  # (B, B) log-variance head, sigma_L = exp(0.5 * affine)
@@ -53,7 +72,8 @@ class ModelParams:
 
     def _bind(self, flat):
         """Point every tensor at its slice of flat, in named_tensors() order."""
-        views = iter([flat[start:end].reshape(shape) for start, end, shape in self._slots])
+        lead = flat.shape[:-1]
+        views = iter([flat[..., start:end].reshape(lead + shape) for start, end, shape in self._slots])
         self.layers = [(next(views), next(views)) for _ in self.layers]
         self.w_lq, self.b_lq, self.w_dq, self.b_dq, self.omega_c = (next(views) for _ in range(5))
         self.omega_s = {name: next(views) for name in sorted(self.omega_s)}
@@ -61,17 +81,19 @@ class ModelParams:
 
     @property
     def D(self):
-        return self.layers[0][0].shape[1]
+        return self.layers[0][0].shape[-1]
 
     @property
     def B(self):
-        return self.layers[-1][0].shape[0]
+        return self.layers[-1][0].shape[-2]
 
     def with_flat(self, flat):
-        """Same layout, with every tensor a view into ``flat`` (not copied)."""
+        """Same layout, with every tensor a view into ``flat`` (not copied);
+        flat is (P,) for one model or (S, P) for a stack."""
         flat = np.ascontiguousarray(flat, dtype=np.float64)
-        if flat.shape != self.flat.shape:
-            raise ValueError(f"flat vector shape {flat.shape} != parameter count ({self.flat.size},)")
+        n_params = self._slots[-1][1]
+        if flat.ndim not in (1, 2) or flat.shape[-1] != n_params:
+            raise ValueError(f"flat shape {flat.shape} is not ({n_params},) or (S, {n_params})")
         out = object.__new__(ModelParams)
         out.layers, out.omega_s, out._slots = self.layers, self.omega_s, self._slots
         out._bind(flat)
@@ -81,7 +103,16 @@ class ModelParams:
         return self.with_flat(self.flat.copy())
 
     def zeros_like(self):
-        return self.with_flat(np.zeros(self.flat.size))
+        return self.with_flat(np.zeros_like(self.flat))
+
+    @staticmethod
+    def stack(models):
+        """One stack of the given one-model parameters (same layout), in order."""
+        return models[0].with_flat(np.stack([m.flat for m in models]))
+
+    def replica(self, r):
+        """Replica r of a stack, as a one-model view into ``flat``."""
+        return self.with_flat(self.flat[r])
 
     def named_tensors(self):
         """Stable (name, array) listing of every parameter tensor."""
@@ -127,22 +158,34 @@ def init_params(D, categories, B=32, hidden=(64, 64), seed=0):
 # backbone
 # ---------------------------------------------------------------------------
 
-def embed_with_cache(params, X):
+def _checked_rows(params, X):
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.D:
-        raise ValueError(f"X must be (N, {params.D}), got {X.shape}")
-    h = X
+    if X.ndim != params.flat.ndim + 1 or X.shape[-1] != params.D:
+        lead = "S, " if params.flat.ndim == 2 else ""
+        raise ValueError(f"X must be ({lead}N, {params.D}), got {X.shape}")
+    return X
+
+
+def embed_with_cache(params, X):
+    h = _checked_rows(params, X)
     activations = [h]
     last = len(params.layers) - 1
     for i, (W, b) in enumerate(params.layers):
-        a = h @ W.T + b
-        h = a if i == last else np.tanh(a)
+        a = h @ _t(W)
+        a += b[..., None, :]
+        h = a if i == last else np.tanh(a, out=a)
         activations.append(h)
     return h, activations
 
 
 def embed(params, X):
-    return _by_row_blocks(lambda rows: embed_with_cache(params, rows)[0], np.asarray(X, dtype=np.float64))
+    """mu of every row, the same bytes whatever batch the row comes in."""
+    X = _checked_rows(params, X)
+    if X.shape[-2] == 1:
+        # a one-row product is a matrix-vector call, which rounds differently
+        # from the matrix-matrix call of any larger batch: pad to two rows
+        return embed(params, np.concatenate([X, X], axis=-2))[..., :1, :]
+    return _by_row_blocks(lambda rows: embed_with_cache(params, rows)[0], X)
 
 
 def embed_backward(params, activations, dmu):
@@ -156,7 +199,7 @@ def embed_backward(params, activations, dmu):
         if i != last:
             h_out = activations[i + 1]
             delta = delta * (1.0 - h_out * h_out)
-        grads[i] = (delta.T @ h_in, delta.sum(axis=0))
+        grads[i] = (_t(delta) @ h_in, delta.sum(axis=-2))
         delta = delta @ W
     return grads, delta
 
@@ -167,24 +210,32 @@ def embed_backward(params, activations, dmu):
 
 def lq_variance(params, mu):
     """Per-dimension std of the label-quality Gaussian: exp(0.5 * affine(mu))."""
-    return np.exp(0.5 * (mu @ params.w_lq.T + params.b_lq))
+    a = mu @ _t(params.w_lq)
+    a += params.b_lq[..., None, :]
+    a *= 0.5
+    return np.exp(a, out=a)
 
 
 def lq_variance_backward(params, mu, sigma_l, dsigma):
     """Returns (dw_lq, db_lq, dmu)."""
     da = 0.5 * sigma_l * dsigma
-    return da.T @ mu, da.sum(axis=0), da @ params.w_lq
+    return _t(da) @ mu, da.sum(axis=-2), da @ params.w_lq
+
+
+def _matvec(M, v):
+    """M @ v per replica: the matrix-vector call of a one-model M @ v."""
+    return (M @ v[..., None])[..., 0]
 
 
 def dq_variance(params, mu):
     """Per-sample data-quality variance: exp(affine(mu)), shape (N,)."""
-    return _by_row_blocks(lambda rows: np.exp(rows @ params.w_dq + params.b_dq), mu)
+    return _by_row_blocks(lambda rows: np.exp(_matvec(rows, params.w_dq) + params.b_dq[..., None]), mu)
 
 
 def dq_variance_backward(params, mu, sigma_d_sq, ds2):
     """Returns (dw_dq, db_dq, dmu)."""
     da = sigma_d_sq * ds2
-    return mu.T @ da, np.asarray(da.sum()), np.outer(da, params.w_dq)
+    return _matvec(_t(mu), da), da.sum(axis=-1), da[..., :, None] * params.w_dq[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +244,12 @@ def dq_variance_backward(params, mu, sigma_d_sq, ds2):
 
 def semantic_logits(params, category, z):
     omega = params.omega_s[category]
-    if z.shape[1] != omega.shape[1]:
-        raise ValueError(f"z dim {z.shape[1]} != embedding dim {omega.shape[1]}")
-    return z @ omega.T
+    if z.shape[-1] != omega.shape[-1]:
+        raise ValueError(f"z dim {z.shape[-1]} != embedding dim {omega.shape[-1]}")
+    return z @ _t(omega)
 
 
 def live_spoof_logits(params, mu):
-    if mu.shape[1] != params.omega_c.shape[1]:
-        raise ValueError(f"mu dim {mu.shape[1]} != embedding dim {params.omega_c.shape[1]}")
-    return mu @ params.omega_c.T
+    if mu.shape[-1] != params.omega_c.shape[-1]:
+        raise ValueError(f"mu dim {mu.shape[-1]} != embedding dim {params.omega_c.shape[-1]}")
+    return mu @ _t(params.omega_c)

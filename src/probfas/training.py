@@ -8,8 +8,14 @@ data-quality head with SGD on the normalized Gaussian NLL.
 Determinism: per-epoch shuffling and reparameterization noise use
 independent streams derived from (seed, stage, epoch), so a run can be
 resumed from a checkpoint and reproduce the uninterrupted result.
+
+Runs that differ only in seed and data train side by side as one stacked
+model (see ``model``): pass lists of datasets and configs instead of one.
+Each replica keeps its own streams, so it ends bit for bit where it would
+alone; one run is the stack of one.
 """
 
+import contextlib
 import json
 import math
 import struct
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import kernels, losses, model
+from . import data, kernels, losses, model
 
 DIVERGENCE_CAP = 1e6
 
@@ -179,22 +185,35 @@ def save_config(cfg, path):
 class OptState:
     kind: str
     lr: float
-    m: np.ndarray | None = None
+    m: np.ndarray | None = None  # (S, P), as the stacked parameters
     v: np.ndarray | None = None
     t: int = 0
 
     @staticmethod
-    def create(stage_cfg, n_params):
+    def create(stage_cfg, n_params, replicas=1):
         if stage_cfg.optimizer == "adam":
-            return OptState("adam", stage_cfg.lr, np.zeros(n_params), np.zeros(n_params), 0)
+            shape = (replicas, n_params)
+            return OptState("adam", stage_cfg.lr, np.zeros(shape), np.zeros(shape), 0)
         return OptState("sgd", stage_cfg.lr)
 
-    def step(self, flat_params, flat_grads):
+    def step(self, flat_params, flat_grads, live=None):
+        """One update in place of the (S, P) parameters; with a boolean
+        ``live`` mask, only those replicas' rows and moments move."""
+        if live is not None:
+            state = [a for a in (flat_params, self.m, self.v) if a is not None]
+            rows = [a[live] for a in state]
+            self._update(rows[0], flat_grads[live], *rows[1:])
+            for a, new in zip(state, rows):
+                a[live] = new
+        else:
+            self._update(flat_params, flat_grads, self.m, self.v)
+
+    def _update(self, p, g, m=None, v=None):
         if self.kind == "adam":
             self.t += 1
-            kernels.adam_step(flat_params, flat_grads, self.m, self.v, self.lr, 0.9, 0.999, 1e-8, self.t)
+            kernels.adam_step(p, g, m, v, self.lr, 0.9, 0.999, 1e-8, self.t)
         else:
-            flat_params -= self.lr * flat_grads
+            p -= self.lr * g
 
 
 def _epoch_rngs(seed, stage, epoch):
@@ -203,34 +222,111 @@ def _epoch_rngs(seed, stage, epoch):
     return shuffle, eps
 
 
-def run_stage(params, n, stage, stage_cfg, seed, step, start_epoch=0, opt_state=None):
-    """Minibatch training of ``params`` in place over n samples, for epochs
-    start_epoch .. stage_cfg.epochs - 1.
+def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, start_epoch=0, opt_state=None,
+              noise_dim=0):
+    """Minibatch training in place of the S = len(seeds) replicas stacked in
+    ``params`` (flat (S, P)), for epochs start_epoch .. stage_cfg.epochs - 1,
+    on ``columns``: the replicas' sample arrays, each (S, n, ...).
 
-    Each epoch shuffles with, and hands ``step`` noise from, streams derived
-    from (seed, stage, epoch), so a resumed run (same opt_state) reproduces
-    the uninterrupted one. ``step(idx, eps_rng) -> (grads, figures)`` gets a
-    batch's sample indices; ``figures["total"]`` is the batch loss, and all
-    figures are reported if it is non-finite or beyond DIVERGENCE_CAP.
-    Yields (epoch, means) after each epoch, means holding the epoch mean of
-    every float figure.
+    Replica r shuffles its n rows with, and draws its (n, noise_dim) noise
+    of each epoch from, streams derived from (seeds[r], stage, epoch), so it
+    trains as it would alone, and a resumed run (same opt_state) reproduces
+    the uninterrupted one. ``step(batch, eps) -> (grads, figures)`` gets the
+    columns' rows of one batch, (S, bs, ...) each, and their noise rows
+    (S, bs, noise_dim). ``figures`` maps names to (S,) arrays,
+    ``figures["total"]`` being the batch losses, or to functions of a
+    replica index, evaluated only to report a divergence.
+
+    A replica whose total is non-finite or beyond DIVERGENCE_CAP is frozen
+    before that step, and errors[r] (a list of S entries, None while the
+    replica trains) gets its TrainingDiverged with all its figures. The
+    others train on; the stage ends once every replica is frozen. Yields
+    (epoch, means) after each epoch, means holding the (S,) epoch means of
+    every array figure.
     """
+    S, n = len(seeds), columns[0].shape[1]
     if opt_state is None:
-        opt_state = OptState.create(stage_cfg, params.flat.size)
+        opt_state = OptState.create(stage_cfg, params.flat.shape[-1], S)
     bs = stage_cfg.batch_size
+    replica = np.arange(S)[:, None]
+    frozen = np.array([e is not None for e in errors])
     for epoch in range(start_epoch, stage_cfg.epochs):
-        shuffle_rng, eps_rng = _epoch_rngs(seed, stage, epoch)
-        order = shuffle_rng.permutation(n)
+        if frozen.all():
+            return
+        rngs = [_epoch_rngs(seed, stage, epoch) for seed in seeds]
+        order = np.stack([shuffle.permutation(n) for shuffle, _ in rngs])
+        shuffled = [col[replica, order] for col in columns]
+        noise = np.stack([eps.standard_normal((n, noise_dim)) for _, eps in rngs])
+        live = ~frozen if frozen.any() else None
         history = {}
-        for lo in range(0, n, bs):
-            grads, figures = step(order[lo : lo + bs], eps_rng)
-            total = figures["total"]
-            if not np.isfinite(total) or abs(total) > DIVERGENCE_CAP:
-                raise TrainingDiverged(stage, epoch, figures)
-            opt_state.step(params.flat, grads.flat)
-            for key, value in figures.items():
-                history.setdefault(key, []).append(value)
-        yield epoch, {key: float(np.mean(v)) for key, v in history.items() if isinstance(v[0], float)}
+        for j, lo in enumerate(range(0, n, bs)):
+            # a frozen replica's arithmetic is discarded, so its overflow is
+            # not reported
+            with contextlib.nullcontext() if live is None else np.errstate(all="ignore"):
+                grads, figures = step([col[:, lo : lo + bs] for col in shuffled], noise[:, lo : lo + bs])
+            diverged = ~(np.abs(figures["total"]) <= DIVERGENCE_CAP)
+            if diverged.any():
+                for r in np.flatnonzero(diverged & ~frozen):
+                    errors[r] = TrainingDiverged(stage, epoch, {
+                        key: value(r) if callable(value) else float(value[r]) for key, value in figures.items()
+                    })
+                frozen |= diverged
+                if frozen.all():
+                    return
+                live = ~frozen
+            opt_state.step(params.flat, grads.flat, live)
+            if not history:
+                history = {key: np.empty((S, -(-n // bs))) for key, value in figures.items() if not callable(value)}
+            for key, rows in history.items():
+                rows[:, j] = figures[key]
+        shuffled = noise = None  # not held while the caller logs the epoch
+        # each replica's batch figures are one contiguous row, so its mean
+        # sums them as np.mean of a one-model list would
+        yield epoch, {key: rows.mean(axis=1) for key, rows in history.items()}
+
+
+# ---------------------------------------------------------------------------
+# stacks of runs
+# ---------------------------------------------------------------------------
+
+def _as_stack(ds, config):
+    """(datasets, configs) of one run, or of a stack of runs given as lists,
+    which must differ in seed and data only, the data not in shape."""
+    if isinstance(ds, data.Dataset):
+        return [ds], [config.validate()]
+    datasets, configs = list(ds), [cfg.validate() for cfg in config]
+    if not datasets:
+        raise ConfigError("a stack needs at least one run")
+    if len(datasets) != len(configs):
+        raise ConfigError(f"a stack needs one config per dataset, got {len(configs)} for {len(datasets)}")
+    shared = {**configs[0].to_dict(), "seed": None}
+    if any({**cfg.to_dict(), "seed": None} != shared for cfg in configs):
+        raise ConfigError("stacked runs may differ in seed only")
+    first = datasets[0]
+    if any(len(d) != len(first) or d.feature_dim != first.feature_dim or d.categories != first.categories
+           for d in datasets):
+        raise data.DataError("stacked runs need datasets of one size, feature dimension and categories")
+    return datasets, configs
+
+
+def _stacked(params, S):
+    """A stacked copy of ``params`` (one model, or a stack of S)."""
+    flat = params.flat if params.flat.ndim == 2 else params.flat[None]
+    if flat.shape[0] != S:
+        raise ConfigError(f"parameters hold {flat.shape[0]} replicas, the stack has {S}")
+    return params.with_flat(flat.copy())
+
+
+def _result(ds, params, logs, errors=None):
+    """What a stage returns: (params, logs) of a stack, a diverged replica's
+    log being its error, or for one run its model and log, raising its
+    divergence."""
+    logs = [error or log for log, error in zip(logs, errors or [None] * len(logs))]
+    if not isinstance(ds, data.Dataset):
+        return params, logs
+    if isinstance(logs[0], TrainingDiverged):
+        raise logs[0]
+    return params.replica(0), logs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -240,44 +336,61 @@ def run_stage(params, n, stage, stage_cfg, seed, step, start_epoch=0, opt_state=
 def train_stage1_lq(ds, config, params=None, start_epoch=0, opt_state=None):
     """Multi-task stage-1 training. With enable_lq=False the semantic loss
     is evaluated at mu (deterministic arm) and the variance head stays at
-    its initialization. Returns (params, train_log)."""
-    config.validate()
-    if config.lambda_s != 0.0 and not ds.categories:
+    its initialization. Returns (params, train_log).
+
+    For a stack (lists of datasets and configs) it returns the (S, P)
+    parameters and one log per replica; a replica that diverges is frozen
+    and its log is its TrainingDiverged. One run raises it instead.
+    """
+    datasets, configs = _as_stack(ds, config)
+    cfg, S = configs[0], len(configs)
+    if cfg.lambda_s != 0.0 and not datasets[0].categories:
         raise ConfigError("semantic supervision requires at least one category")
     if params is None:
-        params = model.init_params(
-            ds.feature_dim, ds.categories, B=config.embedding_dim,
-            hidden=config.hidden, seed=config.seed,
-        )
+        params = model.ModelParams.stack([
+            model.init_params(d.feature_dim, d.categories, B=run.embedding_dim, hidden=run.hidden, seed=run.seed)
+            for d, run in zip(datasets, configs)
+        ])
     else:
-        params = params.copy()
+        params = _stacked(params, S)
 
-    X = ds.X()
-    c = ds.c_labels()
-    s_by_cat = {cat: ds.s_labels(cat) for cat in ds.categories}
+    X = np.stack([d.x for d in datasets])
+    c = np.stack([d.c for d in datasets])
+    categories = list(datasets[0].categories)
+    labels = [np.stack([d.s[cat] for d in datasets]) for cat in categories]
 
-    def step(idx, eps_rng):
-        eps = eps_rng.standard_normal((idx.size, params.B))
+    def step(batch, eps):
+        X_b, c_b, *s_b = batch
         loss, grads, aux = losses.stage1_objective(
-            params, X[idx], c[idx], {k: v[idx] for k, v in s_by_cat.items()},
-            eps, lambda_s=config.lambda_s, enable_lq=config.enable_lq,
+            params, X_b, c_b, dict(zip(categories, s_b)), eps, lambda_s=cfg.lambda_s, enable_lq=cfg.enable_lq,
         )
         return grads, {"total": loss.total, "loss_c": aux["loss_c"], "loss_s": aux["loss_s"]}
 
-    log = []
-    stage = run_stage(params, len(ds), 1, config.stage1, config.seed, step, start_epoch, opt_state)
+    logs, errors = [[] for _ in range(S)], [None] * S
+    seeds = [run.seed for run in configs]
+    stage = run_stage(params, [X, c, *labels], 1, cfg.stage1, seeds, step, errors, start_epoch, opt_state,
+                      noise_dim=params.B)
     for epoch, means in stage:
-        mu_full = model.embed(params, X)
-        log.append({
-            "stage": 1,
-            "epoch": epoch,
-            "loss_total": means["total"],
-            "loss_c": means["loss_c"],
-            "mean_sigma_l": float(model.lq_variance(params, mu_full).mean()),
-            "mean_sigma_d_sq": float(model.dq_variance(params, mu_full).mean()),
-            "train_acc": float(np.mean(np.argmax(mu_full @ params.omega_c.T, axis=1) == c)),
-        })
-    return params, log
+        sigma_l, sigma_d_sq, acc = _stage1_figures(params, X, c)
+        for r, log in enumerate(logs):
+            log.append({
+                "stage": 1,
+                "epoch": epoch,
+                "loss_total": float(means["total"][r]),
+                "loss_c": float(means["loss_c"][r]),
+                "mean_sigma_l": float(sigma_l[r]),
+                "mean_sigma_d_sq": float(sigma_d_sq[r]),
+                "train_acc": float(acc[r]),
+            })
+    return _result(ds, params, logs, errors)
+
+
+def _stage1_figures(params, X, c):
+    """Per-replica mean sigma_L, mean sigma_D^2 and accuracy on all rows."""
+    mu = model.embed(params, X)
+    sigma_l = model.lq_variance(params, mu).reshape(len(mu), -1).mean(axis=1)
+    acc = np.mean(np.argmax(model.live_spoof_logits(params, mu), axis=-1) == c, axis=1)
+    return sigma_l, model.dq_variance(params, mu).mean(axis=1), acc
 
 
 # ---------------------------------------------------------------------------
@@ -287,35 +400,46 @@ def train_stage1_lq(ds, config, params=None, start_epoch=0, opt_state=None):
 def train_stage2_dq(params, ds, config, start_epoch=0, opt_state=None):
     """Finetune omega_c and the data-quality head on the normalized NLL;
     backbone and label-quality head get zero gradients, so they stay
-    bit-identical under SGD and Adam alike."""
-    config.validate()
-    params = params.copy()
-    X = ds.X()
-    c = ds.c_labels()
+    bit-identical under SGD and Adam alike. Stacks as train_stage1_lq."""
+    datasets, configs = _as_stack(ds, config)
+    cfg, S = configs[0], len(configs)
+    params = _stacked(params, S)
+    X = np.stack([d.x for d in datasets])
+    c = np.stack([d.c for d in datasets])
 
-    def step(idx, _):
-        loss, grads, aux = losses.stage2_objective(params, X[idx], c[idx])
-        return grads, {"total": loss.total, "mean_d2": float(aux["d2"].mean())}
+    def step(batch, _):
+        loss, grads, aux = losses.stage2_objective(params, *batch)
+        return grads, {"total": loss.total, "mean_d2": aux["d2"].mean(axis=-1)}
 
-    log = []
-    stage = run_stage(params, len(ds), 2, config.stage2, config.seed, step, start_epoch, opt_state)
+    logs, errors = [[] for _ in range(S)], [None] * S
+    seeds = [run.seed for run in configs]
+    stage = run_stage(params, [X, c], 2, cfg.stage2, seeds, step, errors, start_epoch, opt_state)
     for epoch, means in stage:
-        log.append({
-            "stage": 2,
-            "epoch": epoch,
-            "loss_total": means["total"],
-            "mean_sigma_d_sq": float(model.dq_variance(params, model.embed(params, X)).mean()),
-        })
-    return params, log
+        sigma_d_sq = model.dq_variance(params, model.embed(params, X)).mean(axis=1)
+        for r, log in enumerate(logs):
+            log.append({
+                "stage": 2,
+                "epoch": epoch,
+                "loss_total": float(means["total"][r]),
+                "mean_sigma_d_sq": float(sigma_d_sq[r]),
+            })
+    return _result(ds, params, logs, errors)
 
 
 def train_two_stage(ds, config):
-    """Stage 1 followed (when enable_dq) by stage 2."""
-    params, log1 = train_stage1_lq(ds, config)
-    if config.enable_dq:
-        params, log2 = train_stage2_dq(params, ds, config)
-        return params, log1 + log2
-    return params, log1
+    """Stage 1 followed (when enable_dq) by stage 2. A stack's replicas
+    that diverge in stage 1 skip stage 2; the logs join both stages."""
+    datasets, configs = _as_stack(ds, config)
+    params, logs = train_stage1_lq(datasets, configs)
+    alive = [r for r, log in enumerate(logs) if not isinstance(log, TrainingDiverged)]
+    if configs[0].enable_dq and alive:
+        tuned, logs2 = train_stage2_dq(
+            params.with_flat(params.flat[alive]), [datasets[r] for r in alive], [configs[r] for r in alive]
+        )
+        params.flat[alive] = tuned.flat
+        for r, log2 in zip(alive, logs2):
+            logs[r] = log2 if isinstance(log2, TrainingDiverged) else logs[r] + log2
+    return _result(ds, params, logs)
 
 
 ARMS = ("baseline", "s", "s-lq", "s-lq-dq")

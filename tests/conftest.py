@@ -55,6 +55,24 @@ def check_param_gradients(params, loss_and_grads, mask=None, tol=FD_TOL):
     return err
 
 
+def check_replica_gradients(params, loss_and_grads, mask=None, tol=FD_TOL):
+    """check_param_gradients for every replica r of a stack: the central
+    differences of replica r's total, over replica r's parameters, against
+    row r of the stacked gradient.
+
+    loss_and_grads(stacked_params) -> ((S,) totals, stacked grads).
+    mask: optional one-model ModelParams, as for check_param_gradients.
+    """
+    for r in range(params.flat.shape[0]):
+        def replica_loss_and_grads(p_r, r=r):
+            flat = params.flat.copy()
+            flat[r] = p_r.flat
+            totals, grads = loss_and_grads(params.with_flat(flat))
+            return totals[r], grads.replica(r)
+
+        check_param_gradients(params.replica(r).copy(), replica_loss_and_grads, mask=mask, tol=tol)
+
+
 def selection_mask(params, tensor_names):
     """ModelParams whose listed tensors are ones and the rest zeros."""
     mask = params.zeros_like()

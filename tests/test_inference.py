@@ -135,26 +135,24 @@ class TestPredictBatch:
 
     @pytest.mark.parametrize("corrected", [False, True])
     def test_rows_do_not_depend_on_batch(self, tiny_params, corrected):
-        # bit-exact: the confidence of row i is the same in a batch, alone,
-        # and by the one-row formula (a gemv for the uncorrected logits), so
-        # no batched matrix product may round some rows differently. The
-        # embedding itself is not batch-invariant (its BLAS products round
-        # a lone row differently), so rows are compared from one mu.
+        # bit-exact: a row's prediction is the same in a 64-row batch, in a
+        # 7-row batch, alone, and by the one-row formula (a gemv for the
+        # uncorrected logits), so no matrix product may round some rows
+        # differently
         X = np.random.default_rng(4).standard_normal((64, tiny_params.D)) * 3.0
         probs, s2 = inference.predict_batch(tiny_params, X, corrected=corrected)
+        others = [inference.predict_batch(tiny_params, X[lo : lo + 7], corrected=corrected)
+                  for lo in range(0, len(X), 7)]
         mu = model.embed(tiny_params, X)
         omega = tiny_params.omega_c
         if corrected:
             mu, omega = losses.l2_normalize_rows(mu), losses.l2_normalize_rows(omega)
 
-        def confidence(rows, idx):
-            if corrected:
-                return inference.corrected_confidence(rows, omega, s2[idx])
-            return inference.standard_confidence(rows, omega)
-
         for i in range(len(X)):
-            alone = confidence(mu[i : i + 1], [i])[0]
-            assert alone.tobytes() == probs[i].tobytes(), i
+            for got, got_s2 in (inference.predict_batch(tiny_params, X[i : i + 1], corrected=corrected),
+                                (others[i // 7][0][i % 7 :], others[i // 7][1][i % 7 :])):
+                assert got[0].tobytes() == probs[i].tobytes(), i
+                assert got_s2[0].tobytes() == s2[i].tobytes(), i
             if corrected:
                 logits = -((omega - mu[i]) ** 2).sum(axis=1) / (2.0 * s2[i])
             else:

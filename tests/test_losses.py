@@ -261,6 +261,46 @@ class TestStage1Objective:
         assert rel_err(paired_a, paired_b) < 1e-12
         assert rel_err(lq_grads(s, eps), lq_grads(other, eps)) > 1e-2
 
+    @pytest.mark.parametrize("n_spoof", [0, 1, 2, 21, 40])
+    def test_semantic_head_equals_spoof_rows_alone(self, n_spoof):
+        # bytes of the objective against the semantic CE taken over the
+        # spoof rows cut out of the batch (a one-row cut takes
+        # matrix-vector products, and a mean over the masked rows would
+        # round differently)
+        params, X, c, s, eps = make_stage_case(105, n=40)
+        c[:] = data.LIVE
+        c[:n_spoof] = data.SPOOF
+        lam = 1.5
+        loss, grads, aux = losses.stage1_objective(params, X, c, s, eps, lambda_s=lam)
+
+        mu, cache = model.embed_with_cache(params, X)
+        expected = params.zeros_like()
+        loss_c, dlogits_c, _ = losses.softmax_ce_with_grads(mu @ params.omega_c.T, c)
+        expected.omega_c += dlogits_c.T @ mu
+        dmu = dlogits_c @ params.omega_c
+        per_sample = loss_c.per_sample.copy()
+        sp = c == data.SPOOF
+        sigma_l = model.lq_variance(params, mu)
+        dz = np.zeros_like(mu)
+        if n_spoof:
+            z_sp = (mu + eps * sigma_l)[sp]
+            sem, dz_sp, domega = losses.semantic_ce_with_grads(z_sp, params.omega_s["spoof_type"], s["spoof_type"][sp])
+            expected.omega_s["spoof_type"] += lam * domega
+            dz[sp] = lam * dz_sp
+            per_sample[sp] += lam * len(c) / n_spoof * sem.per_sample
+            assert aux["loss_s"](()) == {"spoof_type": lam * sem.total}
+        else:
+            assert aux["loss_s"](()) == {}
+        dw_lq, db_lq, dmu_head = model.lq_variance_backward(params, mu, sigma_l, dz * eps)
+        expected.w_lq += dw_lq
+        expected.b_lq += db_lq
+        layer_grads, _ = model.embed_backward(params, cache, dmu + dz + dmu_head)
+        for (gW, gb), (GW, Gb) in zip(layer_grads, expected.layers):
+            GW += gW
+            Gb += gb
+        assert loss.per_sample.tobytes() == per_sample.tobytes()
+        assert np.array_equal(grads.flat, expected.flat)
+
     def test_permutation_invariance(self):
         params, X, c, s, eps = make_stage_case(103)
         perm = np.random.default_rng(0).permutation(len(c))

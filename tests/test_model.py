@@ -119,6 +119,23 @@ class TestFlatten:
             for name, t in grads.named_tensors():
                 assert np.shares_memory(t, grads.flat), name
 
+    def test_stack_holds_replica_views(self, tiny_params):
+        other = tiny_params.copy()
+        other.flat[...] += 1.0
+        stack = model.ModelParams.stack([tiny_params, other])
+        assert stack.flat.shape == (2, tiny_params.flat.size)
+        assert stack.D == tiny_params.D and stack.B == tiny_params.B
+        for (name, t), (_, one) in zip(stack.named_tensors(), tiny_params.named_tensors()):
+            assert t.shape == (2, *one.shape), name
+            assert np.shares_memory(t, stack.flat), name
+            assert np.array_equal(t[0], one) and np.array_equal(t[1], one + 1.0), name
+        second = stack.replica(1)
+        assert second.flat.shape == tiny_params.flat.shape and np.shares_memory(second.flat, stack.flat)
+        assert np.array_equal(second.flat, other.flat)
+        assert stack.zeros_like().flat.shape == stack.flat.shape
+        with pytest.raises(ValueError):
+            stack.with_flat(np.zeros((2, 2, tiny_params.flat.size)))
+
     def test_check_finite(self, tiny_params):
         p = tiny_params.copy()
         p.w_lq[0, 0] = np.nan
@@ -211,6 +228,31 @@ def _run(script, blas_threads=None):
 
 
 class TestRowBlocks:
+    def test_rows_do_not_depend_on_batch(self, tiny_params):
+        # a lone row is padded to two, so it takes the matrix-matrix call of
+        # every larger batch rather than a matrix-vector call that rounds
+        # differently
+        X = np.random.default_rng(8).standard_normal((64, tiny_params.D)) * 3.0
+        mu = model.embed(tiny_params, X)
+        for i in range(len(X)):
+            assert model.embed(tiny_params, X[i : i + 1]).tobytes() == mu[i].tobytes(), i
+            assert model.embed(tiny_params, X[i : i + 3])[0].tobytes() == mu[i].tobytes(), i
+
+    def test_stacked_rows_equal_each_replica(self, tiny_params):
+        # a stack of three replicas on 600 rows each crosses the 512-row block
+        rng = np.random.default_rng(9)
+        replicas = [tiny_params.copy() for _ in range(3)]
+        for p in replicas[1:]:
+            p.flat[...] += rng.standard_normal(p.flat.shape) * 0.1
+        stack = model.ModelParams.stack(replicas)
+        for n in (1, 2, 600):
+            X = rng.standard_normal((3, n, tiny_params.D)) * 3.0
+            mu = model.embed(stack, X)
+            s2 = model.dq_variance(stack, mu)
+            for r, p in enumerate(replicas):
+                assert mu[r].tobytes() == model.embed(p, X[r]).tobytes(), (n, r)
+                assert s2[r].tobytes() == model.dq_variance(p, mu[r]).tobytes(), (n, r)
+
     def test_empty_batch(self, tiny_params):
         assert model.embed(tiny_params, np.zeros((0, tiny_params.D))).shape == (0, tiny_params.B)
         assert model.dq_variance(tiny_params, np.zeros((0, tiny_params.B))).shape == (0,)

@@ -1,0 +1,339 @@
+"""Stacked training: the seeds of one run trained side by side as one model
+with a leading replica axis must give, replica by replica, the bytes of
+the same runs trained one at a time (parameters, train logs, predictions
+and divergence reports), and their gradients must pass the
+finite-difference oracles."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from probfas import cli, data, experiments, inference, losses, model, training
+from conftest import check_replica_gradients, selection_mask
+
+SEEDS = [0, 1, 2, 3, 4]
+
+
+def benchmark_cell(seed, kind="semantic", fraction=0.2):
+    return experiments.apply_noise_kind(*experiments.make_benchmark_data(seed), kind, fraction, seed)
+
+
+def short_benchmark_config(seed):
+    cfg = experiments.default_benchmark_config(seed)
+    cfg.stage1.epochs = 30
+    cfg.stage2.epochs = 10
+    return cfg
+
+
+def tiny_config(seed, stage1=("adam", 3e-3), epochs=3, batch_size=4):
+    cfg = training.TrainConfig(seed=seed)
+    cfg.stage1 = training.StageConfig(*stage1, epochs, batch_size)
+    cfg.stage2 = training.StageConfig("sgd", 1e-1, epochs, batch_size)
+    cfg.hidden = (8,)
+    cfg.embedding_dim = 6
+    return cfg.validate()
+
+
+def trainlog_bytes(log, path):
+    training.save_trainlog(log, path)
+    return path.read_bytes()
+
+
+def assert_replicas_equal_single_runs(stacked, logs, trains, configs, tmp_path, tests=None):
+    for r, (train, cfg) in enumerate(zip(trains, configs)):
+        single, single_log = training.train_two_stage(train, cfg)
+        assert stacked.replica(r).flat.tobytes() == single.flat.tobytes(), f"replica {r} params"
+        assert trainlog_bytes(logs[r], tmp_path / "stacked.jsonl") == \
+            trainlog_bytes(single_log, tmp_path / "single.jsonl"), f"replica {r} trainlog"
+        if tests is not None:
+            X = tests[r].X()
+            got = inference.predict_batch(stacked.replica(r), X, corrected=cfg.enable_dq)
+            want = inference.predict_batch(single, X, corrected=cfg.enable_dq)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), f"replica {r} predictions"
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("arm", training.ARMS)
+    def test_stack_equals_single_runs(self, arm, tmp_path):
+        splits = [benchmark_cell(seed) for seed in SEEDS]
+        trains = [train for train, _ in splits]
+        configs = [training.arm_config(arm, short_benchmark_config(seed)) for seed in SEEDS]
+        stacked, logs = training.train_two_stage(trains, configs)
+        assert stacked.flat.shape[0] == len(SEEDS)
+        assert_replicas_equal_single_runs(stacked, logs, trains, configs, tmp_path,
+                                          tests=[test for _, test in splits])
+
+    def test_stage2_stack_equals_single_runs(self):
+        trains = [benchmark_cell(seed, "data", 0.3)[0] for seed in SEEDS[:3]]
+        configs = [training.arm_config("s-lq-dq", short_benchmark_config(seed)) for seed in SEEDS[:3]]
+        stage1 = [training.train_stage1_lq(train, cfg)[0] for train, cfg in zip(trains, configs)]
+        stacked, logs = training.train_stage2_dq(model.ModelParams.stack(stage1), trains, configs)
+        for r, (p, train, cfg) in enumerate(zip(stage1, trains, configs)):
+            single, single_log = training.train_stage2_dq(p, train, cfg)
+            assert stacked.replica(r).flat.tobytes() == single.flat.tobytes()
+            assert logs[r] == single_log
+
+    def test_ragged_spoof_rows_across_replicas(self, tmp_path):
+        # 12 rows in batches of 4: replica 0 has no spoof row at all,
+        # replica 1 a single one (so one of its batches has exactly one) and
+        # replica 2 a usual mix, so the masked semantic head sees every case
+        base = data.generate_synthetic(3, 4, {"spoof_type": 3}, 0.5, seed=0)
+        live = np.flatnonzero(base.c == data.LIVE)
+        spoof = np.flatnonzero(base.c == data.SPOOF)
+        trains = [
+            base._rows(np.concatenate([live, live, live, live])),
+            base._rows(np.sort(np.concatenate([live, live, live, spoof[:1], live[:2]]))),
+            base,
+        ]
+        assert [int((t.c == data.SPOOF).sum()) for t in trains] == [0, 1, 9]
+        configs = [tiny_config(seed) for seed in (3, 4, 5)]
+        stacked, logs = training.train_two_stage(trains, configs)
+        assert_replicas_equal_single_runs(stacked, logs, trains, configs, tmp_path)
+
+    def test_noise_sweep_rows_equal_single_runs(self):
+        cfg = short_benchmark_config(0)
+        rows = experiments.noise_sweep(["data"], {"data": [0.3]}, ["s", "s-lq-dq"], [2, 0], cfg)
+        expected = []
+        for arm in ("s", "s-lq-dq"):
+            for seed in (2, 0):
+                seed_cfg = training.TrainConfig.from_dict(cfg.to_dict())
+                seed_cfg.seed = seed
+                train, test = benchmark_cell(seed, "data", 0.3)
+                rep = experiments.run_arm(train, test, arm, seed_cfg).report
+                expected.append(("data", 0.3, arm, seed, rep.acer, rep.apcer, rep.bpcer))
+        assert rows == expected
+
+
+_SWEEP_CONFIG = """\
+stage1.optimizer = adam
+stage1.lr = 0.003
+stage1.epochs = 20
+stage1.batch_size = 32
+stage2.optimizer = sgd
+stage2.lr = 0.1
+stage2.epochs = 5
+stage2.batch_size = 32
+hidden = 32
+embedding_dim = 16
+"""
+
+
+def test_sweep_csv_does_not_depend_on_blas_threads(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(_SWEEP_CONFIG)
+    root = Path(__file__).resolve().parent.parent
+    texts = []
+    for threads in ("1", None):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads or 'default'}"
+        subprocess.run(
+            [sys.executable, "-m", "probfas.cli", "noise-sweep", "--noise-kind", "data", "--fractions", "0.3",
+             "--seeds", "0..3", "--config", str(config), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        texts.append((out / "sweep.csv").read_bytes())
+    assert texts[0] == texts[1]
+
+
+class TestDivergence:
+    # seeds 1, 5 and 7 diverge in stage 2 at epoch 0 on this cell
+    CELL = ("binary", 0.7)
+
+    def _seed_error(self, seed):
+        train, test = benchmark_cell(seed, *self.CELL)
+        with pytest.raises(training.TrainingDiverged) as exc:
+            experiments.run_arm(train, test, "s-lq-dq", experiments.default_benchmark_config(seed))
+        return exc.value
+
+    def test_sweep_raises_the_first_seed_in_list_order(self):
+        kind, fraction = self.CELL
+        with pytest.raises(training.TrainingDiverged) as exc:
+            experiments.noise_sweep([kind], {kind: [fraction]}, ["s-lq-dq"], list(range(7, -1, -1)))
+        alone = self._seed_error(7)
+        assert (exc.value.stage, exc.value.epoch, str(exc.value)) == (alone.stage, alone.epoch, str(alone))
+        assert (alone.stage, alone.epoch) == (2, 0)
+
+    def test_cli_exits_3_with_one_line(self, tmp_path, capsys):
+        code = cli.main(["noise-sweep", "--noise-kind", "binary", "--fractions", "0.7", "--arm", "s-lq-dq",
+                         "--seeds", "7,6,5,4,3,2,1,0", "--out", str(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == f"training diverged: {self._seed_error(7)}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_diverged_replicas_are_frozen_and_the_others_train_on(self):
+        seeds = [1, 0, 5, 2]
+        trains = [benchmark_cell(seed, *self.CELL)[0] for seed in seeds]
+        configs = [training.arm_config("s-lq-dq", experiments.default_benchmark_config(seed)) for seed in seeds]
+        stacked, logs = training.train_two_stage(trains, configs)
+        assert [isinstance(log, training.TrainingDiverged) for log in logs] == [True, False, True, False]
+        for r in (0, 2):
+            alone = self._seed_error(seeds[r])
+            assert str(logs[r]) == str(alone) and logs[r].epoch == alone.epoch
+        for r in (1, 3):
+            single, single_log = training.train_two_stage(trains[r], configs[r])
+            assert stacked.replica(r).flat.tobytes() == single.flat.tobytes()
+            assert logs[r] == single_log
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stage1_divergence_reports_match_single_runs(self):
+        # SGD at lr 1 on these tiny sets: seed 2 diverges at epoch 3, seed
+        # 7 at epoch 1, seed 0 at epoch 2; each report carries loss_s
+        seeds = [2, 7, 0]
+        trains = [data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=seed) for seed in seeds]
+        configs = [tiny_config(seed, stage1=("sgd", 1.0), epochs=6, batch_size=8) for seed in seeds]
+        _, logs = training.train_stage1_lq(trains, configs)
+        for log, train, cfg in zip(logs, trains, configs):
+            with pytest.raises(training.TrainingDiverged) as exc:
+                training.train_stage1_lq(train, cfg)
+            assert isinstance(log, training.TrainingDiverged)
+            assert (log.stage, log.epoch, str(log)) == (exc.value.stage, exc.value.epoch, str(exc.value))
+            assert "'loss_s': {'spoof_type':" in str(log)
+        assert [log.epoch for log in logs] == [3, 1, 2]
+        with pytest.raises(training.TrainingDiverged) as exc:
+            training.train_two_stage(trains[0], configs[0])
+        assert str(exc.value) == str(logs[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_lone_divergence_leaves_the_others_untouched(self):
+        seeds = [3, 4, 5]  # at lr 0.7 only seed 4 diverges, at stage-1 epoch 5
+        trains = [data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=seed) for seed in seeds]
+        configs = [tiny_config(seed, stage1=("sgd", 0.7), epochs=6, batch_size=8) for seed in seeds]
+        stacked, logs = training.train_two_stage(trains, configs)
+        assert isinstance(logs[1], training.TrainingDiverged) and logs[1].epoch == 5
+        for r in (0, 2):
+            single, single_log = training.train_two_stage(trains[r], configs[r])
+            assert stacked.replica(r).flat.tobytes() == single.flat.tobytes()
+            assert logs[r] == single_log
+
+
+def stacked_stage_case(seeds, n=8, D=4, B=5, hidden=(6,), A=3):
+    """One make_stage_case-style batch per replica, stacked; the second
+    replica's batch has a single spoof row and the third none."""
+    cases = []
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        p = model.init_params(D, {"spoof_type": A}, B=B, hidden=hidden, seed=seed)
+        p.w_lq[...] = rng.standard_normal(p.w_lq.shape) * 0.1
+        p.b_lq[...] = rng.standard_normal(p.b_lq.shape) * 0.1
+        p.w_dq[...] = rng.standard_normal(p.w_dq.shape) * 0.1
+        p.b_dq[...] = 0.1
+        c = np.array([data.SPOOF, data.LIVE] * (n // 2))
+        if k == 1:
+            c[2:] = data.LIVE
+        elif k == 2:
+            c[:] = data.LIVE
+        cases.append((p, rng.standard_normal((n, D)), c, rng.integers(0, A, n), rng.standard_normal((n, B))))
+    params = model.ModelParams.stack([case[0] for case in cases])
+    X, c, s, eps = (np.stack([case[i] for case in cases]) for i in range(1, 5))
+    return params, X, c, {"spoof_type": s}, eps
+
+
+class TestStackedGradientOracles:
+    @pytest.mark.parametrize("S", [1, 3])
+    @pytest.mark.parametrize("lambda_s,enable_lq", [(1.0, True), (0.5, False), (2.0, True), (0.0, True)])
+    def test_stage1(self, S, lambda_s, enable_lq):
+        params, X, c, s, eps = stacked_stage_case(range(10, 10 + S))
+
+        def lg(p):
+            loss, grads, _ = losses.stage1_objective(p, X, c, s, eps, lambda_s=lambda_s, enable_lq=enable_lq)
+            return loss.total, grads
+
+        check_replica_gradients(params, lg)
+
+    @pytest.mark.parametrize("S", [1, 3])
+    def test_stage2(self, S):
+        params, X, c, _, _ = stacked_stage_case(range(20, 20 + S))
+        c = np.broadcast_to(np.where(np.arange(c.shape[1]) % 3 == 0, data.SPOOF, data.LIVE), c.shape).copy()
+
+        def lg(p):
+            loss, grads, _ = losses.stage2_objective(p, X, c)
+            return loss.total, grads
+
+        check_replica_gradients(params, lg, mask=selection_mask(params.replica(0), {"omega_c", "w_dq", "b_dq"}))
+
+    def test_stacked_objectives_equal_one_model_calls(self):
+        params, X, c, s, eps = stacked_stage_case([30, 31, 32])
+        loss, grads, aux = losses.stage1_objective(params, X, c, s, eps)
+        for r in range(3):
+            one, one_grads, one_aux = losses.stage1_objective(
+                params.replica(r), X[r], c[r], {"spoof_type": s["spoof_type"][r]}, eps[r])
+            assert loss.total[r] == one.total and loss.per_sample[r].tobytes() == one.per_sample.tobytes()
+            assert grads.flat[r].tobytes() == one_grads.flat.tobytes()
+            assert aux["loss_s"](r) == one_aux["loss_s"](())
+        assert aux["loss_s"](2) == {}
+
+
+class TestResume:
+    def test_stage1_resume_reproduces_uninterrupted_stack(self, tiny_dataset):
+        trains = [tiny_dataset, tiny_dataset.copy(), data.inject_semantic_label_noise(tiny_dataset, 0.5, 1)]
+        full_cfgs = [tiny_config(seed, epochs=4, batch_size=16) for seed in (0, 1, 2)]
+        half_cfgs = [tiny_config(seed, epochs=2, batch_size=16) for seed in (0, 1, 2)]
+        full, full_logs = training.train_stage1_lq(trains, full_cfgs)
+        n_params = model.init_params(tiny_dataset.feature_dim, tiny_dataset.categories, B=6, hidden=(8,)).flat.size
+        opt = training.OptState.create(full_cfgs[0].stage1, n_params, replicas=3)
+        half, half_logs = training.train_stage1_lq(trains, half_cfgs, opt_state=opt)
+        resumed, rest_logs = training.train_stage1_lq(trains, full_cfgs, params=half, start_epoch=2, opt_state=opt)
+        assert np.array_equal(resumed.flat, full.flat)
+        assert [a + b for a, b in zip(half_logs, rest_logs)] == full_logs
+
+    def test_stage2_resume_reproduces_uninterrupted_stack(self, tiny_dataset):
+        trains = [tiny_dataset, data.inject_data_noise(tiny_dataset, 0.5, 2.0, 1), tiny_dataset]
+        cfgs = [tiny_config(seed, epochs=4, batch_size=16) for seed in (0, 1, 2)]
+        half_cfgs = [tiny_config(seed, epochs=2, batch_size=16) for seed in (0, 1, 2)]
+        stage1, _ = training.train_stage1_lq(trains, cfgs)
+        full, full_logs = training.train_stage2_dq(stage1, trains, cfgs)
+        half, half_logs = training.train_stage2_dq(stage1, trains, half_cfgs)
+        resumed, rest_logs = training.train_stage2_dq(half, trains, cfgs, start_epoch=2)
+        assert np.array_equal(resumed.flat, full.flat)
+        assert [a + b for a, b in zip(half_logs, rest_logs)] == full_logs
+
+
+class TestRunStage:
+    def test_epoch_means_are_np_mean_of_each_replicas_figures(self, tiny_params):
+        # 50 one-row batches: enough for np.mean's pairwise sum to round
+        # differently from a sum down the (steps, S) columns
+        params = model.ModelParams.stack([tiny_params] * 3)
+        totals = np.random.default_rng(0).standard_normal((2, 50, 3)) * 1e3
+        calls = []
+
+        def step(batch, eps):
+            epoch, j = divmod(len(calls), 50)
+            calls.append(batch[0].shape)
+            return params.zeros_like(), {"total": totals[epoch, j]}
+
+        cfg = training.StageConfig("sgd", 0.1, 2, 1)
+        columns = [np.zeros((3, 50, tiny_params.D))]
+        means = list(training.run_stage(params, columns, 1, cfg, [0, 1, 2], step, [None] * 3))
+        assert calls == [(3, 1, tiny_params.D)] * 100
+        for epoch, epoch_means in means:
+            for r in range(3):
+                assert epoch_means["total"][r] == np.mean(list(totals[epoch, :, r]))
+
+
+class TestStackChecks:
+    def test_configs_may_differ_in_seed_only(self, tiny_dataset):
+        other = tiny_config(1)
+        other.lambda_s = 0.5
+        with pytest.raises(training.ConfigError, match="seed only"):
+            training.train_stage1_lq([tiny_dataset, tiny_dataset], [tiny_config(0), other])
+
+    def test_one_config_per_dataset(self, tiny_dataset):
+        with pytest.raises(training.ConfigError, match="one config per dataset"):
+            training.train_stage1_lq([tiny_dataset, tiny_dataset], [tiny_config(0)])
+
+    def test_datasets_must_share_their_shape(self, tiny_dataset):
+        smaller = tiny_dataset._rows(np.arange(len(tiny_dataset) - 1))
+        with pytest.raises(data.DataError, match="one size"):
+            training.train_stage1_lq([tiny_dataset, smaller], [tiny_config(0), tiny_config(1)])
+
+    def test_parameters_must_match_the_stack(self, tiny_dataset, tiny_params):
+        with pytest.raises(training.ConfigError, match="replicas"):
+            training.train_stage2_dq(model.ModelParams.stack([tiny_params] * 2), [tiny_dataset] * 3,
+                                     [tiny_config(s) for s in range(3)])
