@@ -8,6 +8,7 @@ pure functions of (input, seed).
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ class Dataset:
 
     x is (N, D) float64, c the binary labels and s one int64 label array
     per category. The noise flags and corruption_severity default to
-    all-clean columns. The accessors (X, c_labels, ...) return the stored
+    all-clean columns; a severity must be finite and >= 0. The accessors (X, c_labels, ...) return the stored
     columns, not copies.
     """
 
@@ -67,6 +68,10 @@ class Dataset:
         for name, col in self._columns():
             if name != "x" and col.shape != (n,):
                 raise DataError(f"column {name!r} has shape {col.shape}, expected ({n},)")
+        sev = self.corruption_severity
+        bad = np.flatnonzero(~(np.isfinite(sev) & (sev >= 0)))
+        if bad.size:
+            raise DataError(f"row {bad[0]}: corruption_severity {sev[bad[0]]} is not finite and >= 0")
         bad = np.flatnonzero((self.c != LIVE) & (self.c != SPOOF))
         if bad.size:
             raise DataError(f"row {bad[0]}: binary label {self.c[bad[0]]} is not 0 or 1")
@@ -210,12 +215,15 @@ def generate_synthetic(n_per_class, D, categories, cluster_overlap, seed):
     # rows: n_per_class live, then n_per_class of each spoof type in turn
     cluster = np.repeat(np.arange(a_primary + 1), n_per_class)
     n = cluster.size
-    noise = np.empty((n, D))
     s = {name: np.empty(n, dtype=np.int64) for name in extra}
-    for i in range(n):  # one row's draws at a time: its noise, then its extra labels
-        noise[i] = rng.standard_normal(D)
-        for name in extra:
-            s[name][i] = rng.integers(0, categories[name])
+    if extra:
+        noise = np.empty((n, D))
+        for i in range(n):  # one row's draws at a time: its noise, then its extra labels
+            noise[i] = rng.standard_normal(D)
+            for name in extra:
+                s[name][i] = rng.integers(0, categories[name])
+    else:  # the stream is sequential: the same draws as row by row
+        noise = rng.standard_normal((n, D))
     x = centers[cluster] + _CLUSTER_STD * noise
     for name in extra:
         x = x + extra_offsets[name][s[name]]
@@ -309,14 +317,17 @@ def apply_noise(ds, spec: NoiseSpec, seed):
 # label_flipped, semantic_reassigned, data_corrupted
 
 _MAGIC = "#probfas-dataset v1"
-_BITFIELDS = frozenset(f"{a}{b}{c}" for a in "01" for b in "01" for c in "01")
+
+
+def _column_line(D, names):
+    """The column-name line of a dataset file with D features and these categories."""
+    return ",".join(["id", *(f"x{i}" for i in range(D)), "c", *(f"s:{n}" for n in names), "flags", "severity"])
 
 
 def save_dataset(ds, path):
     names = list(ds.categories)
     cats = ",".join(f"{n}:{ds.categories[n]}" for n in names)
     D = ds.feature_dim
-    header = ["id"] + [f"x{i}" for i in range(D)] + ["c"] + [f"s:{n}" for n in names] + ["flags", "severity"]
     # every cell goes through one %-format per row; integers ride as exact floats
     row_fmt = "%d" + ",%.17g" * D + ",%d" * (1 + len(names)) + ",%03d,%.17g\n"
     bits = 100 * ds.label_flipped + 10 * ds.semantic_reassigned + 1 * ds.data_corrupted
@@ -324,73 +335,130 @@ def save_dataset(ds, path):
         [np.arange(len(ds)), ds.x, ds.c, *(ds.s[n] for n in names), bits, ds.corruption_severity]
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{_MAGIC}\n#D={D} seed={ds.seed_provenance} categories={cats}\n{','.join(header)}\n")
+        fh.write(f"{_MAGIC}\n#D={D} seed={ds.seed_provenance} categories={cats}\n{_column_line(D, names)}\n")
         fh.write(row_fmt * len(ds) % tuple(cells.ravel().tolist()))
 
 
-def load_dataset(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read dataset: {exc.strerror or exc}") from exc
-    lines = [ln for ln in lines if ln != ""]
+def _read_header(fh, path):
+    """The magic, metadata and column-name lines, blank lines skipped; the
+    file is left at the first sample row."""
+    lines = []
+    while len(lines) < 3 and (ln := fh.readline()):
+        if ln != "\n":
+            lines.append(ln.rstrip("\n"))
     if not lines:
         raise DataError(f"{path}: empty dataset file")
     if lines[0] != _MAGIC:
         raise DataError(f"{path}: bad magic line {lines[0]!r}")
     if len(lines) < 3:
         raise DataError(f"{path}: missing header lines")
-    meta = {}
-    for tok in lines[1].lstrip("#").split():
-        key, _, val = tok.partition("=")
-        meta[key] = val
-    try:
-        D = int(meta["D"])
-        seed = int(meta["seed"])
-        categories = {}
-        for item in meta["categories"].split(","):
-            name, _, card = item.partition(":")
-            categories[name] = int(card)
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: malformed metadata line: {lines[1]!r}") from exc
-    K = len(categories)
-    expected_fields = 1 + D + 1 + K + 2
-    ids, features, labels, bits, severity = [], [], [], [], []
-    for ln in lines[3:]:
-        parts = ln.split(",")
-        row_id = parts[0]
-        if len(parts) != expected_fields:
-            raise DataError(
-                f"{path}: row {row_id}: expected {expected_fields} fields, got {len(parts)}"
-            )
+    return lines
+
+
+def _parse_rows(source, dtype):
+    """All sample rows of a file object or list of lines in one C-level pass.
+
+    Numbers must be plain ASCII as save_dataset writes them; blank lines are
+    skipped. Raises ValueError at a row with the wrong field count or an
+    unparseable field (a float in an int column included).
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no rows: the caller reports it
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+
+
+def _first_bad_row(lines, dtype):
+    """Index of the first of lines the parser rejects, by bisection: a part
+    that parses holds no bad row, so the left half is tried first."""
+    lo, hi = 0, len(lines)  # lines[:lo] parse; lines[lo:hi] holds a bad row
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            ids.append(int(row_id))
-            features.extend(map(float, parts[1 : 1 + D]))
-            labels.extend(map(int, parts[1 + D : 2 + D + K]))
-            severity.append(float(parts[-1]))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_id}: unparseable field ({exc})") from exc
-        if parts[-2] not in _BITFIELDS:
-            raise DataError(f"{path}: row {row_id}: bad flags bitfield {parts[-2]!r}")
-        bits.append(parts[-2])
-    if not ids:
+            _parse_rows(lines[lo:mid], dtype)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def _row_error(path, dtype, n_fields):
+    """DataError naming the first sample row the parser rejects (error path only)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().split("\n") if ln][3:]
+    row = _first_bad_row(lines, dtype)
+    got = lines[row].count(",") + 1
+    if got != n_fields:
+        return DataError(f"{path}: row {row}: expected {n_fields} fields, got {got}")
+    try:
+        _parse_rows(lines[row : row + 1], dtype)
+    except ValueError as exc:  # the parser's own row numbering is dropped
+        return DataError(f"{path}: row {row}: unparseable field ({str(exc).partition(' at row ')[0]})")
+    return DataError(f"{path}: row {row}: unparseable row")
+
+
+def _first(mask):
+    bad = np.flatnonzero(mask)
+    return bad[0] if bad.size else None
+
+
+def load_dataset(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = _read_header(fh, path)
+            meta = {}
+            for tok in lines[1].lstrip("#").split():
+                key, _, val = tok.partition("=")
+                meta[key] = val
+            try:
+                D = int(meta["D"])
+                seed = int(meta["seed"])
+                categories = {}
+                for item in meta["categories"].split(","):
+                    name, _, card = item.partition(":")
+                    categories[name] = int(card)
+                if D < 1:
+                    raise ValueError(D)
+            except (KeyError, ValueError) as exc:
+                raise DataError(f"{path}: malformed metadata line: {lines[1]!r}") from exc
+            if lines[2] != _column_line(D, categories):
+                raise DataError(
+                    f"{path}: column-name line does not match the metadata line; "
+                    f"expected {_column_line(D, categories)!r}"
+                )
+            K = len(categories)
+            dtype = np.dtype(
+                [("id", "i8"), ("x", "f8", (D,)), ("lab", "i8", (1 + K,)), ("flags", "U4"), ("sev", "f8")]
+            )
+            try:
+                rows = _parse_rows(fh, dtype)
+            except ValueError:
+                raise _row_error(path, dtype, 1 + D + 1 + K + 2) from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read dataset: {exc.strerror or exc}") from exc
+    n = rows.size
+    if not n:
         raise DataError(f"{path}: dataset file has no sample rows")
-    if ids != list(range(len(ids))):
-        raise DataError(f"{path}: sample ids must be dense [0, N) in order")
-    # one array for all features, checked at once
-    x = np.array(features, dtype=np.float64).reshape(len(ids), D)
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise DataError(f"{path}: row {bad[0]}: non-finite feature value")
-    labels = np.array(labels, dtype=np.int64).reshape(len(ids), 1 + K)
-    flags = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8).reshape(-1, 3) == ord("1")
+    row = _first(rows["id"] != np.arange(n))
+    if row is not None:
+        raise DataError(f"{path}: row {row}: sample ids must be dense [0, N) in order, got id {rows['id'][row]}")
+    # each bitfield is three of '0'/'1' and no fourth character
+    codes = np.ascontiguousarray(rows["flags"]).view(np.uint32).reshape(n, 4)
+    flags = codes[:, :3] == ord("1")
+    valid = (flags | (codes[:, :3] == ord("0"))).all(axis=1) & (codes[:, 3] == 0)
+    row = _first(~valid)
+    if row is not None:
+        raise DataError(f"{path}: row {row}: bad flags bitfield {rows['flags'][row]!r}")
+    x = np.ascontiguousarray(rows["x"])
+    row = _first(~np.isfinite(x).all(axis=1))
+    if row is not None:
+        raise DataError(f"{path}: row {row}: non-finite feature value")
+    labels = np.ascontiguousarray(rows["lab"])
     try:
         return Dataset(
             x=x, c=labels[:, 0], s={name: labels[:, 1 + k] for k, name in enumerate(categories)},
             categories=categories, seed_provenance=seed,
             **{name: flags[:, k] for k, name in enumerate(FLAGS)},
-            corruption_severity=np.array(severity),
+            corruption_severity=np.ascontiguousarray(rows["sev"]),
         )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc

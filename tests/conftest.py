@@ -1,5 +1,6 @@
 """Shared helpers: finite-difference gradient checking over the flat
-parameter vector, and small dataset builders."""
+parameter vector, small dataset builders, and row-by-row reference
+versions of the dataset generator and parser."""
 
 import numpy as np
 import pytest
@@ -93,4 +94,65 @@ def tiny_dataset():
 def tiny_params(tiny_dataset):
     return model.init_params(
         tiny_dataset.feature_dim, tiny_dataset.categories, B=6, hidden=(8,), seed=0
+    )
+
+
+def reference_generate_synthetic(n_per_class, D, categories, cluster_overlap, seed):
+    """data.generate_synthetic drawing one row's noise, then its auxiliary
+    labels, at a time: the draw order the generator must reproduce."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
+    names = list(categories)
+    primary, extra = names[0], names[1:]
+    dirs = rng.standard_normal((categories[primary] + 1, D))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    centers = dirs * (data._BASE_RADIUS / (1.0 + cluster_overlap))
+    extra_offsets = {
+        name: rng.standard_normal((categories[name], D)) * data._EXTRA_OFFSET_SCALE for name in extra
+    }
+    cluster = np.repeat(np.arange(categories[primary] + 1), n_per_class)
+    n = cluster.size
+    noise = np.empty((n, D))
+    s = {name: np.empty(n, dtype=np.int64) for name in extra}
+    for i in range(n):
+        noise[i] = rng.standard_normal(D)
+        for name in extra:
+            s[name][i] = rng.integers(0, categories[name])
+    x = centers[cluster] + data._CLUSTER_STD * noise
+    for name in extra:
+        x = x + extra_offsets[name][s[name]]
+    s[primary] = np.maximum(cluster - 1, 0)
+    return data.Dataset(
+        x=x, c=np.where(cluster == 0, data.LIVE, data.SPOOF), s={name: s[name] for name in names},
+        categories=dict(categories), seed_provenance=int(seed),
+    )
+
+
+def reference_load_dataset(path):
+    """data.load_dataset as a split/float/int loop over the rows, with the
+    Python number parsers; for valid files only (the column-name line is
+    not checked)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in (ln.rstrip("\n") for ln in fh) if ln != ""]
+    meta = dict(tok.partition("=")[::2] for tok in lines[1].lstrip("#").split())
+    D = int(meta["D"])
+    categories = {name: int(card) for name, _, card in
+                  (item.partition(":") for item in meta["categories"].split(","))}
+    ids, features, labels, bits, severity = [], [], [], [], []
+    for ln in lines[3:]:
+        parts = ln.split(",")
+        assert len(parts) == 1 + D + 1 + len(categories) + 2
+        ids.append(int(parts[0]))
+        features.extend(map(float, parts[1 : 1 + D]))
+        labels.extend(map(int, parts[1 + D : 2 + D + len(categories)]))
+        bits.append([ch == "1" for ch in parts[-2]])
+        severity.append(float(parts[-1]))
+    assert ids == list(range(len(ids)))
+    labels = np.array(labels, dtype=np.int64).reshape(len(ids), -1)
+    flags = np.array(bits, dtype=bool).reshape(len(ids), 3)
+    return data.Dataset(
+        x=np.array(features).reshape(len(ids), D), c=labels[:, 0],
+        s={name: labels[:, 1 + k] for k, name in enumerate(categories)},
+        categories=categories, seed_provenance=int(meta["seed"]),
+        **{name: flags[:, k] for k, name in enumerate(data.FLAGS)},
+        corruption_severity=np.array(severity),
     )

@@ -39,11 +39,12 @@ def one_line_error(capsys):
     return err.startswith("error: ") and err.count("\n") == 1
 
 
-def with_feature(src, dst, value):
-    """Copy a dataset file, setting x0 of its first sample row to value."""
+def with_feature(src, dst, value, field=1):
+    """Copy a dataset file, setting one field (x0 by default) of its first
+    sample row to value."""
     lines = src.read_text().splitlines()
     fields = lines[3].split(",")
-    fields[1] = value
+    fields[field] = value
     lines[3] = ",".join(fields)
     dst.write_text("\n".join(lines) + "\n")
     return dst
@@ -159,16 +160,17 @@ class TestTrain:
         assert cfg.seed == 42
 
 
-class TestEval:
-    @pytest.fixture
-    def trained(self, dataset_dir, tmp_path):
-        cfg_path = tmp_path / "cfg.txt"
-        write_quick_config(cfg_path)
-        out = tmp_path / "run"
-        assert run(["train", "--data", str(dataset_dir / "dataset.txt"),
-                    "--config", str(cfg_path), "--out", str(out)]) == 0
-        return out / "checkpoint.ckpt"
+@pytest.fixture
+def trained(dataset_dir, tmp_path):
+    cfg_path = tmp_path / "cfg.txt"
+    write_quick_config(cfg_path)
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(dataset_dir / "dataset.txt"),
+                "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out / "checkpoint.ckpt"
 
+
+class TestEval:
     def test_both_modes_and_delta(self, dataset_dir, trained, tmp_path):
         out = tmp_path / "eval"
         assert run(["eval", "--data", str(dataset_dir / "dataset.txt"),
@@ -317,6 +319,23 @@ class TestQualityReport:
         assert run(["quality-report", "--data", str(tmp_path / "no.txt"),
                     "--checkpoint", str(tmp_path / "no.ckpt"),
                     "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("case", ["severity-nan", "severity-negative", "column-line"])
+    def test_bad_dataset_is_data_error(self, dataset_dir, trained, tmp_path, capsys, case):
+        src = dataset_dir / "dataset.txt"
+        bad = tmp_path / "bad.txt"
+        if case == "column-line":
+            bad.write_text(src.read_text().replace("\nid,x0,", "\nid,y0,", 1))
+            message = "column-name line"
+        else:
+            with_feature(src, bad, {"severity-nan": "nan", "severity-negative": "-3"}[case], field=-1)
+            message = "row 0: corruption_severity"
+        capsys.readouterr()
+        assert run(["quality-report", "--data", str(bad), "--checkpoint", str(trained),
+                    "--out", str(tmp_path / "q")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "q" / "quality.csv").exists()
 
 
 class TestUnreadableInputs:

@@ -3,7 +3,30 @@
 import numpy as np
 import pytest
 
+from conftest import reference_generate_synthetic, reference_load_dataset
 from probfas import data
+
+
+def with_field(src, dst, row, field, value):
+    """Copy a dataset file, setting one field of one sample row to value
+    (None drops the field)."""
+    lines = src.read_text().splitlines()
+    parts = lines[3 + row].split(",")
+    if value is None:
+        del parts[field]
+    else:
+        parts[field] = value
+    lines[3 + row] = ",".join(parts)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def assert_bit_equal(a, b):
+    """Datasets equal, with float columns equal bit for bit (-0.0 included)."""
+    assert a == b
+    for col_a, col_b in ((a.x, b.x), (a.corruption_severity, b.corruption_severity)):
+        assert col_a.dtype == col_b.dtype == np.float64
+        assert np.array_equal(col_a.view(np.uint64), col_b.view(np.uint64))
 
 
 def nn1_accuracy(ds):
@@ -62,6 +85,15 @@ class TestGenerate:
             data.generate_synthetic(5, 4, {"spoof_type": 2}, -0.1, 0)
         with pytest.raises(data.DataError):
             data.generate_synthetic(5, 4, {"spoof_type": 2}, float("nan"), 0)
+
+    @pytest.mark.parametrize("categories", [
+        {"spoof_type": 3}, {"spoof_type": 2, "lighting": 4}, {"spoof_type": 4, "a": 2, "b": 3},
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_row_by_row_draws(self, categories, seed):
+        for n_per_class, D in ((1, 2), (9, 5)):
+            got = data.generate_synthetic(n_per_class, D, categories, 0.7, seed)
+            assert_bit_equal(got, reference_generate_synthetic(n_per_class, D, categories, 0.7, seed))
 
     def test_infinite_overlap_gives_finite_features(self):
         ds = data.generate_synthetic(5, 4, {"spoof_type": 2}, float("inf"), 0)
@@ -231,57 +263,159 @@ class TestFileFormat:
             data.load_dataset(path)
 
     def test_field_count_error_names_row(self, tiny_dataset, tmp_path):
-        path = tmp_path / "ds.txt"
-        data.save_dataset(tiny_dataset, path)
-        lines = path.read_text().splitlines()
-        lines[3] = lines[3] + ",extra"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(data.DataError, match="row 0"):
-            data.load_dataset(path)
+        src = tmp_path / "ds.txt"
+        data.save_dataset(tiny_dataset, src)
+        bad = tmp_path / "bad.txt"
+        for row, field, value, got in ((0, -1, "0,extra", 10), (5, 2, None, 8), (7, -2, "000,", 10)):
+            with_field(src, bad, row, field, value)
+            with pytest.raises(data.DataError, match=f"row {row}: expected 9 fields, got {got}"):
+                data.load_dataset(bad)
 
     def test_unparseable_field_error_names_row(self, tiny_dataset, tmp_path):
-        path = tmp_path / "ds.txt"
-        data.save_dataset(tiny_dataset, path)
-        lines = path.read_text().splitlines()
-        parts = lines[4].split(",")
-        parts[1] = "not-a-number"
-        lines[4] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(data.DataError, match="row 1"):
-            data.load_dataset(path)
+        src = tmp_path / "ds.txt"
+        data.save_dataset(tiny_dataset, src)
+        bad = tmp_path / "bad.txt"
+        # plain ASCII numbers only: 1_5 and non-ASCII digits pass float() but not the parser
+        cases = [(1, 1, "not-a-number"), (4, 2, "1_5"), (2, 3, "\u0661"), (6, 1, "0x10"),
+                 (3, -3, "1.0"), (5, -4, "1e0"), (9, 0, "0.0"), (2, -1, ""),
+                 (8, -3, "99999999999999999999")]  # beyond int64
+        for row, field, value in cases:
+            with_field(src, bad, row, field, value)
+            with pytest.raises(data.DataError, match=f"row {row}: unparseable field"):
+                data.load_dataset(bad)
 
     def test_bad_flags_bitfield_rejected(self, tiny_dataset, tmp_path):
-        path = tmp_path / "ds.txt"
-        data.save_dataset(tiny_dataset, path)
-        lines = path.read_text().splitlines()
-        parts = lines[3].split(",")
-        parts[-2] = "012"
-        lines[3] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(data.DataError, match="bitfield"):
-            data.load_dataset(path)
+        src = tmp_path / "ds.txt"
+        data.save_dataset(tiny_dataset, src)
+        bad = tmp_path / "bad.txt"
+        for row, bits in ((0, "012"), (3, "0100"), (4, "01"), (5, ""), (6, "0\u00e90"), (7, "01000")):
+            with_field(src, bad, row, -2, bits)
+            with pytest.raises(data.DataError, match=f"row {row}: bad flags bitfield"):
+                data.load_dataset(bad)
 
     def test_out_of_range_semantic_label_rejected(self, tiny_dataset, tmp_path):
+        src = tmp_path / "ds.txt"
+        data.save_dataset(tiny_dataset, src)
+        bad = with_field(src, tmp_path / "bad.txt", 3, -3, "99")
+        with pytest.raises(data.DataError, match="row 3: label 99 out of range"):
+            data.load_dataset(bad)
+
+    @pytest.mark.parametrize("severity", ["nan", "-3", "inf", "-1e-300"])
+    def test_bad_corruption_severity_rejected(self, tiny_dataset, tmp_path, severity):
+        src = tmp_path / "ds.txt"
+        data.save_dataset(tiny_dataset, src)
+        bad = with_field(src, tmp_path / "bad.txt", 4, -1, severity)
+        with pytest.raises(data.DataError, match="row 4: corruption_severity .* not finite and >= 0"):
+            data.load_dataset(bad)
+
+    @pytest.mark.parametrize("edit", ["renamed", "reordered", "missing", "extra"])
+    def test_column_line_must_match_metadata(self, tiny_dataset, tmp_path, edit):
         path = tmp_path / "ds.txt"
         data.save_dataset(tiny_dataset, path)
         lines = path.read_text().splitlines()
-        parts = lines[3].split(",")
-        parts[-3] = "99"
-        lines[3] = ",".join(parts)
+        assert lines[2] == "id,x0,x1,x2,x3,c,s:spoof_type,flags,severity"
+        lines[2] = {
+            "renamed": "id,y0,x1,x2,x3,c,s:spoof_type,flags,severity",
+            "reordered": "id,x1,x0,x2,x3,c,s:spoof_type,flags,severity",
+            "missing": "id,x0,x1,x2,x3,c,flags,severity",
+            "extra": "id,x0,x1,x2,x3,c,s:spoof_type,flags,severity,note",
+        }[edit]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(data.DataError, match="out of range"):
+        with pytest.raises(data.DataError, match="column-name line"):
             data.load_dataset(path)
+
+    def test_no_sample_rows_rejected(self, tiny_dataset, tmp_path):
+        path = tmp_path / "ds.txt"
+        data.save_dataset(tiny_dataset, path)
+        path.write_text("\n".join(path.read_text().splitlines()[:3]) + "\n\n")
+        with pytest.raises(data.DataError, match="no sample rows"):
+            data.load_dataset(path)
+
+
+def random_dataset(rng, categories, n):
+    """Dataset of n rows with features drawn from random bit patterns (every
+    finite double is possible, subnormals and -0.0 included), random labels,
+    every flag combination and random severities."""
+    bits = rng.integers(0, 2**64, size=(2 * n, 3), dtype=np.uint64).view(np.float64)
+    x = bits[np.isfinite(bits).all(axis=1)][:n]
+    combos = rng.permutation(np.arange(n) % 8)
+    sev = np.where(combos & 1, rng.exponential(2.0, n), 0.0)
+    return data.Dataset(
+        x=x, c=rng.integers(0, 2, n), s={k: rng.integers(0, card, n) for k, card in categories.items()},
+        categories=categories, seed_provenance=int(rng.integers(0, 2**31)),
+        label_flipped=combos & 4 > 0, semantic_reassigned=combos & 2 > 0, data_corrupted=combos & 1 > 0,
+        corruption_severity=sev,
+    )
+
+
+class TestParserOracle:
+    """load_dataset against the row-by-row float()/int() reference parser."""
+
+    @pytest.mark.parametrize("categories", [
+        {"spoof_type": 3}, {"spoof_type": 2, "lighting": 5}, {"spoof_type": 4, "a": 2, "b": 3},
+    ])
+    def test_random_datasets_bit_equal(self, tmp_path, categories):
+        rng = np.random.default_rng(len(categories))
+        path = tmp_path / "ds.txt"
+        for n in (8, 37, 5000):
+            ds = random_dataset(rng, categories, n)
+            data.save_dataset(ds, path)
+            loaded = data.load_dataset(path)
+            assert_bit_equal(loaded, reference_load_dataset(path))
+            assert_bit_equal(loaded, ds)
+
+    def test_extreme_features_bit_equal(self, tiny_dataset, tmp_path):
+        ds = tiny_dataset.copy()
+        ds.x[0] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        ds.x[1] = [0.0, -5e-324, 2.2250738585072014e-308, 1e-310]
+        path = tmp_path / "ds.txt"
+        data.save_dataset(ds, path)
+        assert path.read_text().splitlines()[3].split(",")[1:5] == [
+            "-0", "4.9406564584124654e-324", "1.7976931348623157e+308", "-1.7976931348623157e+308"]
+        loaded = data.load_dataset(path)
+        assert_bit_equal(loaded, reference_load_dataset(path))
+        assert_bit_equal(loaded, ds)
+        assert np.signbit(loaded.x[0, 0])
+
+    def test_one_row_file(self, tmp_path):
+        ds = random_dataset(np.random.default_rng(3), {"spoof_type": 3, "b": 2}, 1)
+        path = tmp_path / "ds.txt"
+        data.save_dataset(ds, path)
+        loaded = data.load_dataset(path)
+        assert len(loaded) == 1 and loaded.x.shape == (1, 3)
+        assert_bit_equal(loaded, reference_load_dataset(path))
+        assert_bit_equal(loaded, ds)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_blank_lines_and_line_endings(self, tmp_path, newline):
+        ds = random_dataset(np.random.default_rng(4), {"spoof_type": 2}, 20)
+        path = tmp_path / "ds.txt"
+        data.save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        # blank lines before, inside and after the header, between rows and at the end
+        spaced = ["", lines[0], "", lines[1], lines[2], "", "", *lines[3:10], "", *lines[10:], "", ""]
+        path.write_bytes(newline.join(spaced).encode("ascii"))
+        loaded = data.load_dataset(path)
+        assert_bit_equal(loaded, reference_load_dataset(path))
+        assert_bit_equal(loaded, ds)
+
+    def test_last_row_without_newline(self, tmp_path):
+        ds = random_dataset(np.random.default_rng(5), {"spoof_type": 2}, 9)
+        path = tmp_path / "ds.txt"
+        data.save_dataset(ds, path)
+        path.write_text(path.read_text().rstrip("\n"))
+        assert_bit_equal(data.load_dataset(path), ds)
 
 
 class TestDatasetValidation:
     def test_non_dense_ids_rejected(self, tiny_dataset, tmp_path):
-        path = tmp_path / "ds.txt"
-        data.save_dataset(tiny_dataset, path)
-        lines = path.read_text().splitlines()
-        lines[3] = "99" + lines[3][lines[3].index(","):]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(data.DataError, match="dense"):
-            data.load_dataset(path)
+        src = tmp_path / "ds.txt"
+        data.save_dataset(tiny_dataset, src)
+        bad = tmp_path / "bad.txt"
+        for row, row_id in ((0, "99"), (5, "4"), (6, "-6"), (len(tiny_dataset) - 1, "0")):
+            with_field(src, bad, row, 0, row_id)
+            with pytest.raises(data.DataError, match=f"row {row}: sample ids must be dense.*got id {row_id}"):
+                data.load_dataset(bad)
 
     def columns(self, ds, **changes):
         cols = dict(x=ds.X(), c=ds.c_labels(), s={"spoof_type": ds.s_labels()},
