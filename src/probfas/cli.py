@@ -154,14 +154,9 @@ def cmd_gen_data(args):
         n_per_class=args.n, D=args.dim, categories={"spoof_type": args.spoof_types},
         cluster_overlap=args.overlap, seed=args.seed,
     )
-    spec = data.NoiseSpec(
-        semantic_noise_fraction=args.semantic_noise,
-        binary_label_flip_fraction=args.binary_noise,
-        data_noise_fraction=args.data_noise,
-        data_noise_severity=args.severity,
-        cluster_overlap=args.overlap,
-    )
-    ds = data.apply_noise(ds, spec, args.seed)
+    ds = data.inject_semantic_label_noise(ds, args.semantic_noise, args.seed)
+    ds = data.inject_binary_label_noise(ds, args.binary_noise, args.seed)
+    ds = data.inject_data_noise(ds, args.data_noise, args.severity, args.seed)
     path = os.path.join(out, DATASET_FILENAME)
     data.save_dataset(ds, path)
     experiments.write_manifest(manifest, doc)
@@ -203,7 +198,7 @@ def _eval_mode(params, ds, corrected, threshold, out, tag):
 def cmd_eval(args):
     out = _resolve_out(args.out, "eval")
     ds = data.load_dataset(args.data)
-    params, _, _, _ = training.load_checkpoint(args.checkpoint)
+    params, _ = training.load_checkpoint(args.checkpoint)
 
     modes = ["uncorrected", "corrected"]
     if args.corrected:
@@ -264,7 +259,7 @@ def cmd_noise_sweep(args):
 def cmd_quality_report(args):
     out = _resolve_out(args.out, "quality-report")
     ds = data.load_dataset(args.data)
-    params, _, _, _ = training.load_checkpoint(args.checkpoint)
+    params, _ = training.load_checkpoint(args.checkpoint)
     doc = {
         "experiment": "quality-report",
         "dataset_paths": [args.data],

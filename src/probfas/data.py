@@ -147,32 +147,9 @@ class Dataset:
         return getattr(self, flag_name)
 
 
-@dataclass
-class NoiseSpec:
-    semantic_noise_fraction: float = 0.0
-    binary_label_flip_fraction: float = 0.0
-    data_noise_fraction: float = 0.0
-    data_noise_severity: float = 0.0
-    cluster_overlap: float = 0.0
-
-    def __post_init__(self):
-        for name in ("semantic_noise_fraction", "binary_label_flip_fraction", "data_noise_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DataError(f"{name} must be in [0,1], got {v}")
-        _check_severity(self.data_noise_severity, "data_noise_severity")
-        _check_overlap(self.cluster_overlap)
-
-
-def _check_severity(severity, name="severity"):
-    if not (math.isfinite(severity) and severity >= 0):
-        raise DataError(f"{name} must be finite and >= 0, got {severity}")
-
-
-def _check_overlap(overlap):
-    # inf is allowed: it shrinks every center to the origin
-    if not overlap >= 0:
-        raise DataError(f"cluster_overlap must be >= 0, got {overlap}")
+def _check_fraction(fraction, kind):
+    if not 0.0 <= fraction <= 1.0:
+        raise DataError(f"{kind} noise fraction must be in [0,1], got {fraction}")
 
 
 def _round_half_up(x):
@@ -193,7 +170,11 @@ def generate_synthetic(n_per_class, D, categories, cluster_overlap, seed):
     for name, card in categories.items():
         if card < 2:
             raise DataError(f"category {name!r} cardinality must be >= 2, got {card}")
-    _check_overlap(cluster_overlap)
+    # inf is allowed: it shrinks every center to the origin
+    if not cluster_overlap >= 0:
+        raise DataError(f"cluster_overlap must be >= 0, got {cluster_overlap}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
     names = list(categories)
@@ -253,8 +234,7 @@ def _pick(rng, n, fraction):
 def inject_semantic_label_noise(ds, fraction, seed, category=None):
     """Re-draw the semantic label of round(fraction * N_spoof) spoof samples
     uniformly (possibly equal to the original)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise DataError(f"fraction must be in [0,1], got {fraction}")
+    _check_fraction(fraction, "semantic")
     out = ds.copy()
     if fraction == 0.0:
         return out
@@ -269,8 +249,7 @@ def inject_semantic_label_noise(ds, fraction, seed, category=None):
 
 def inject_binary_label_noise(ds, fraction, seed):
     """Flip the live/spoof label of round(fraction * N) samples."""
-    if not 0.0 <= fraction <= 1.0:
-        raise DataError(f"fraction must be in [0,1], got {fraction}")
+    _check_fraction(fraction, "binary")
     out = ds.copy()
     if fraction == 0.0:
         return out
@@ -284,9 +263,9 @@ def inject_binary_label_noise(ds, fraction, seed):
 def inject_data_noise(ds, fraction, severity, seed, window=3):
     """Degrade round(fraction * N) feature vectors: boxcar smoothing over the
     feature axis plus additive Gaussian noise with std = severity."""
-    if not 0.0 <= fraction <= 1.0:
-        raise DataError(f"fraction must be in [0,1], got {fraction}")
-    _check_severity(severity)
+    _check_fraction(fraction, "data")
+    if not (math.isfinite(severity) and severity >= 0):
+        raise DataError(f"data noise severity must be finite and >= 0, got {severity}")
     out = ds.copy()
     if fraction == 0.0:
         return out
@@ -296,14 +275,6 @@ def inject_data_noise(ds, fraction, severity, seed, window=3):
     out.x[rows] = smoothed + severity * rng.standard_normal(smoothed.shape)
     out.data_corrupted[rows] = True
     out.corruption_severity[rows] = float(severity)
-    return out
-
-
-def apply_noise(ds, spec: NoiseSpec, seed):
-    """Apply all three injectors of a NoiseSpec in a fixed order."""
-    out = inject_semantic_label_noise(ds, spec.semantic_noise_fraction, seed)
-    out = inject_binary_label_noise(out, spec.binary_label_flip_fraction, seed)
-    out = inject_data_noise(out, spec.data_noise_fraction, spec.data_noise_severity, seed)
     return out
 
 
@@ -435,6 +406,8 @@ def load_dataset(path):
                 raise _row_error(path, dtype, 1 + D + 1 + K + 2) from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read dataset: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: dataset file is not UTF-8 text ({exc.reason})") from exc
     n = rows.size
     if not n:
         raise DataError(f"{path}: dataset file has no sample rows")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import inference, losses, metrics, model, training
+from . import experiments, losses, model, training
 from .training import ConfigError
 
 
@@ -120,18 +120,10 @@ def run_generalized_pipeline(d_suf, d_def, config, d_def_test=None, category=Non
     tagged, agreement = self_label(tagger, d_def, category)
     test = d_def_test if d_def_test is not None else tagged
 
-    params_by_arm = {}
-    reports = {}
-    for arm in arms:
-        cfg = training.arm_config(arm, config)
-        params, _ = training.train_two_stage(tagged, cfg)
-        params_by_arm[arm] = params
-        probs, _ = inference.predict_batch(params, test.X(), corrected=cfg.enable_dq)
-        reports[arm] = metrics.evaluate(probs[:, 1], test.c_labels(), threshold, include_roc=False)
-
+    results = {arm: experiments.run_arm(tagged, test, arm, config, threshold) for arm in arms}
     report = PipelineReport(
         tagger_accuracy=tagger_accuracy(tagger, d_suf),
         agreement_rate=agreement,
-        eval_reports=reports,
+        eval_reports={arm: result.report for arm, result in results.items()},
     )
-    return params_by_arm, report
+    return {arm: result.params for arm, result in results.items()}, report

@@ -1,5 +1,5 @@
 """Prediction with and without data-quality confidence correction, plus
-the line-delimited prediction dump consumed by the metrics module.
+the per-sample prediction dump that ``eval`` writes next to its reports.
 
 Every function works on whole batches: rows of mu in, (N, 2) class
 probabilities out.
@@ -69,14 +69,3 @@ def save_predictions(probs, sigma_d_sq, corrected, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_HEADER + "\n" + "%d,%.17g,%d,%.17g,%d\n" * n % tuple(cells.ravel().tolist()))
 
-
-def load_predictions(path):
-    """Returns the dump's columns (p_live, predicted, quality, corrected)."""
-    with open(path, encoding="utf-8") as fh:
-        header, _, body = fh.read().partition("\n")
-    if header != _HEADER:
-        raise ValueError(f"{path}: not a prediction dump")
-    table = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2) if body.strip() else np.empty((0, 5))
-    if table.shape[1] != 5:
-        raise ValueError(f"{path}: expected 5 fields per row, got {table.shape[1]}")
-    return table[:, 1], table[:, 2].astype(np.int64), table[:, 3], table[:, 4].astype(bool)

@@ -66,22 +66,10 @@ def softmax_ce_with_grads(logits, labels):
     return _make_loss(per), dlogits, probs
 
 
-def semantic_ce_deterministic(mu, omega_s_k, labels):
-    """Cross-entropy of the semantic label on deterministic embeddings."""
-    loss, _, _ = softmax_ce_with_grads(mu @ model._t(omega_s_k), labels)
-    return loss
-
-
 def semantic_ce_with_grads(z, omega, labels):
     """Cross-entropy at representation z; returns (LossValue, dz, domega)."""
     loss, dlogits, _ = softmax_ce_with_grads(z @ model._t(omega), labels)
     return loss, dlogits @ omega, model._t(dlogits) @ z
-
-
-def live_spoof_ce(mu, omega_c, labels_c):
-    """Binary (2-way softmax) cross-entropy of the live/spoof label."""
-    loss, _, _ = softmax_ce_with_grads(mu @ model._t(omega_c), labels_c)
-    return loss
 
 
 def sample_z(mu, sigma_l, epsilon):
@@ -89,11 +77,6 @@ def sample_z(mu, sigma_l, epsilon):
     if epsilon.shape != mu.shape or sigma_l.shape != mu.shape:
         raise ValueError("mu, sigma_l and epsilon must share one shape")
     return mu + epsilon * sigma_l
-
-
-def semantic_ce_probabilistic(mu, sigma_l, omega_s_k, labels, epsilon):
-    """Semantic cross-entropy evaluated at the sampled representation."""
-    return semantic_ce_deterministic(sample_z(mu, sigma_l, epsilon), omega_s_k, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +90,10 @@ def _checked_sigma_sq(sigma_d_sq):
     return np.maximum(sigma_d_sq, SIGMA_SQ_FLOOR)
 
 
-def dq_gaussian_nll(mu, omega_c, labels_c, sigma_d_sq):
-    """Per-sample 0.5*(ln s2 + ||omega_c[c]-mu||^2 / s2) + 0.5*ln(2*pi)."""
-    loss, _ = dq_gaussian_nll_with_grads(mu, omega_c, labels_c, sigma_d_sq)
-    return loss
-
-
 def dq_gaussian_nll_with_grads(mu, omega_c, labels_c, sigma_d_sq):
-    """Returns (LossValue, grads) with grads = (dmu, domega_c, dsigma_d_sq)."""
+    """Per-sample 0.5*(ln s2 + ||omega_c[c]-mu||^2 / s2) + 0.5*ln(2*pi).
+
+    Returns (LossValue, grads) with grads = (dmu, domega_c, dsigma_d_sq)."""
     labels_c = _check_labels(labels_c, omega_c.shape[-2])
     s2 = _checked_sigma_sq(sigma_d_sq)
     rows = _class_rows(labels_c)

@@ -60,11 +60,6 @@ def acer(apcer_value, bpcer_value):
     return (apcer_value + bpcer_value) / 2.0
 
 
-def hter(scores, labels, threshold=0.5):
-    """(FAR + FRR)/2; identical to ACER under the live-positive convention."""
-    return acer(apcer(scores, labels, threshold), bpcer(scores, labels, threshold))
-
-
 def roc_sweep(scores, labels):
     """(threshold, fpr, tpr) at every distinct score plus -inf/+inf sentinels.
 
@@ -113,7 +108,7 @@ class EvalReport:
     apcer: float
     bpcer: float
     acer: float
-    hter: float
+    hter: float  # (FAR + FRR)/2, equal to ACER under the live-positive convention
     threshold_used: float
     n_live: int
     n_spoof: int
@@ -136,14 +131,6 @@ class EvalReport:
             "roc": [[t, f, tp] for t, f, tp in self.roc],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    def csv_row(self):
-        cells = [self.apcer, self.bpcer, self.acer, self.hter, self.threshold_used]
-        return ",".join(format(v, ".17g") for v in cells) + f",{self.n_live},{self.n_spoof}"
-
-    @staticmethod
-    def csv_header():
-        return "apcer,bpcer,acer,hter,threshold,n_live,n_spoof"
 
 
 def evaluate(scores, labels, threshold=0.5, fpr_targets=(0.01, 0.005, 0.001), include_roc=True):

@@ -6,8 +6,7 @@ backbone and label-quality head and finetunes only omega_c and the
 data-quality head with SGD on the normalized Gaussian NLL.
 
 Determinism: per-epoch shuffling and reparameterization noise use
-independent streams derived from (seed, stage, epoch), so a run can be
-resumed from a checkpoint and reproduce the uninterrupted result.
+independent streams derived from (seed, stage, epoch).
 
 Runs that differ only in seed and data train side by side as one stacked
 model (see ``model``): pass lists of datasets and configs instead of one.
@@ -58,8 +57,8 @@ class StageConfig:
     def validate(self, name):
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"{name}.optimizer must be adam or sgd")
-        if self.lr <= 0:
-            raise ConfigError(f"{name}.lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"{name}.lr must be finite and > 0, got {self.lr}")
         if self.epochs < 0:
             raise ConfigError(f"{name}.epochs must be >= 0")
         if self.batch_size < 1:
@@ -82,6 +81,12 @@ class TrainConfig:
         self.stage2.validate("stage2")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be >= 1")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {','.join(map(str, self.hidden))}")
+        if not (math.isfinite(self.lambda_s) and self.lambda_s >= 0):
+            raise ConfigError(f"lambda_s must be finite and >= 0, got {self.lambda_s}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def to_dict(self):
@@ -135,6 +140,8 @@ def load_config(path):
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text ({exc.reason})") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -222,16 +229,14 @@ def _epoch_rngs(seed, stage, epoch):
     return shuffle, eps
 
 
-def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, start_epoch=0, opt_state=None,
-              noise_dim=0):
+def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, noise_dim=0):
     """Minibatch training in place of the S = len(seeds) replicas stacked in
-    ``params`` (flat (S, P)), for epochs start_epoch .. stage_cfg.epochs - 1,
-    on ``columns``: the replicas' sample arrays, each (S, n, ...).
+    ``params`` (flat (S, P)) for stage_cfg.epochs epochs, on ``columns``:
+    the replicas' sample arrays, each (S, n, ...).
 
     Replica r shuffles its n rows with, and draws its (n, noise_dim) noise
     of each epoch from, streams derived from (seeds[r], stage, epoch), so it
-    trains as it would alone, and a resumed run (same opt_state) reproduces
-    the uninterrupted one. ``step(batch, eps) -> (grads, figures)`` gets the
+    trains as it would alone. ``step(batch, eps) -> (grads, figures)`` gets the
     columns' rows of one batch, (S, bs, ...) each, and their noise rows
     (S, bs, noise_dim). ``figures`` maps names to (S,) arrays,
     ``figures["total"]`` being the batch losses, or to functions of a
@@ -245,12 +250,11 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, start_epoc
     every array figure.
     """
     S, n = len(seeds), columns[0].shape[1]
-    if opt_state is None:
-        opt_state = OptState.create(stage_cfg, params.flat.shape[-1], S)
+    opt_state = OptState.create(stage_cfg, params.flat.shape[-1], S)
     bs = stage_cfg.batch_size
     replica = np.arange(S)[:, None]
     frozen = np.array([e is not None for e in errors])
-    for epoch in range(start_epoch, stage_cfg.epochs):
+    for epoch in range(stage_cfg.epochs):
         if frozen.all():
             return
         rngs = [_epoch_rngs(seed, stage, epoch) for seed in seeds]
@@ -333,7 +337,7 @@ def _result(ds, params, logs, errors=None):
 # stage 1
 # ---------------------------------------------------------------------------
 
-def train_stage1_lq(ds, config, params=None, start_epoch=0, opt_state=None):
+def train_stage1_lq(ds, config):
     """Multi-task stage-1 training. With enable_lq=False the semantic loss
     is evaluated at mu (deterministic arm) and the variance head stays at
     its initialization. Returns (params, train_log).
@@ -346,13 +350,10 @@ def train_stage1_lq(ds, config, params=None, start_epoch=0, opt_state=None):
     cfg, S = configs[0], len(configs)
     if cfg.lambda_s != 0.0 and not datasets[0].categories:
         raise ConfigError("semantic supervision requires at least one category")
-    if params is None:
-        params = model.ModelParams.stack([
-            model.init_params(d.feature_dim, d.categories, B=run.embedding_dim, hidden=run.hidden, seed=run.seed)
-            for d, run in zip(datasets, configs)
-        ])
-    else:
-        params = _stacked(params, S)
+    params = model.ModelParams.stack([
+        model.init_params(d.feature_dim, d.categories, B=run.embedding_dim, hidden=run.hidden, seed=run.seed)
+        for d, run in zip(datasets, configs)
+    ])
 
     X = np.stack([d.x for d in datasets])
     c = np.stack([d.c for d in datasets])
@@ -368,8 +369,7 @@ def train_stage1_lq(ds, config, params=None, start_epoch=0, opt_state=None):
 
     logs, errors = [[] for _ in range(S)], [None] * S
     seeds = [run.seed for run in configs]
-    stage = run_stage(params, [X, c, *labels], 1, cfg.stage1, seeds, step, errors, start_epoch, opt_state,
-                      noise_dim=params.B)
+    stage = run_stage(params, [X, c, *labels], 1, cfg.stage1, seeds, step, errors, noise_dim=params.B)
     for epoch, means in stage:
         sigma_l, sigma_d_sq, acc = _stage1_figures(params, X, c)
         for r, log in enumerate(logs):
@@ -397,7 +397,7 @@ def _stage1_figures(params, X, c):
 # stage 2
 # ---------------------------------------------------------------------------
 
-def train_stage2_dq(params, ds, config, start_epoch=0, opt_state=None):
+def train_stage2_dq(params, ds, config):
     """Finetune omega_c and the data-quality head on the normalized NLL;
     backbone and label-quality head get zero gradients, so they stay
     bit-identical under SGD and Adam alike. Stacks as train_stage1_lq."""
@@ -413,7 +413,7 @@ def train_stage2_dq(params, ds, config, start_epoch=0, opt_state=None):
 
     logs, errors = [[] for _ in range(S)], [None] * S
     seeds = [run.seed for run in configs]
-    stage = run_stage(params, [X, c], 2, cfg.stage2, seeds, step, errors, start_epoch, opt_state)
+    stage = run_stage(params, [X, c], 2, cfg.stage2, seeds, step, errors)
     for epoch, means in stage:
         sigma_d_sq = model.dq_variance(params, model.embed(params, X)).mean(axis=1)
         for r, log in enumerate(logs):
@@ -484,17 +484,15 @@ def load_trainlog(path):
 _CKPT_MAGIC = b"PROBFAS-CKPT v1\n"
 
 
-def save_checkpoint(path, params, config=None, extra_arrays=None, extra_meta=None):
+def save_checkpoint(path, params, config=None):
     params.check_finite()
-    extra_arrays = extra_arrays or {}
+    # the empty extra_arrays and extra_meta keep the v1 header's bytes
     header = {
         "version": 1,
         "tensors": [{"name": name, "shape": list(t.shape)} for name, t in params.named_tensors()],
-        "extra_arrays": [
-            {"name": name, "shape": list(np.asarray(a).shape)} for name, a in sorted(extra_arrays.items())
-        ],
+        "extra_arrays": [],
         "config": config.to_dict() if config is not None else None,
-        "extra_meta": extra_meta or {},
+        "extra_meta": {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -502,12 +500,10 @@ def save_checkpoint(path, params, config=None, extra_arrays=None, extra_meta=Non
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
-        for name, a in sorted(extra_arrays.items()):
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, expect_config=None):
-    """Returns (params, config_or_None, extra_arrays, extra_meta)."""
+def load_checkpoint(path):
+    """Returns (params, config_or_None)."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -526,10 +522,8 @@ def load_checkpoint(path, expect_config=None):
         )
     try:
         header = json.loads(blob[header_start:body_start].decode("utf-8"))
-        specs = [(spec["name"], tuple(int(d) for d in spec["shape"]))
-                 for spec in header["tensors"] + header["extra_arrays"]]
+        specs = [(spec["name"], tuple(int(d) for d in spec["shape"])) for spec in header["tensors"]]
         config = TrainConfig.from_dict(header["config"]) if header["config"] else None
-        extra_meta = header["extra_meta"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
 
@@ -559,11 +553,8 @@ def load_checkpoint(path, expect_config=None):
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing tensor {exc}") from exc
 
-    check_against = expect_config or config
-    if check_against is not None and params.B != check_against.embedding_dim:
+    if config is not None and params.B != config.embedding_dim:
         raise CheckpointError(
-            f"{path}: embedding dim {params.B} does not match config embedding_dim "
-            f"{check_against.embedding_dim}"
+            f"{path}: embedding dim {params.B} does not match config embedding_dim {config.embedding_dim}"
         )
-    extras = {name: arrays[name].copy() for name, _ in specs[len(header["tensors"]):]}
-    return params, config, extras, extra_meta
+    return params, config

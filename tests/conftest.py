@@ -1,6 +1,7 @@
 """Shared helpers: finite-difference gradient checking over the flat
-parameter vector, small dataset builders, and row-by-row reference
-versions of the dataset generator and parser."""
+parameter vector, the paper's loss formulas as independent numpy
+statements, small dataset builders, row-by-row reference versions of the
+dataset generator and parser, and a reader for prediction dumps."""
 
 import numpy as np
 import pytest
@@ -83,6 +84,40 @@ def selection_mask(params, tensor_names):
     return mask
 
 
+# ---------------------------------------------------------------------------
+# the paper's loss formulas, written out in numpy without calling probfas:
+# the oracles the hand-written loss gradients are finite-differenced against
+# ---------------------------------------------------------------------------
+
+def _ref_mean_ce(logits, labels):
+    """Mean over rows of logsumexp(logits) - logits[label]."""
+    top = logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits - top).sum(axis=1)) + top[:, 0]
+    return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
+
+
+def ref_semantic_ce(mu, omega, labels):
+    """Semantic cross-entropy at deterministic embeddings mu (N, B) with
+    class rows omega (A, B)."""
+    return _ref_mean_ce(mu @ omega.T, labels)
+
+
+def ref_semantic_ce_probabilistic(mu, sigma, omega, labels, eps):
+    """Semantic cross-entropy at the reparameterized draw z = mu + eps * sigma."""
+    return ref_semantic_ce(mu + eps * sigma, omega, labels)
+
+
+def ref_live_spoof_ce(mu, omega_c, c):
+    """Two-way softmax cross-entropy of the live/spoof label."""
+    return _ref_mean_ce(mu @ omega_c.T, c)
+
+
+def ref_dq_gaussian_nll(mu, omega_c, c, s2):
+    """Mean of 0.5 * (ln s2 + ||omega_c[c] - mu||^2 / s2) + 0.5 * ln(2 pi)."""
+    d2 = ((omega_c[c] - mu) ** 2).sum(axis=1)
+    return float(np.mean(0.5 * (np.log(s2) + d2 / s2) + 0.5 * np.log(2.0 * np.pi)))
+
+
 @pytest.fixture
 def tiny_dataset():
     return data.generate_synthetic(
@@ -156,3 +191,14 @@ def reference_load_dataset(path):
         **{name: flags[:, k] for k, name in enumerate(data.FLAGS)},
         corruption_severity=np.array(severity),
     )
+
+
+def reference_load_predictions(path):
+    """The columns (p_live, predicted, quality, corrected) of a prediction
+    dump written by inference.save_predictions."""
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    assert header == "id,p_live,predicted,quality,corrected"
+    table = np.array([[float(v) for v in row.split(",")] for row in rows]).reshape(len(rows), 5)
+    assert np.array_equal(table[:, 0], np.arange(len(rows)))
+    return table[:, 1], table[:, 2].astype(np.int64), table[:, 3], table[:, 4].astype(bool)

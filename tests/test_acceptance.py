@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from probfas import cli, data, experiments, inference, kernels, losses, metrics, model, training
-from conftest import fd_gradient, rel_err
+from conftest import (
+    fd_gradient, ref_dq_gaussian_nll, ref_live_spoof_ce, ref_semantic_ce, ref_semantic_ce_probabilistic, rel_err,
+)
 
 GRAD_TOL = 1e-4
 EXACT_TOL = 1e-12
@@ -38,28 +40,28 @@ def test_criterion_1_gradient_oracle_suite():
 
         # deterministic semantic cross-entropy: d/dmu
         loss, dmu, _ = losses.semantic_ce_with_grads(mu, omega, labels)
-        f = lambda v: losses.semantic_ce_deterministic(v.reshape(mu.shape), omega, labels).total
+        f = lambda v: ref_semantic_ce(v.reshape(mu.shape), omega, labels)
         assert rel_err(dmu.ravel(), fd_gradient(f, mu.ravel())) < GRAD_TOL
 
         # probabilistic semantic cross-entropy: d/dmu and d/dsigma via z
         z = losses.sample_z(mu, sigma, eps)
         _, dz, _ = losses.semantic_ce_with_grads(z, omega, labels)
-        f_mu = lambda v: losses.semantic_ce_probabilistic(v.reshape(mu.shape), sigma, omega, labels, eps).total
-        f_sg = lambda v: losses.semantic_ce_probabilistic(mu, v.reshape(sigma.shape), omega, labels, eps).total
+        f_mu = lambda v: ref_semantic_ce_probabilistic(v.reshape(mu.shape), sigma, omega, labels, eps)
+        f_sg = lambda v: ref_semantic_ce_probabilistic(mu, v.reshape(sigma.shape), omega, labels, eps)
         assert rel_err(dz.ravel(), fd_gradient(f_mu, mu.ravel())) < GRAD_TOL
         assert rel_err((dz * eps).ravel(), fd_gradient(f_sg, sigma.ravel())) < GRAD_TOL
 
         # live/spoof cross-entropy: d/domega
         _, dlogits, _ = losses.softmax_ce_with_grads(mu @ omega_c.T, c)
         domega_c = dlogits.T @ mu
-        f_oc = lambda v: losses.live_spoof_ce(mu, v.reshape(omega_c.shape), c).total
+        f_oc = lambda v: ref_live_spoof_ce(mu, v.reshape(omega_c.shape), c)
         assert rel_err(domega_c.ravel(), fd_gradient(f_oc, omega_c.ravel())) < GRAD_TOL
 
         # data-quality Gaussian NLL: d/dmu, d/domega, d/dsigma^2
         _, (g_mu, g_om, g_s2) = losses.dq_gaussian_nll_with_grads(mu, omega_c, c, s2)
-        f1 = lambda v: losses.dq_gaussian_nll(v.reshape(mu.shape), omega_c, c, s2).total
-        f2 = lambda v: losses.dq_gaussian_nll(mu, v.reshape(omega_c.shape), c, s2).total
-        f3 = lambda v: losses.dq_gaussian_nll(mu, omega_c, c, v).total
+        f1 = lambda v: ref_dq_gaussian_nll(v.reshape(mu.shape), omega_c, c, s2)
+        f2 = lambda v: ref_dq_gaussian_nll(mu, v.reshape(omega_c.shape), c, s2)
+        f3 = lambda v: ref_dq_gaussian_nll(mu, omega_c, c, v)
         assert rel_err(g_mu.ravel(), fd_gradient(f1, mu.ravel())) < GRAD_TOL
         assert rel_err(g_om.ravel(), fd_gradient(f2, omega_c.ravel())) < GRAD_TOL
         assert rel_err(g_s2, fd_gradient(f3, s2.copy())) < GRAD_TOL
@@ -119,11 +121,11 @@ def test_criterion_2_reduction_identities():
     labels = rng.integers(0, 3, 6)
     sigma = rng.uniform(0.2, 1.5, (6, 4))
     eps = rng.standard_normal((6, 4))
-    det = losses.semantic_ce_deterministic(mu, omega, labels)
+    det, _, _ = losses.semantic_ce_with_grads(mu, omega, labels)
 
-    at_sigma0 = losses.semantic_ce_probabilistic(mu, np.zeros_like(mu), omega, labels, eps)
+    at_sigma0, _, _ = losses.semantic_ce_with_grads(losses.sample_z(mu, np.zeros_like(mu), eps), omega, labels)
     assert abs(at_sigma0.total - det.total) <= EXACT_TOL
-    at_eps0 = losses.semantic_ce_probabilistic(mu, sigma, omega, labels, np.zeros_like(eps))
+    at_eps0, _, _ = losses.semantic_ce_with_grads(losses.sample_z(mu, sigma, np.zeros_like(eps)), omega, labels)
     assert abs(at_eps0.total - det.total) <= EXACT_TOL
 
     # corrected confidence at sigma^2 = 1/2 is the plain distance softmax

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from probfas import cli, data, experiments, inference, metrics, training
+from probfas import cli, data, experiments, metrics, training
+from conftest import reference_load_predictions
 
 
 def run(argv):
@@ -99,6 +100,31 @@ class TestGenData:
         assert run(["gen-data", "--n", "5", "--dim", "4", "--overlap", "inf", "--out", str(out)]) == 0
         assert len(data.load_dataset(out / "dataset.txt")) == 20
 
+    def test_noise_composition_matches_sequential_injectors(self, tmp_path):
+        out = tmp_path / "d"
+        assert run(["gen-data", "--n", "12", "--dim", "4", "--overlap", "0.5", "--seed", "13",
+                    "--semantic-noise", "0.4", "--binary-noise", "0.1", "--data-noise", "0.2",
+                    "--severity", "1.5", "--out", str(out)]) == 0
+        step = data.generate_synthetic(12, 4, {"spoof_type": 3}, 0.5, seed=13)
+        step = data.inject_semantic_label_noise(step, 0.4, 13)
+        step = data.inject_binary_label_noise(step, 0.1, 13)
+        step = data.inject_data_noise(step, 0.2, 1.5, 13)
+        assert data.load_dataset(out / "dataset.txt") == step
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--semantic-noise", "1.5"], "semantic noise fraction must be in [0,1], got 1.5"),
+        (["--binary-noise", "-0.5"], "binary noise fraction must be in [0,1], got -0.5"),
+        (["--data-noise", "2"], "data noise fraction must be in [0,1], got 2.0"),
+        (["--severity", "-1"], "data noise severity must be finite and >= 0, got -1.0"),
+    ], ids=["semantic", "binary", "data", "severity"])
+    def test_noise_setting_error_names_its_kind(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "d"
+        capsys.readouterr()
+        assert run(["gen-data", "--n", "5", "--dim", "4", "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (out / "dataset.txt").exists()
+
 
 class TestTrain:
     def test_writes_artifacts(self, dataset_dir, tmp_path):
@@ -108,7 +134,7 @@ class TestTrain:
         assert run(["train", "--data", str(dataset_dir / "dataset.txt"),
                     "--config", str(cfg_path), "--arm", "s-lq-dq",
                     "--out", str(out)]) == 0
-        params, cfg, _, _ = training.load_checkpoint(out / "checkpoint.ckpt")
+        params, cfg = training.load_checkpoint(out / "checkpoint.ckpt")
         assert cfg.enable_dq
         log = training.load_trainlog(out / "trainlog.jsonl")
         assert {r["stage"] for r in log} == {1, 2}
@@ -156,7 +182,7 @@ class TestTrain:
         assert run(["train", "--data", str(dataset_dir / "dataset.txt"),
                     "--config", str(cfg_path), "--seed", "42",
                     "--out", str(out)]) == 0
-        _, cfg, _, _ = training.load_checkpoint(out / "checkpoint.ckpt")
+        _, cfg = training.load_checkpoint(out / "checkpoint.ckpt")
         assert cfg.seed == 42
 
 
@@ -242,7 +268,7 @@ class TestEval:
                     "--checkpoint", str(trained), "--uncorrected",
                     "--out", str(out)]) == 0
         ds = data.load_dataset(dataset_dir / "dataset.txt")
-        p_live, _, _, _ = inference.load_predictions(out / "predictions_uncorrected.csv")
+        p_live, _, _, _ = reference_load_predictions(out / "predictions_uncorrected.csv")
         rep = metrics.evaluate(p_live, ds.c_labels(), 0.5)
         on_disk = json.loads((out / "report_uncorrected.json").read_text())
         assert on_disk["acer"] == pytest.approx(rep.acer, abs=1e-12)
@@ -362,6 +388,50 @@ class TestUnreadableInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ("missing" in err) if "data-dir" not in case else (str(dataset_dir) in err)
         assert list(out.iterdir()) == []
+
+
+    @pytest.mark.parametrize("which", ["data", "config"])
+    def test_non_utf8_file_is_data_error_naming_path(self, dataset_dir, tmp_path, capsys, which):
+        dataset, cfg = tmp_path / "dataset.txt", tmp_path / "cfg.txt"
+        text = (dataset_dir / "dataset.txt").read_bytes()
+        dataset.write_bytes(text.replace(b"\n0,", b"\n\xff,", 1) if which == "data" else text)
+        write_quick_config(cfg)
+        if which == "config":
+            cfg.write_bytes(cfg.read_bytes() + b"# caf\xff\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(["train", "--data", str(dataset), "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(dataset if which == "data" else cfg) in err and "not UTF-8" in err
+        assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", [
+    "hidden = 0", "hidden = -3", "stage1.lr = nan", "stage2.lr = inf", "lambda_s = nan", "lambda_s = -1",
+    "seed = -1", "train --seed -1", "gen-data --seed -1", "noise-sweep --seeds=-1..-1",
+])
+def test_bad_setting_is_exit_two_naming_key(dataset_dir, tmp_path, capsys, case):
+    cfg = tmp_path / "cfg.txt"
+    write_quick_config(cfg)
+    dataset = str(dataset_dir / "dataset.txt")
+    if " = " in case:  # a config line, overriding the quick config's
+        cfg.write_text(cfg.read_text() + case + "\n")
+        argv, key = ["train", "--data", dataset, "--config", str(cfg)], case.partition(" =")[0]
+    else:
+        command, *flags = case.split(" ")
+        argv = [command, *flags] + {
+            "train": ["--data", dataset, "--config", str(cfg)],
+            "gen-data": ["--n", "5", "--dim", "4"],
+            "noise-sweep": ["--config", str(cfg), "--noise-kind", "semantic", "--fractions", "0"],
+        }[command]
+        key = "seed"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
 
 
 class TestOutputRoot:

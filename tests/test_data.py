@@ -198,46 +198,39 @@ class TestDataNoise:
         assert np.allclose(noisy.X(), kernels.smooth_rows(tiny_dataset.X(), 3), rtol=1e-15)
 
 
-class TestApplyNoise:
-    def test_composition_matches_sequential(self, tiny_dataset):
-        spec = data.NoiseSpec(
-            semantic_noise_fraction=0.4,
-            binary_label_flip_fraction=0.1,
-            data_noise_fraction=0.2,
-            data_noise_severity=1.5,
-        )
-        combined = data.apply_noise(tiny_dataset, spec, seed=13)
-        step = data.inject_semantic_label_noise(tiny_dataset, 0.4, 13)
-        step = data.inject_binary_label_noise(step, 0.1, 13)
-        step = data.inject_data_noise(step, 0.2, 1.5, 13)
-        assert combined == step
+def with_all_noise(ds, semantic, binary, data_fraction, severity, seed):
+    """The three injectors in gen-data's order, all with one seed."""
+    ds = data.inject_semantic_label_noise(ds, semantic, seed)
+    ds = data.inject_binary_label_noise(ds, binary, seed)
+    return data.inject_data_noise(ds, data_fraction, severity, seed)
 
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(data.DataError):
-            data.NoiseSpec(semantic_noise_fraction=1.5)
-        with pytest.raises(data.DataError):
-            data.NoiseSpec(data_noise_severity=-1.0)
+
+class TestApplyNoise:
+    def test_invalid_spec_rejected(self, tiny_dataset):
+        with pytest.raises(data.DataError, match=r"^semantic noise fraction must be in \[0,1\], got 1.5$"):
+            data.inject_semantic_label_noise(tiny_dataset, 1.5, seed=0)
+        with pytest.raises(data.DataError, match=r"^binary noise fraction must be in \[0,1\], got -0.1$"):
+            data.inject_binary_label_noise(tiny_dataset, -0.1, seed=0)
+        with pytest.raises(data.DataError, match=r"^data noise fraction must be in \[0,1\], got nan$"):
+            data.inject_data_noise(tiny_dataset, float("nan"), 1.0, seed=0)
+        # the severity is checked even when no row is corrupted
+        with pytest.raises(data.DataError, match=r"^data noise severity must be finite and >= 0, got -1.0$"):
+            data.inject_data_noise(tiny_dataset, 0.0, -1.0, seed=0)
 
     @pytest.mark.parametrize("severity", [float("nan"), float("inf")])
     def test_non_finite_severity_rejected(self, tiny_dataset, severity):
-        with pytest.raises(data.DataError, match="finite"):
-            data.NoiseSpec(data_noise_fraction=0.5, data_noise_severity=severity)
-        with pytest.raises(data.DataError, match="finite"):
+        with pytest.raises(data.DataError, match="data noise severity must be finite"):
             data.inject_data_noise(tiny_dataset, 0.5, severity, seed=0)
 
     def test_nan_overlap_rejected(self):
-        with pytest.raises(data.DataError):
-            data.NoiseSpec(cluster_overlap=float("nan"))
-        data.NoiseSpec(cluster_overlap=float("inf"))
+        with pytest.raises(data.DataError, match="cluster_overlap"):
+            data.generate_synthetic(5, 4, {"spoof_type": 3}, float("nan"), seed=0)
+        assert len(data.generate_synthetic(5, 4, {"spoof_type": 3}, float("inf"), seed=0)) == 20
 
 
 class TestFileFormat:
     def test_round_trip_exact(self, tiny_dataset, tmp_path):
-        ds = data.apply_noise(
-            tiny_dataset,
-            data.NoiseSpec(semantic_noise_fraction=0.4, data_noise_fraction=0.2, data_noise_severity=2.0),
-            seed=17,
-        )
+        ds = with_all_noise(tiny_dataset, 0.4, 0.0, 0.2, 2.0, seed=17)
         path = tmp_path / "ds.txt"
         data.save_dataset(ds, path)
         loaded = data.load_dataset(path)
@@ -452,8 +445,8 @@ class TestDatasetValidation:
             data.Dataset(**self.columns(tiny_dataset, s={"other": tiny_dataset.s_labels()}))
 
     def test_copy_shares_no_column(self, tiny_dataset):
-        noisy = data.apply_noise(tiny_dataset, data.NoiseSpec(0.5, 0.2, 0.3, 1.0), seed=1)
-        dup = noisy.copy()
-        assert dup == noisy
-        for (name, a), (_, b) in zip(noisy._columns(), dup._columns()):
+        ds = with_all_noise(tiny_dataset, 0.5, 0.2, 0.3, 1.0, seed=1)
+        dup = ds.copy()
+        assert dup == ds
+        for (name, a), (_, b) in zip(ds._columns(), dup._columns()):
             assert not np.shares_memory(a, b), name

@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 
 from probfas import data, losses, model
-from conftest import check_param_gradients, selection_mask, rel_err
+from conftest import check_param_gradients, ref_dq_gaussian_nll, selection_mask, rel_err
 
 LOG_3 = 1.0986122886681098
 NEG_LOG_SIGMOID_20 = 2.0611536203143807e-09
 HALF_LOG_2PI = 0.9189385332046727
 ONE_PLUS_HALF_LOG_2PI = 1.9189385332046727
+
+
+def semantic_ce(z, omega, labels):
+    return losses.semantic_ce_with_grads(z, omega, labels)[0]
+
+
+def dq_nll(mu, omega, labels, s2):
+    return losses.dq_gaussian_nll_with_grads(mu, omega, labels, s2)[0]
 
 
 def random_case(seed, n=6, B=4, A=3):
@@ -28,37 +36,37 @@ class TestSemanticCe:
     def test_uniform_logits(self):
         mu = np.zeros((4, 3))
         omega = np.random.default_rng(0).standard_normal((3, 3))
-        loss = losses.semantic_ce_deterministic(mu, omega, np.array([0, 1, 2, 1]))
+        loss = semantic_ce(mu, omega, np.array([0, 1, 2, 1]))
         assert np.allclose(loss.per_sample, LOG_3, atol=1e-12)
 
     def test_confident_pair_frozen_value(self):
         mu = np.array([[1.0]])
         omega = np.array([[10.0], [-10.0]])
-        loss = losses.semantic_ce_deterministic(mu, omega, np.array([0]))
+        loss = semantic_ce(mu, omega, np.array([0]))
         assert loss.total == pytest.approx(NEG_LOG_SIGMOID_20, rel=1e-12)
 
     def test_total_is_mean_of_per_sample(self):
         _, mu, omega, labels = random_case(1)
-        loss = losses.semantic_ce_deterministic(mu, omega, labels)
+        loss = semantic_ce(mu, omega, labels)
         assert loss.total == pytest.approx(loss.per_sample.mean(), rel=1e-12)
 
     def test_out_of_range_label_rejected(self):
         _, mu, omega, _ = random_case(2)
         with pytest.raises(ValueError):
-            losses.semantic_ce_deterministic(mu, omega, np.array([0, 1, 3, 0, 0, 0]))
+            semantic_ce(mu, omega, np.array([0, 1, 3, 0, 0, 0]))
 
     def test_nonnegative_and_stable_at_1e3(self):
         mu = np.array([[1e3, -1e3], [-1e3, 1e3]])
         omega = np.eye(2)
-        loss = losses.semantic_ce_deterministic(mu, omega, np.array([0, 0]))
+        loss = semantic_ce(mu, omega, np.array([0, 0]))
         assert np.all(np.isfinite(loss.per_sample))
         assert np.all(loss.per_sample >= 0)
 
     def test_permutation_invariance(self):
         rng, mu, omega, labels = random_case(3)
         perm = rng.permutation(len(labels))
-        a = losses.semantic_ce_deterministic(mu, omega, labels)
-        b = losses.semantic_ce_deterministic(mu[perm], omega, labels[perm])
+        a = semantic_ce(mu, omega, labels)
+        b = semantic_ce(mu[perm], omega, labels[perm])
         assert a.total == pytest.approx(b.total, rel=1e-12)
 
 
@@ -85,23 +93,23 @@ class TestProbabilisticReduction:
     def test_reduces_exactly_at_sigma_zero(self):
         rng, mu, omega, labels = random_case(5)
         eps = rng.standard_normal(mu.shape)
-        prob = losses.semantic_ce_probabilistic(mu, np.zeros_like(mu), omega, labels, eps)
-        det = losses.semantic_ce_deterministic(mu, omega, labels)
+        prob = semantic_ce(losses.sample_z(mu, np.zeros_like(mu), eps), omega, labels)
+        det = semantic_ce(mu, omega, labels)
         assert np.array_equal(prob.per_sample, det.per_sample)
 
     def test_reduces_exactly_at_eps_zero(self):
         rng, mu, omega, labels = random_case(6)
         sigma = np.abs(rng.standard_normal(mu.shape)) + 0.1
-        prob = losses.semantic_ce_probabilistic(mu, sigma, omega, labels, np.zeros_like(mu))
-        det = losses.semantic_ce_deterministic(mu, omega, labels)
+        prob = semantic_ce(losses.sample_z(mu, sigma, np.zeros_like(mu)), omega, labels)
+        det = semantic_ce(mu, omega, labels)
         assert np.array_equal(prob.per_sample, det.per_sample)
 
     def test_equals_deterministic_at_sampled_point(self):
         rng, mu, omega, labels = random_case(7)
         sigma = np.abs(rng.standard_normal(mu.shape)) + 0.1
         eps = rng.standard_normal(mu.shape)
-        prob = losses.semantic_ce_probabilistic(mu, sigma, omega, labels, eps)
-        det = losses.semantic_ce_deterministic(mu + eps * sigma, omega, labels)
+        prob = semantic_ce(losses.sample_z(mu, sigma, eps), omega, labels)
+        det = semantic_ce(mu + eps * sigma, omega, labels)
         assert np.array_equal(prob.per_sample, det.per_sample)
 
 
@@ -109,20 +117,20 @@ class TestGaussianNll:
     def test_frozen_values(self):
         mu = np.zeros((1, 2))
         omega = np.zeros((2, 2))
-        loss = losses.dq_gaussian_nll(mu, omega, np.array([0]), np.array([1.0]))
+        loss = dq_nll(mu, omega, np.array([0]), np.array([1.0]))
         assert loss.total == pytest.approx(HALF_LOG_2PI, rel=1e-15)
 
         omega_e = np.array([[math.sqrt(math.e), 0.0], [0.0, 0.0]])
-        loss = losses.dq_gaussian_nll(mu, omega_e, np.array([0]), np.array([math.e]))
+        loss = dq_nll(mu, omega_e, np.array([0]), np.array([math.e]))
         assert loss.total == pytest.approx(ONE_PLUS_HALF_LOG_2PI, rel=1e-12)
 
     def test_nonpositive_variance_rejected(self):
         mu = np.zeros((1, 2))
         omega = np.ones((2, 2))
         with pytest.raises(ValueError):
-            losses.dq_gaussian_nll(mu, omega, np.array([0]), np.array([0.0]))
+            dq_nll(mu, omega, np.array([0]), np.array([0.0]))
         with pytest.raises(ValueError):
-            losses.dq_gaussian_nll(mu, omega, np.array([0]), np.array([-1.0]))
+            dq_nll(mu, omega, np.array([0]), np.array([-1.0]))
 
     def test_minimized_at_squared_distance(self):
         # for fixed d2 the per-sample loss over a s2 grid bottoms out at s2 = d2
@@ -154,9 +162,9 @@ class TestGaussianNll:
 
         from conftest import fd_gradient, FD_TOL
 
-        f_mu = lambda v: losses.dq_gaussian_nll(v.reshape(mu.shape), omega, labels, s2).total
-        f_om = lambda v: losses.dq_gaussian_nll(mu, v.reshape(omega.shape), labels, s2).total
-        f_s2 = lambda v: losses.dq_gaussian_nll(mu, omega, labels, v).total
+        f_mu = lambda v: ref_dq_gaussian_nll(v.reshape(mu.shape), omega, labels, s2)
+        f_om = lambda v: ref_dq_gaussian_nll(mu, v.reshape(omega.shape), labels, s2)
+        f_s2 = lambda v: ref_dq_gaussian_nll(mu, omega, labels, v)
         assert rel_err(dmu.ravel(), fd_gradient(f_mu, mu.ravel())) < FD_TOL
         assert rel_err(domega.ravel(), fd_gradient(f_om, omega.ravel())) < FD_TOL
         assert rel_err(ds2, fd_gradient(f_s2, s2.copy())) < FD_TOL
@@ -229,7 +237,7 @@ class TestStage1Objective:
     def test_lambda_zero_equals_live_spoof_ce(self):
         params, X, c, s, eps = make_stage_case(100)
         mu = model.embed(params, X)
-        expected = losses.live_spoof_ce(mu, params.omega_c, c)
+        expected = semantic_ce(mu, params.omega_c, c)  # the two-way CE of the live/spoof label
         loss, _, _ = losses.stage1_objective(params, X, c, s, eps, lambda_s=0.0)
         assert np.array_equal(loss.per_sample, expected.per_sample)
 
@@ -336,7 +344,7 @@ class TestStage2Objective:
         params.b_dq[...] = -1e4  # exp() underflows to exactly 0
         loss, grads, aux = losses.stage2_objective(params, X, c)
         assert np.all(aux["sigma_d_sq"] == 0.0)
-        floored = losses.dq_gaussian_nll(
+        floored = dq_nll(
             losses.l2_normalize_rows(aux["mu"]), losses.l2_normalize_rows(params.omega_c),
             c, np.full(len(c), losses.SIGMA_SQ_FLOOR),
         )

@@ -103,7 +103,7 @@ class TestFlatten:
         magic_len = len(b"PROBFAS-CKPT v1\n")
         (hlen,) = struct.unpack("<I", blob[magic_len : magic_len + 4])
         assert blob[magic_len + 4 + hlen :] == tiny_params.flat.tobytes()
-        loaded, _, _, _ = training.load_checkpoint(path)
+        loaded, _ = training.load_checkpoint(path)
         assert np.array_equal(loaded.flat, tiny_params.flat)
         for name, t in loaded.named_tensors():
             assert np.shares_memory(t, loaded.flat), name

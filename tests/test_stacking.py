@@ -270,31 +270,6 @@ class TestStackedGradientOracles:
         assert aux["loss_s"](2) == {}
 
 
-class TestResume:
-    def test_stage1_resume_reproduces_uninterrupted_stack(self, tiny_dataset):
-        trains = [tiny_dataset, tiny_dataset.copy(), data.inject_semantic_label_noise(tiny_dataset, 0.5, 1)]
-        full_cfgs = [tiny_config(seed, epochs=4, batch_size=16) for seed in (0, 1, 2)]
-        half_cfgs = [tiny_config(seed, epochs=2, batch_size=16) for seed in (0, 1, 2)]
-        full, full_logs = training.train_stage1_lq(trains, full_cfgs)
-        n_params = model.init_params(tiny_dataset.feature_dim, tiny_dataset.categories, B=6, hidden=(8,)).flat.size
-        opt = training.OptState.create(full_cfgs[0].stage1, n_params, replicas=3)
-        half, half_logs = training.train_stage1_lq(trains, half_cfgs, opt_state=opt)
-        resumed, rest_logs = training.train_stage1_lq(trains, full_cfgs, params=half, start_epoch=2, opt_state=opt)
-        assert np.array_equal(resumed.flat, full.flat)
-        assert [a + b for a, b in zip(half_logs, rest_logs)] == full_logs
-
-    def test_stage2_resume_reproduces_uninterrupted_stack(self, tiny_dataset):
-        trains = [tiny_dataset, data.inject_data_noise(tiny_dataset, 0.5, 2.0, 1), tiny_dataset]
-        cfgs = [tiny_config(seed, epochs=4, batch_size=16) for seed in (0, 1, 2)]
-        half_cfgs = [tiny_config(seed, epochs=2, batch_size=16) for seed in (0, 1, 2)]
-        stage1, _ = training.train_stage1_lq(trains, cfgs)
-        full, full_logs = training.train_stage2_dq(stage1, trains, cfgs)
-        half, half_logs = training.train_stage2_dq(stage1, trains, half_cfgs)
-        resumed, rest_logs = training.train_stage2_dq(half, trains, cfgs, start_epoch=2)
-        assert np.array_equal(resumed.flat, full.flat)
-        assert [a + b for a, b in zip(half_logs, rest_logs)] == full_logs
-
-
 class TestRunStage:
     def test_epoch_means_are_np_mean_of_each_replicas_figures(self, tiny_params):
         # 50 one-row batches: enough for np.mean's pairwise sum to round
