@@ -59,19 +59,21 @@ def apply_noise_kind(train, test, kind, fraction, seed, severity=DEFAULT_DATA_NO
 @dataclass
 class ArmResult:
     arm: str
-    seed: int
     params: model.ModelParams
-    log: list
     report: metrics.EvalReport
 
 
+def run_arms(train, test, arms, config, threshold=0.5):
+    """Train the ablation arms on one run (see training.train_arms) and
+    evaluate each on the test split: {arm: ArmResult}. The DQ arm uses
+    stage-2 training and corrected inference."""
+    return {arm: ArmResult(arm, params, _evaluate(params, test, cfg, threshold))
+            for arm, cfg, params, _ in training.train_arms(train, arms, config)}
+
+
 def run_arm(train, test, arm, config, threshold=0.5):
-    """Train one ablation arm and evaluate on the test split. The DQ arm
-    uses stage-2 training and corrected inference."""
-    cfg = training.arm_config(arm, config)
-    params, log = training.train_two_stage(train, cfg)
-    return ArmResult(arm=arm, seed=cfg.seed, params=params, log=log,
-                     report=_evaluate(params, test, cfg, threshold))
+    """run_arms of the one arm."""
+    return run_arms(train, test, [arm], config, threshold)[arm]
 
 
 def _evaluate(params, test, cfg, threshold):
@@ -87,12 +89,17 @@ def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, thresho
     """Returns raw rows [(kind, fraction, arm, seed, acer, apcer, bpcer)]
     in canonical order plus aggregate mean/std rows per cell.
 
-    Each cell's seeds train as one stacked model per arm. If a run
-    diverges, the TrainingDiverged raised is the one of the first arm, and
-    within it the first seed in ``seeds`` order, that diverges: the error
-    one run after another would meet first.
+    Each cell's seeds train as one stacked model per arm, and arms that
+    share a stage-1 configuration (``s-lq`` and ``s-lq-dq`` differ only in
+    stage 2) share one stage-1 run per cell, each arm's stage 2 starting
+    from a copy of it (see training.train_arms). Stage 1 reads nothing that
+    tells the two apart, so every row keeps the bytes of a run trained
+    alone. If a run diverges, the TrainingDiverged raised is the one of
+    the first arm, and within it the first seed in ``seeds`` order, that
+    diverges: the error one run after another would meet first.
     """
     base = base_config or default_benchmark_config()
+    arms = training.ARMS if arms is None else arms
     configs = []
     for seed in seeds:
         cfg = training.TrainConfig.from_dict(base.to_dict())
@@ -103,9 +110,7 @@ def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, thresho
         for fraction in fractions_by_kind[kind]:
             splits = [apply_noise_kind(*make_benchmark_data(seed), kind, fraction, seed) for seed in seeds]
             trains = [train for train, _ in splits]
-            for arm in training.ARMS if arms is None else arms:
-                arm_cfgs = [training.arm_config(arm, cfg) for cfg in configs]
-                params, logs = training.train_two_stage(trains, arm_cfgs)
+            for arm, arm_cfgs, params, logs in training.train_arms(trains, arms, configs):
                 for log in logs:
                     if isinstance(log, training.TrainingDiverged):
                         raise log
@@ -194,9 +199,15 @@ def check_manifest(path, doc):
     manifest other than doc. Returns whether it holds doc."""
     if not os.path.exists(path):
         return False
-    with open(path, encoding="utf-8") as fh:
-        if fh.read() == _manifest_text(doc):
-            return True
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ManifestError(f"{path}: cannot read manifest: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: manifest is not UTF-8 text ({exc.reason})") from exc
+    if text == _manifest_text(doc):
+        return True
     raise ManifestError(f"{path}: manifest exists with different content")
 
 

@@ -120,7 +120,7 @@ def run_generalized_pipeline(d_suf, d_def, config, d_def_test=None, category=Non
     tagged, agreement = self_label(tagger, d_def, category)
     test = d_def_test if d_def_test is not None else tagged
 
-    results = {arm: experiments.run_arm(tagged, test, arm, config, threshold) for arm in arms}
+    results = experiments.run_arms(tagged, test, arms, config, threshold)
     report = PipelineReport(
         tagger_accuracy=tagger_accuracy(tagger, d_suf),
         agreement_rate=agreement,

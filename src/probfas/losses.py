@@ -58,17 +58,17 @@ def _xent_grad(probs, labels):
 
 
 def softmax_ce_with_grads(logits, labels):
-    """Returns (LossValue, dlogits_of_mean_loss, probs)."""
+    """Returns (LossValue, dlogits_of_mean_loss)."""
     labels = _check_labels(labels, logits.shape[-1])
     per, probs = kernels.softmax_xent(logits, labels)
     dlogits = _xent_grad(probs, labels)
     dlogits /= logits.shape[-2]
-    return _make_loss(per), dlogits, probs
+    return _make_loss(per), dlogits
 
 
 def semantic_ce_with_grads(z, omega, labels):
     """Cross-entropy at representation z; returns (LossValue, dz, domega)."""
-    loss, dlogits, _ = softmax_ce_with_grads(z @ model._t(omega), labels)
+    loss, dlogits = softmax_ce_with_grads(z @ model._t(omega), labels)
     return loss, dlogits @ omega, model._t(dlogits) @ z
 
 

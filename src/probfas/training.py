@@ -197,7 +197,7 @@ class OptState:
     t: int = 0
 
     @staticmethod
-    def create(stage_cfg, n_params, replicas=1):
+    def create(stage_cfg, n_params, replicas):
         if stage_cfg.optimizer == "adam":
             shape = (replicas, n_params)
             return OptState("adam", stage_cfg.lr, np.zeros(shape), np.zeros(shape), 0)
@@ -430,19 +430,49 @@ def train_two_stage(ds, config):
     """Stage 1 followed (when enable_dq) by stage 2. A stack's replicas
     that diverge in stage 1 skip stage 2; the logs join both stages."""
     datasets, configs = _as_stack(ds, config)
-    params, logs = train_stage1_lq(datasets, configs)
+    return _result(ds, *_after_stage1(*train_stage1_lq(datasets, configs), datasets, configs))
+
+
+def _after_stage1(params, logs, datasets, configs):
+    """train_two_stage's tail: stage 2 (when enable_dq) of the stack's
+    replicas that survived stage 1 (params, logs), on a copy, so the
+    stage-1 result stays as it is for other arms to start from."""
     alive = [r for r, log in enumerate(logs) if not isinstance(log, TrainingDiverged)]
-    if configs[0].enable_dq and alive:
-        tuned, logs2 = train_stage2_dq(
-            params.with_flat(params.flat[alive]), [datasets[r] for r in alive], [configs[r] for r in alive]
-        )
-        params.flat[alive] = tuned.flat
-        for r, log2 in zip(alive, logs2):
-            logs[r] = log2 if isinstance(log2, TrainingDiverged) else logs[r] + log2
-    return _result(ds, params, logs)
+    if not (configs[0].enable_dq and alive):
+        return params, logs
+    tuned, logs2 = train_stage2_dq(
+        params.with_flat(params.flat[alive]), [datasets[r] for r in alive], [configs[r] for r in alive]
+    )
+    params, logs = params.copy(), list(logs)
+    params.flat[alive] = tuned.flat
+    for r, log2 in zip(alive, logs2):
+        logs[r] = log2 if isinstance(log2, TrainingDiverged) else logs[r] + log2
+    return params, logs
 
 
 ARMS = ("baseline", "s", "s-lq", "s-lq-dq")
+
+
+def train_arms(ds, arms, config):
+    """train_two_stage of each ablation arm of ``config``, in ``arms``
+    order, on one run or a stack: yields (arm, arm config(s), params,
+    log(s)) as train_two_stage returns them, so one run raises its arm's
+    divergence before later arms train.
+
+    Arms whose configs agree on every field that stage 1 reads (all but
+    stage2 and enable_dq) share one stage-1 run, each going on to its own
+    stage 2 from a copy of it; stage 1 is deterministic in those fields,
+    so every arm ends on the bytes it reaches when trained alone.
+    """
+    datasets, configs = _as_stack(ds, config)
+    stage1 = {}
+    for arm in arms:
+        arm_cfgs = [arm_config(arm, cfg) for cfg in configs]
+        key = json.dumps([{**cfg.to_dict(), "stage2": None, "enable_dq": None} for cfg in arm_cfgs])
+        if key not in stage1:
+            stage1[key] = train_stage1_lq(datasets, arm_cfgs)
+        params, logs = _result(ds, *_after_stage1(*stage1[key], datasets, arm_cfgs))
+        yield arm, arm_cfgs[0] if isinstance(ds, data.Dataset) else arm_cfgs, params, logs
 
 
 def arm_config(arm, base):

@@ -52,7 +52,7 @@ def test_criterion_1_gradient_oracle_suite():
         assert rel_err((dz * eps).ravel(), fd_gradient(f_sg, sigma.ravel())) < GRAD_TOL
 
         # live/spoof cross-entropy: d/domega
-        _, dlogits, _ = losses.softmax_ce_with_grads(mu @ omega_c.T, c)
+        _, dlogits = losses.softmax_ce_with_grads(mu @ omega_c.T, c)
         domega_c = dlogits.T @ mu
         f_oc = lambda v: ref_live_spoof_ce(mu, v.reshape(omega_c.shape), c)
         assert rel_err(domega_c.ravel(), fd_gradient(f_oc, omega_c.ravel())) < GRAD_TOL

@@ -457,6 +457,22 @@ class TestManifest:
         assert run(["gen-data", "--n", "5", "--dim", "4", "--seed", "0", "--out", str(out)]) == 0
         assert run(["gen-data", "--n", "6", "--dim", "4", "--seed", "0", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("damage", ["not-utf8", "directory"])
+    def test_unreadable_manifest_is_data_error_naming_path(self, tmp_path, capsys, damage):
+        out = tmp_path / "d"
+        out.mkdir()
+        manifest = out / "manifest.json"
+        if damage == "not-utf8":
+            manifest.write_bytes(b"\xff{}")
+        else:
+            manifest.mkdir()
+        capsys.readouterr()
+        assert run(["gen-data", "--n", "5", "--dim", "4", "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(manifest) in err
+        assert [f.name for f in out.iterdir()] == ["manifest.json"]
+
     @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "noise-sweep", "quality-report"])
     def test_conflicting_rerun_leaves_artifacts_untouched(self, dataset_dir, tmp_path, command):
         dataset = str(dataset_dir / "dataset.txt")

@@ -112,6 +112,20 @@ class TestPipeline:
         p_direct, _ = training.train_two_stage(d_def, arm)
         assert np.array_equal(p_tagged.flat, p_direct.flat)
 
+    def test_arms_sharing_stage1_equal_separate_runs(self, monkeypatch):
+        d_suf, d_def = sep_dataset(21), sep_dataset(22)
+        cfg = quick_config(3)
+        calls = []
+        train_stage1_lq = training.train_stage1_lq
+        monkeypatch.setattr(training, "train_stage1_lq", lambda *args: calls.append(1) or train_stage1_lq(*args))
+        params_by_arm, report = generalized.run_generalized_pipeline(d_suf, d_def, cfg, arms=("s-lq", "s-lq-dq"))
+        assert len(calls) == 1
+        tagged, _ = generalized.self_label(generalized.train_tagger(d_suf, "spoof_type", cfg), d_def)
+        for arm in ("s-lq", "s-lq-dq"):
+            alone = experiments.run_arm(tagged, tagged, arm, cfg)
+            assert params_by_arm[arm].flat.tobytes() == alone.params.flat.tobytes()
+            assert report.eval_reports[arm].to_json() == alone.report.to_json()
+
     def test_runs_under_total_semantic_noise(self):
         d_suf = sep_dataset(15)
         d_def = data.inject_semantic_label_noise(sep_dataset(16), 1.0, seed=0)

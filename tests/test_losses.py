@@ -283,7 +283,7 @@ class TestStage1Objective:
 
         mu, cache = model.embed_with_cache(params, X)
         expected = params.zeros_like()
-        loss_c, dlogits_c, _ = losses.softmax_ce_with_grads(mu @ params.omega_c.T, c)
+        loss_c, dlogits_c = losses.softmax_ce_with_grads(mu @ params.omega_c.T, c)
         expected.omega_c += dlogits_c.T @ mu
         dmu = dlogits_c @ params.omega_c
         per_sample = loss_c.per_sample.copy()

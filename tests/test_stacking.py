@@ -95,10 +95,13 @@ class TestEquivalence:
         assert_replicas_equal_single_runs(stacked, logs, trains, configs, tmp_path)
 
     def test_noise_sweep_rows_equal_single_runs(self):
+        # s-lq-dq first: its stage 2 starts from the stage 1 it shares with
+        # s-lq, which must then still find that stage 1 as it was
+        arms = ["s-lq-dq", "s-lq", "baseline", "s"]
         cfg = short_benchmark_config(0)
-        rows = experiments.noise_sweep(["data"], {"data": [0.3]}, ["s", "s-lq-dq"], [2, 0], cfg)
+        rows = experiments.noise_sweep(["data"], {"data": [0.3]}, arms, [2, 0], cfg)
         expected = []
-        for arm in ("s", "s-lq-dq"):
+        for arm in arms:
             for seed in (2, 0):
                 seed_cfg = training.TrainConfig.from_dict(cfg.to_dict())
                 seed_cfg.seed = seed
@@ -106,6 +109,20 @@ class TestEquivalence:
                 rep = experiments.run_arm(train, test, arm, seed_cfg).report
                 expected.append(("data", 0.3, arm, seed, rep.acer, rep.apcer, rep.bpcer))
         assert rows == expected
+
+    @pytest.mark.parametrize("arms, per_cell", [(None, 3), (["s-lq", "s-lq-dq"], 1), (["s-lq-dq", "s"], 2)])
+    def test_noise_sweep_trains_each_stage1_configuration_once_per_cell(self, monkeypatch, arms, per_cell):
+        calls = []
+        train_stage1_lq = training.train_stage1_lq
+
+        def counted(ds, config):
+            calls.append([cfg.seed for cfg in config])
+            return train_stage1_lq(ds, config)
+
+        monkeypatch.setattr(training, "train_stage1_lq", counted)
+        cfg = tiny_config(0, epochs=1, batch_size=64)
+        experiments.noise_sweep(["semantic"], {"semantic": [0.0, 0.5]}, arms, [1, 0], cfg)
+        assert calls == [[1, 0]] * 2 * per_cell
 
 
 _SWEEP_CONFIG = """\
@@ -154,11 +171,13 @@ class TestDivergence:
 
     def test_sweep_raises_the_first_seed_in_list_order(self):
         kind, fraction = self.CELL
-        with pytest.raises(training.TrainingDiverged) as exc:
-            experiments.noise_sweep([kind], {kind: [fraction]}, ["s-lq-dq"], list(range(7, -1, -1)))
         alone = self._seed_error(7)
-        assert (exc.value.stage, exc.value.epoch, str(exc.value)) == (alone.stage, alone.epoch, str(alone))
         assert (alone.stage, alone.epoch) == (2, 0)
+        # with s-lq first, s-lq-dq's stage 2 starts from s-lq's stage 1
+        for arms in (["s-lq-dq"], ["s-lq", "s-lq-dq"]):
+            with pytest.raises(training.TrainingDiverged) as exc:
+                experiments.noise_sweep([kind], {kind: [fraction]}, arms, list(range(7, -1, -1)))
+            assert (exc.value.stage, exc.value.epoch, str(exc.value)) == (alone.stage, alone.epoch, str(alone))
 
     def test_cli_exits_3_with_one_line(self, tmp_path, capsys):
         code = cli.main(["noise-sweep", "--noise-kind", "binary", "--fractions", "0.7", "--arm", "s-lq-dq",
