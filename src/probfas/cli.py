@@ -178,8 +178,8 @@ def cmd_train(args):
         "flags": {"seed": cfg.seed},
     }
     manifest = _claim_manifest(out, doc)
-    params, log = training.train_two_stage(ds, cfg)
-    training.save_checkpoint(os.path.join(out, CHECKPOINT_FILENAME), params, config=cfg)
+    [(_, _, stack, (log,))] = training.train_arms([ds], [args.arm], [cfg])
+    training.save_checkpoint(os.path.join(out, CHECKPOINT_FILENAME), stack.replica(0), config=cfg)
     training.save_trainlog(log, os.path.join(out, TRAINLOG_FILENAME))
     experiments.write_manifest(manifest, doc)
     print(f"arm={args.arm} seed={cfg.seed} epochs={len(log)} -> {out}")

@@ -1,10 +1,10 @@
 """Desk-scale experiment machinery shared by the CLI and the acceptance
-suite: the default synthetic benchmark, ablation-arm runs, noise sweeps,
-and quality reports."""
+suite: the default synthetic benchmark, ablation-arm runs on stacks of
+(train, test) splits (one run being a stack of one), noise sweeps, and
+quality reports."""
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,24 +56,17 @@ def apply_noise_kind(train, test, kind, fraction, seed, severity=DEFAULT_DATA_NO
     raise data.DataError(f"unknown noise kind {kind!r}")
 
 
-@dataclass
-class ArmResult:
-    arm: str
-    params: model.ModelParams
-    report: metrics.EvalReport
-
-
-def run_arms(train, test, arms, config, threshold=0.5):
-    """Train the ablation arms on one run (see training.train_arms) and
-    evaluate each on the test split: {arm: ArmResult}. The DQ arm uses
-    stage-2 training and corrected inference."""
-    return {arm: ArmResult(arm, params, _evaluate(params, test, cfg, threshold))
-            for arm, cfg, params, _ in training.train_arms(train, arms, config)}
-
-
-def run_arm(train, test, arm, config, threshold=0.5):
-    """run_arms of the one arm."""
-    return run_arms(train, test, [arm], config, threshold)[arm]
+def run_arms(splits, arms, configs, threshold=0.5):
+    """Train the ablation arms on a stack of (train, test) splits, one per
+    config (see training.train_arms, which raises a divergence), and
+    evaluate each replica on its test split. Yields (arm, arm configs,
+    (S, P) params, one EvalReport per replica) as each arm is trained. The
+    DQ arm uses stage-2 training and corrected inference."""
+    trains = [train for train, _ in splits]
+    for arm, arm_cfgs, params, _ in training.train_arms(trains, arms, configs):
+        reports = [_evaluate(params.replica(r), test, cfg, threshold)
+                   for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs))]
+        yield arm, arm_cfgs, params, reports
 
 
 def _evaluate(params, test, cfg, threshold):
@@ -89,14 +82,14 @@ def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, thresho
     """Returns raw rows [(kind, fraction, arm, seed, acer, apcer, bpcer)]
     in canonical order plus aggregate mean/std rows per cell.
 
-    Each cell's seeds train as one stacked model per arm, and arms that
-    share a stage-1 configuration (``s-lq`` and ``s-lq-dq`` differ only in
-    stage 2) share one stage-1 run per cell, each arm's stage 2 starting
-    from a copy of it (see training.train_arms). Stage 1 reads nothing that
-    tells the two apart, so every row keeps the bytes of a run trained
-    alone. If a run diverges, the TrainingDiverged raised is the one of
-    the first arm, and within it the first seed in ``seeds`` order, that
-    diverges: the error one run after another would meet first.
+    Each cell's seeds train as one stacked model per arm (see run_arms),
+    and arms that share a stage-1 configuration (``s-lq`` and ``s-lq-dq``
+    differ only in stage 2) share one stage-1 run per cell, each arm's
+    stage 2 starting from a copy of it (see training.train_arms). Stage 1
+    reads nothing that tells the two apart, so every row keeps the bytes of
+    a run trained alone. If a run diverges, the TrainingDiverged raised is
+    the one of the first arm, and within it the first seed in ``seeds``
+    order, that diverges: the error one run after another would meet first.
     """
     base = base_config or default_benchmark_config()
     arms = training.ARMS if arms is None else arms
@@ -109,13 +102,8 @@ def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, thresho
     for kind in kinds:
         for fraction in fractions_by_kind[kind]:
             splits = [apply_noise_kind(*make_benchmark_data(seed), kind, fraction, seed) for seed in seeds]
-            trains = [train for train, _ in splits]
-            for arm, arm_cfgs, params, logs in training.train_arms(trains, arms, configs):
-                for log in logs:
-                    if isinstance(log, training.TrainingDiverged):
-                        raise log
-                for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs)):
-                    report = _evaluate(params.replica(r), test, cfg, threshold)
+            for arm, arm_cfgs, _, reports in run_arms(splits, arms, configs, threshold):
+                for cfg, report in zip(arm_cfgs, reports):
                     rows.append((kind, fraction, arm, cfg.seed, report.acer, report.apcer, report.bpcer))
     return rows
 

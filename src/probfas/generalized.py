@@ -120,10 +120,12 @@ def run_generalized_pipeline(d_suf, d_def, config, d_def_test=None, category=Non
     tagged, agreement = self_label(tagger, d_def, category)
     test = d_def_test if d_def_test is not None else tagged
 
-    results = experiments.run_arms(tagged, test, arms, config, threshold)
+    params_by_arm, reports = {}, {}
+    for arm, _, params, (arm_report,) in experiments.run_arms([(tagged, test)], arms, [config], threshold):
+        params_by_arm[arm], reports[arm] = params.replica(0), arm_report
     report = PipelineReport(
         tagger_accuracy=tagger_accuracy(tagger, d_suf),
         agreement_rate=agreement,
-        eval_reports={arm: result.report for arm, result in results.items()},
+        eval_reports=reports,
     )
-    return {arm: result.params for arm, result in results.items()}, report
+    return params_by_arm, report

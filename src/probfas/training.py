@@ -8,17 +8,17 @@ data-quality head with SGD on the normalized Gaussian NLL.
 Determinism: per-epoch shuffling and reparameterization noise use
 independent streams derived from (seed, stage, epoch).
 
-Runs that differ only in seed and data train side by side as one stacked
-model (see ``model``): pass lists of datasets and configs instead of one.
-Each replica keeps its own streams, so it ends bit for bit where it would
-alone; one run is the stack of one.
+Training takes stacks only: lists of datasets and configs of runs that
+differ only in seed and data, trained side by side as one stacked model
+(see ``model``). Each replica keeps its own streams, so it ends bit for bit
+where it would alone; one run is a stack of one, built by its caller.
 """
 
 import contextlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -96,31 +96,23 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d):
-        d = dict(d)
-        cfg = TrainConfig(
-            stage1=StageConfig(**d.pop("stage1")),
-            stage2=StageConfig(**d.pop("stage2")),
-            **{**d, "hidden": tuple(d.pop("hidden", (64, 64)))},
-        )
-        return cfg.validate()
+        d = {**d, "stage1": StageConfig(**d["stage1"]), "stage2": StageConfig(**d["stage2"])}
+        if "hidden" in d:
+            d["hidden"] = tuple(d["hidden"])
+        return TrainConfig(**d).validate()
 
 
-_CONFIG_KEYS = {
-    "stage1.optimizer": str,
-    "stage1.lr": float,
-    "stage1.epochs": int,
-    "stage1.batch_size": int,
-    "stage2.optimizer": str,
-    "stage2.lr": float,
-    "stage2.epochs": int,
-    "stage2.batch_size": int,
-    "lambda_s": float,
-    "seed": int,
-    "enable_lq": bool,
-    "enable_dq": bool,
-    "hidden": tuple,
-    "embedding_dim": int,
-}
+def _config_fields(cls, prefix=""):
+    """(config-file key, type) of every field of a config dataclass in
+    field order, a StageConfig's fields expanded in place under its name."""
+    for f in fields(cls):
+        if f.type is StageConfig:
+            yield from _config_fields(StageConfig, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f.type
+
+
+_CONFIG_KEYS = dict(_config_fields(TrainConfig))
 
 
 def _parse_bool(v):
@@ -293,12 +285,13 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, noise_dim=
 # stacks of runs
 # ---------------------------------------------------------------------------
 
-def _as_stack(ds, config):
-    """(datasets, configs) of one run, or of a stack of runs given as lists,
-    which must differ in seed and data only, the data not in shape."""
-    if isinstance(ds, data.Dataset):
-        return [ds], [config.validate()]
-    datasets, configs = list(ds), [cfg.validate() for cfg in config]
+def _check_stack(datasets, configs):
+    """Checks that lists of datasets and configs are a stack of runs: runs
+    that differ in seed and data only, the data not in shape."""
+    if not (isinstance(datasets, list) and isinstance(configs, list)):
+        raise ConfigError("training takes a list of datasets and a list of configs; one run is a list of one")
+    for cfg in configs:
+        cfg.validate()
     if not datasets:
         raise ConfigError("a stack needs at least one run")
     if len(datasets) != len(configs):
@@ -310,43 +303,21 @@ def _as_stack(ds, config):
     if any(len(d) != len(first) or d.feature_dim != first.feature_dim or d.categories != first.categories
            for d in datasets):
         raise data.DataError("stacked runs need datasets of one size, feature dimension and categories")
-    return datasets, configs
-
-
-def _stacked(params, S):
-    """A stacked copy of ``params`` (one model, or a stack of S)."""
-    flat = params.flat if params.flat.ndim == 2 else params.flat[None]
-    if flat.shape[0] != S:
-        raise ConfigError(f"parameters hold {flat.shape[0]} replicas, the stack has {S}")
-    return params.with_flat(flat.copy())
-
-
-def _result(ds, params, logs, errors=None):
-    """What a stage returns: (params, logs) of a stack, a diverged replica's
-    log being its error, or for one run its model and log, raising its
-    divergence."""
-    logs = [error or log for log, error in zip(logs, errors or [None] * len(logs))]
-    if not isinstance(ds, data.Dataset):
-        return params, logs
-    if isinstance(logs[0], TrainingDiverged):
-        raise logs[0]
-    return params.replica(0), logs[0]
 
 
 # ---------------------------------------------------------------------------
 # stage 1
 # ---------------------------------------------------------------------------
 
-def train_stage1_lq(ds, config):
-    """Multi-task stage-1 training. With enable_lq=False the semantic loss
-    is evaluated at mu (deterministic arm) and the variance head stays at
-    its initialization. Returns (params, train_log).
+def train_stage1_lq(datasets, configs):
+    """Multi-task stage-1 training of a stack of runs. With enable_lq=False
+    the semantic loss is evaluated at mu (deterministic arm) and the
+    variance head stays at its initialization.
 
-    For a stack (lists of datasets and configs) it returns the (S, P)
-    parameters and one log per replica; a replica that diverges is frozen
-    and its log is its TrainingDiverged. One run raises it instead.
+    Returns the (S, P) parameters and one train log per replica; a replica
+    that diverges is frozen and its log is its TrainingDiverged.
     """
-    datasets, configs = _as_stack(ds, config)
+    _check_stack(datasets, configs)
     cfg, S = configs[0], len(configs)
     if cfg.lambda_s != 0.0 and not datasets[0].categories:
         raise ConfigError("semantic supervision requires at least one category")
@@ -382,7 +353,7 @@ def train_stage1_lq(ds, config):
                 "mean_sigma_d_sq": float(sigma_d_sq[r]),
                 "train_acc": float(acc[r]),
             })
-    return _result(ds, params, logs, errors)
+    return params, [error or log for log, error in zip(logs, errors)]
 
 
 def _stage1_figures(params, X, c):
@@ -397,13 +368,17 @@ def _stage1_figures(params, X, c):
 # stage 2
 # ---------------------------------------------------------------------------
 
-def train_stage2_dq(params, ds, config):
-    """Finetune omega_c and the data-quality head on the normalized NLL;
-    backbone and label-quality head get zero gradients, so they stay
-    bit-identical under SGD and Adam alike. Stacks as train_stage1_lq."""
-    datasets, configs = _as_stack(ds, config)
+def train_stage2_dq(params, datasets, configs):
+    """Finetune omega_c and the data-quality head of a copy of the stack's
+    (S, P) ``params`` on the normalized NLL; backbone and label-quality head
+    get zero gradients, so they stay bit-identical under SGD and Adam
+    alike. Stacks and returns as train_stage1_lq."""
+    _check_stack(datasets, configs)
     cfg, S = configs[0], len(configs)
-    params = _stacked(params, S)
+    if params.flat.shape[:-1] != (S,):
+        raise ConfigError(f"stage 2 takes (S, P) parameters of the stack's {S} replicas, "
+                          f"got shape {params.flat.shape}")
+    params = params.copy()
     X = np.stack([d.x for d in datasets])
     c = np.stack([d.c for d in datasets])
 
@@ -423,56 +398,49 @@ def train_stage2_dq(params, ds, config):
                 "loss_total": float(means["total"][r]),
                 "mean_sigma_d_sq": float(sigma_d_sq[r]),
             })
-    return _result(ds, params, logs, errors)
-
-
-def train_two_stage(ds, config):
-    """Stage 1 followed (when enable_dq) by stage 2. A stack's replicas
-    that diverge in stage 1 skip stage 2; the logs join both stages."""
-    datasets, configs = _as_stack(ds, config)
-    return _result(ds, *_after_stage1(*train_stage1_lq(datasets, configs), datasets, configs))
-
-
-def _after_stage1(params, logs, datasets, configs):
-    """train_two_stage's tail: stage 2 (when enable_dq) of the stack's
-    replicas that survived stage 1 (params, logs), on a copy, so the
-    stage-1 result stays as it is for other arms to start from."""
-    alive = [r for r, log in enumerate(logs) if not isinstance(log, TrainingDiverged)]
-    if not (configs[0].enable_dq and alive):
-        return params, logs
-    tuned, logs2 = train_stage2_dq(
-        params.with_flat(params.flat[alive]), [datasets[r] for r in alive], [configs[r] for r in alive]
-    )
-    params, logs = params.copy(), list(logs)
-    params.flat[alive] = tuned.flat
-    for r, log2 in zip(alive, logs2):
-        logs[r] = log2 if isinstance(log2, TrainingDiverged) else logs[r] + log2
-    return params, logs
+    return params, [error or log for log, error in zip(logs, errors)]
 
 
 ARMS = ("baseline", "s", "s-lq", "s-lq-dq")
 
 
-def train_arms(ds, arms, config):
-    """train_two_stage of each ablation arm of ``config``, in ``arms``
-    order, on one run or a stack: yields (arm, arm config(s), params,
-    log(s)) as train_two_stage returns them, so one run raises its arm's
-    divergence before later arms train.
+def train_arms(datasets, arms, configs):
+    """Trains each ablation arm of a stack of runs, in ``arms`` order:
+    stage 1, then (when the arm enables DQ) stage 2 of the replicas that
+    survive it. Yields (arm, arm configs, (S, P) params, one log per
+    replica joining both stages).
+
+    If any replica diverges, the arm's first diverged replica in list
+    order raises its TrainingDiverged before the arm is yielded, so later
+    arms do not train: the error one run after another would meet first.
 
     Arms whose configs agree on every field that stage 1 reads (all but
     stage2 and enable_dq) share one stage-1 run, each going on to its own
     stage 2 from a copy of it; stage 1 is deterministic in those fields,
     so every arm ends on the bytes it reaches when trained alone.
     """
-    datasets, configs = _as_stack(ds, config)
+    _check_stack(datasets, configs)
     stage1 = {}
     for arm in arms:
         arm_cfgs = [arm_config(arm, cfg) for cfg in configs]
         key = json.dumps([{**cfg.to_dict(), "stage2": None, "enable_dq": None} for cfg in arm_cfgs])
         if key not in stage1:
             stage1[key] = train_stage1_lq(datasets, arm_cfgs)
-        params, logs = _result(ds, *_after_stage1(*stage1[key], datasets, arm_cfgs))
-        yield arm, arm_cfgs[0] if isinstance(ds, data.Dataset) else arm_cfgs, params, logs
+        params, logs = stage1[key]
+        alive = [r for r, log in enumerate(logs) if not isinstance(log, TrainingDiverged)]
+        if arm_cfgs[0].enable_dq and alive:
+            # stage 2 tunes a copy, leaving stage 1 for later arms; these are
+            # not the whole stack if a replica diverged, but then the arm raises
+            params, logs2 = train_stage2_dq(
+                params.with_flat(params.flat[alive]), [datasets[r] for r in alive], [arm_cfgs[r] for r in alive]
+            )
+            logs = list(logs)
+            for r, log2 in zip(alive, logs2):
+                logs[r] = log2 if isinstance(log2, TrainingDiverged) else logs[r] + log2
+        for log in logs:
+            if isinstance(log, TrainingDiverged):
+                raise log
+        yield arm, arm_cfgs, params, logs
 
 
 def arm_config(arm, base):

@@ -1,12 +1,13 @@
 """Shared helpers: finite-difference gradient checking over the flat
 parameter vector, the paper's loss formulas as independent numpy
 statements, small dataset builders, row-by-row reference versions of the
-dataset generator and parser, and a reader for prediction dumps."""
+dataset generator and parser, a reader for prediction dumps, and one run
+trained through the stack-only training API."""
 
 import numpy as np
 import pytest
 
-from probfas import data, model
+from probfas import data, model, training
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -116,6 +117,22 @@ def ref_dq_gaussian_nll(mu, omega_c, c, s2):
     """Mean of 0.5 * (ln s2 + ||omega_c[c] - mu||^2 / s2) + 0.5 * ln(2 pi)."""
     d2 = ((omega_c[c] - mu) ** 2).sum(axis=1)
     return float(np.mean(0.5 * (np.log(s2) + d2 / s2) + 0.5 * np.log(2.0 * np.pi)))
+
+
+def train_one(ds, cfg, arm=None, params=None):
+    """One run trained as a stack of one: its one-model params and train
+    log, raising its divergence. With ``arm``, the run trains as that
+    ablation arm of ``cfg`` (training.train_arms); else with one-model
+    ``params``, stage 2 starts from them; else stage 1 alone runs."""
+    if arm is not None:
+        [(_, _, stack, logs)] = training.train_arms([ds], [arm], [cfg])
+    elif params is not None:
+        stack, logs = training.train_stage2_dq(model.ModelParams.stack([params]), [ds], [cfg])
+    else:
+        stack, logs = training.train_stage1_lq([ds], [cfg])
+    if isinstance(logs[0], training.TrainingDiverged):
+        raise logs[0]
+    return stack.replica(0), logs[0]
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import pytest
 from probfas import cli, data, experiments, inference, kernels, losses, metrics, model, training
 from conftest import (
     fd_gradient, ref_dq_gaussian_nll, ref_live_spoof_ce, ref_semantic_ce, ref_semantic_ce_probabilistic, rel_err,
+    train_one,
 )
 
 GRAD_TOL = 1e-4
@@ -203,7 +204,8 @@ def _mean_acer(arm, seeds, semantic=0.0, data_frac=0.0):
         if data_frac:
             train = data.inject_data_noise(train, data_frac, 2.0, seed)
             test = data.inject_data_noise(test, data_frac, 2.0, seed + 1)
-        out.append(experiments.run_arm(train, test, arm, cfg).report.acer)
+        [(_, _, _, (report,))] = experiments.run_arms([(train, test)], [arm], [cfg])
+        out.append(report.acer)
     return float(np.mean(out))
 
 
@@ -225,7 +227,7 @@ def test_criterion_6_data_noise_quality_separation_and_damping():
         train, test = experiments.make_benchmark_data(seed)
         train = data.inject_data_noise(train, 0.3, 2.0, seed)
         test = data.inject_data_noise(test, 0.3, 2.0, seed + 1)
-        params, _ = training.train_two_stage(train, training.arm_config("s-lq-dq", cfg))
+        params, _ = train_one(train, cfg, "s-lq-dq")
 
         mu = model.embed(params, test.X())
         s2 = model.dq_variance(params, mu)

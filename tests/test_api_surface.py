@@ -15,7 +15,6 @@ SRC = Path(probfas.__file__).parent
 ALLOWED = {
     "metrics.tpr_at_fpr", "metrics.auc", "metrics.round_half_up",
     "training.save_config", "training.load_trainlog", "generalized.run_generalized_pipeline",
-    "experiments.run_arm",
 }
 
 

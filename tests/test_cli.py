@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from probfas import cli, data, experiments, metrics, training
-from conftest import reference_load_predictions
+from conftest import reference_load_predictions, train_one
 
 
 def run(argv):
@@ -153,7 +153,7 @@ class TestTrain:
 
     # overflow warnings on the way to the divergence exit are expected
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_is_exit_three(self, dataset_dir, tmp_path):
+    def test_divergence_is_exit_three(self, dataset_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         cfg = experiments.default_benchmark_config(0)
         cfg.stage1 = training.StageConfig("sgd", 1e12, 3, 16)
@@ -161,8 +161,14 @@ class TestTrain:
         cfg.hidden = (8,)
         cfg.embedding_dim = 6
         training.save_config(cfg, cfg_path)
+        with pytest.raises(training.TrainingDiverged) as alone:
+            train_one(data.load_dataset(dataset_dir / "dataset.txt"), cfg, "s-lq-dq")
+        capsys.readouterr()
         assert run(["train", "--data", str(dataset_dir / "dataset.txt"),
                     "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"training diverged: {alone.value}\n"
+        assert err.startswith("training diverged: stage 1 diverged at epoch ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_is_data_error(self, dataset_dir, tmp_path, capsys, value):

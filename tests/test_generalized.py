@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from probfas import data, experiments, generalized, model, training
+from conftest import train_one
 
 
 def sep_dataset(seed, n=40, overlap=0.0):
@@ -107,9 +108,8 @@ class TestPipeline:
         tagged, agreement = generalized.self_label(tagger, d_def)
         if agreement < 1.0:
             pytest.skip("tagger is not an oracle on this draw")
-        arm = training.arm_config("s-lq-dq", cfg)
-        p_tagged, _ = training.train_two_stage(tagged, arm)
-        p_direct, _ = training.train_two_stage(d_def, arm)
+        p_tagged, _ = train_one(tagged, cfg, "s-lq-dq")
+        p_direct, _ = train_one(d_def, cfg, "s-lq-dq")
         assert np.array_equal(p_tagged.flat, p_direct.flat)
 
     def test_arms_sharing_stage1_equal_separate_runs(self, monkeypatch):
@@ -122,9 +122,9 @@ class TestPipeline:
         assert len(calls) == 1
         tagged, _ = generalized.self_label(generalized.train_tagger(d_suf, "spoof_type", cfg), d_def)
         for arm in ("s-lq", "s-lq-dq"):
-            alone = experiments.run_arm(tagged, tagged, arm, cfg)
-            assert params_by_arm[arm].flat.tobytes() == alone.params.flat.tobytes()
-            assert report.eval_reports[arm].to_json() == alone.report.to_json()
+            [(_, _, alone, (alone_report,))] = experiments.run_arms([(tagged, tagged)], [arm], [cfg])
+            assert params_by_arm[arm].flat.tobytes() == alone.replica(0).flat.tobytes()
+            assert report.eval_reports[arm].to_json() == alone_report.to_json()
 
     def test_runs_under_total_semantic_noise(self):
         d_suf = sep_dataset(15)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from probfas import cli, data, experiments, inference, losses, model, training
-from conftest import check_replica_gradients, selection_mask
+from conftest import check_replica_gradients, selection_mask, train_one
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -43,9 +43,24 @@ def trainlog_bytes(log, path):
     return path.read_bytes()
 
 
-def assert_replicas_equal_single_runs(stacked, logs, trains, configs, tmp_path, tests=None):
+def train_stack(trains, configs):
+    """Both stages of a stack without train_arms's raise, so replicas that
+    train on can be compared with single runs: (params, logs), each log
+    joining both stages or being the replica's first TrainingDiverged. A
+    replica diverged in stage 1 goes on into stage 2 from where it froze;
+    what that gives is discarded."""
+    stage1, logs1 = training.train_stage1_lq(trains, configs)
+    stacked, logs2 = training.train_stage2_dq(stage1, trains, configs)
+    logs = []
+    for log1, log2 in zip(logs1, logs2):
+        errors = [log for log in (log1, log2) if isinstance(log, training.TrainingDiverged)]
+        logs.append(errors[0] if errors else log1 + log2)
+    return stacked, logs
+
+
+def assert_replicas_equal_single_runs(stacked, logs, trains, configs, arm, tmp_path, tests=None):
     for r, (train, cfg) in enumerate(zip(trains, configs)):
-        single, single_log = training.train_two_stage(train, cfg)
+        single, single_log = train_one(train, cfg, arm)
         assert stacked.replica(r).flat.tobytes() == single.flat.tobytes(), f"replica {r} params"
         assert trainlog_bytes(logs[r], tmp_path / "stacked.jsonl") == \
             trainlog_bytes(single_log, tmp_path / "single.jsonl"), f"replica {r} trainlog"
@@ -62,18 +77,18 @@ class TestEquivalence:
         splits = [benchmark_cell(seed) for seed in SEEDS]
         trains = [train for train, _ in splits]
         configs = [training.arm_config(arm, short_benchmark_config(seed)) for seed in SEEDS]
-        stacked, logs = training.train_two_stage(trains, configs)
+        [(_, _, stacked, logs)] = training.train_arms(trains, [arm], configs)
         assert stacked.flat.shape[0] == len(SEEDS)
-        assert_replicas_equal_single_runs(stacked, logs, trains, configs, tmp_path,
+        assert_replicas_equal_single_runs(stacked, logs, trains, configs, arm, tmp_path,
                                           tests=[test for _, test in splits])
 
     def test_stage2_stack_equals_single_runs(self):
         trains = [benchmark_cell(seed, "data", 0.3)[0] for seed in SEEDS[:3]]
         configs = [training.arm_config("s-lq-dq", short_benchmark_config(seed)) for seed in SEEDS[:3]]
-        stage1 = [training.train_stage1_lq(train, cfg)[0] for train, cfg in zip(trains, configs)]
+        stage1 = [train_one(train, cfg)[0] for train, cfg in zip(trains, configs)]
         stacked, logs = training.train_stage2_dq(model.ModelParams.stack(stage1), trains, configs)
         for r, (p, train, cfg) in enumerate(zip(stage1, trains, configs)):
-            single, single_log = training.train_stage2_dq(p, train, cfg)
+            single, single_log = train_one(train, cfg, params=p)
             assert stacked.replica(r).flat.tobytes() == single.flat.tobytes()
             assert logs[r] == single_log
 
@@ -91,8 +106,8 @@ class TestEquivalence:
         ]
         assert [int((t.c == data.SPOOF).sum()) for t in trains] == [0, 1, 9]
         configs = [tiny_config(seed) for seed in (3, 4, 5)]
-        stacked, logs = training.train_two_stage(trains, configs)
-        assert_replicas_equal_single_runs(stacked, logs, trains, configs, tmp_path)
+        [(_, _, stacked, logs)] = training.train_arms(trains, ["s-lq-dq"], configs)
+        assert_replicas_equal_single_runs(stacked, logs, trains, configs, "s-lq-dq", tmp_path)
 
     def test_noise_sweep_rows_equal_single_runs(self):
         # s-lq-dq first: its stage 2 starts from the stage 1 it shares with
@@ -106,7 +121,7 @@ class TestEquivalence:
                 seed_cfg = training.TrainConfig.from_dict(cfg.to_dict())
                 seed_cfg.seed = seed
                 train, test = benchmark_cell(seed, "data", 0.3)
-                rep = experiments.run_arm(train, test, arm, seed_cfg).report
+                [(_, _, _, (rep,))] = experiments.run_arms([(train, test)], [arm], [seed_cfg])
                 expected.append(("data", 0.3, arm, seed, rep.acer, rep.apcer, rep.bpcer))
         assert rows == expected
 
@@ -164,9 +179,9 @@ class TestDivergence:
     CELL = ("binary", 0.7)
 
     def _seed_error(self, seed):
-        train, test = benchmark_cell(seed, *self.CELL)
+        train, _ = benchmark_cell(seed, *self.CELL)
         with pytest.raises(training.TrainingDiverged) as exc:
-            experiments.run_arm(train, test, "s-lq-dq", experiments.default_benchmark_config(seed))
+            train_one(train, experiments.default_benchmark_config(seed), "s-lq-dq")
         return exc.value
 
     def test_sweep_raises_the_first_seed_in_list_order(self):
@@ -190,13 +205,13 @@ class TestDivergence:
         seeds = [1, 0, 5, 2]
         trains = [benchmark_cell(seed, *self.CELL)[0] for seed in seeds]
         configs = [training.arm_config("s-lq-dq", experiments.default_benchmark_config(seed)) for seed in seeds]
-        stacked, logs = training.train_two_stage(trains, configs)
+        stacked, logs = train_stack(trains, configs)
         assert [isinstance(log, training.TrainingDiverged) for log in logs] == [True, False, True, False]
         for r in (0, 2):
             alone = self._seed_error(seeds[r])
             assert str(logs[r]) == str(alone) and logs[r].epoch == alone.epoch
         for r in (1, 3):
-            single, single_log = training.train_two_stage(trains[r], configs[r])
+            single, single_log = train_one(trains[r], configs[r], "s-lq-dq")
             assert stacked.replica(r).flat.tobytes() == single.flat.tobytes()
             assert logs[r] == single_log
 
@@ -210,24 +225,42 @@ class TestDivergence:
         _, logs = training.train_stage1_lq(trains, configs)
         for log, train, cfg in zip(logs, trains, configs):
             with pytest.raises(training.TrainingDiverged) as exc:
-                training.train_stage1_lq(train, cfg)
+                train_one(train, cfg)
             assert isinstance(log, training.TrainingDiverged)
             assert (log.stage, log.epoch, str(log)) == (exc.value.stage, exc.value.epoch, str(exc.value))
             assert "'loss_s': {'spoof_type':" in str(log)
         assert [log.epoch for log in logs] == [3, 1, 2]
         with pytest.raises(training.TrainingDiverged) as exc:
-            training.train_two_stage(trains[0], configs[0])
+            train_one(trains[0], configs[0], "s-lq-dq")
         assert str(exc.value) == str(logs[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_arms_raises_before_a_later_arm_trains(self, monkeypatch):
+        # the sets above: baseline trains, s-lq diverges (seed 7 first in
+        # time, seed 2 first in list order), and s must not start stage 1
+        seeds = [2, 7, 0]
+        trains = [data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=seed) for seed in seeds]
+        configs = [tiny_config(seed, stage1=("sgd", 1.0), epochs=6, batch_size=8) for seed in seeds]
+        with pytest.raises(training.TrainingDiverged) as alone:
+            train_one(trains[0], configs[0], "s-lq")
+        calls, yielded = [], []
+        train_stage1_lq = training.train_stage1_lq
+        monkeypatch.setattr(training, "train_stage1_lq", lambda *args: calls.append(1) or train_stage1_lq(*args))
+        with pytest.raises(training.TrainingDiverged) as exc:
+            for arm, *_ in training.train_arms(trains, ["baseline", "s-lq", "s"], configs):
+                yielded.append(arm)
+        assert (exc.value.stage, exc.value.epoch, str(exc.value)) == (1, 3, str(alone.value))
+        assert yielded == ["baseline"] and len(calls) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_lone_divergence_leaves_the_others_untouched(self):
         seeds = [3, 4, 5]  # at lr 0.7 only seed 4 diverges, at stage-1 epoch 5
         trains = [data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=seed) for seed in seeds]
         configs = [tiny_config(seed, stage1=("sgd", 0.7), epochs=6, batch_size=8) for seed in seeds]
-        stacked, logs = training.train_two_stage(trains, configs)
+        stacked, logs = train_stack(trains, configs)
         assert isinstance(logs[1], training.TrainingDiverged) and logs[1].epoch == 5
         for r in (0, 2):
-            single, single_log = training.train_two_stage(trains[r], configs[r])
+            single, single_log = train_one(trains[r], configs[r], "s-lq-dq")
             assert stacked.replica(r).flat.tobytes() == single.flat.tobytes()
             assert logs[r] == single_log
 
@@ -331,3 +364,14 @@ class TestStackChecks:
         with pytest.raises(training.ConfigError, match="replicas"):
             training.train_stage2_dq(model.ModelParams.stack([tiny_params] * 2), [tiny_dataset] * 3,
                                      [tiny_config(s) for s in range(3)])
+        # one model's (P,) parameters are not a stack of one
+        with pytest.raises(training.ConfigError, match="replicas"):
+            training.train_stage2_dq(tiny_params, [tiny_dataset], [tiny_config(0)])
+
+    def test_training_takes_lists_only(self, tiny_dataset, tiny_params):
+        with pytest.raises(training.ConfigError, match="list of one"):
+            training.train_stage1_lq(tiny_dataset, tiny_config(0))
+        with pytest.raises(training.ConfigError, match="list of one"):
+            training.train_stage2_dq(model.ModelParams.stack([tiny_params]), tiny_dataset, tiny_config(0))
+        with pytest.raises(training.ConfigError, match="list of one"):
+            next(training.train_arms(tiny_dataset, ["s"], tiny_config(0)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from probfas import data, experiments, model, training
+from conftest import train_one
 
 
 def small_config(seed=0, epochs1=3, epochs2=3):
@@ -33,6 +34,17 @@ class TestConfig:
         training.save_config(cfg, path)
         loaded = training.load_config(path)
         assert loaded.to_dict() == cfg.to_dict()
+
+    def test_default_config_file_bytes(self, tmp_path):
+        # one key per field in field order, stage fields expanded in place
+        path = tmp_path / "cfg.txt"
+        training.save_config(training.TrainConfig(), path)
+        assert path.read_bytes() == (
+            b"stage1.optimizer = adam\nstage1.lr = 0.0001\nstage1.epochs = 50\nstage1.batch_size = 64\n"
+            b"stage2.optimizer = sgd\nstage2.lr = 0.1\nstage2.epochs = 50\nstage2.batch_size = 64\n"
+            b"lambda_s = 1.0\nseed = 0\nenable_lq = True\nenable_dq = True\nhidden = 64,64\nembedding_dim = 32\n"
+        )
+        assert training.load_config(path).to_dict() == training.TrainConfig().to_dict()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -78,14 +90,14 @@ class TestConfig:
 class TestDeterminism:
     def test_same_seed_identical_params_and_log(self, tiny_dataset):
         cfg = small_config()
-        p1, log1 = training.train_two_stage(tiny_dataset, cfg)
-        p2, log2 = training.train_two_stage(tiny_dataset, cfg)
+        p1, log1 = train_one(tiny_dataset, cfg, "s-lq-dq")
+        p2, log2 = train_one(tiny_dataset, cfg, "s-lq-dq")
         assert np.array_equal(p1.flat, p2.flat)
         assert log1 == log2
 
     def test_different_seed_differs(self, tiny_dataset):
-        p1, _ = training.train_two_stage(tiny_dataset, small_config(seed=0))
-        p2, _ = training.train_two_stage(tiny_dataset, small_config(seed=1))
+        p1, _ = train_one(tiny_dataset, small_config(seed=0), "s-lq-dq")
+        p2, _ = train_one(tiny_dataset, small_config(seed=1), "s-lq-dq")
         assert not np.array_equal(p1.flat, p2.flat)
 
 
@@ -94,32 +106,31 @@ class TestStage1:
         ds = data.generate_synthetic(50, 8, {"spoof_type": 3}, 0.0, seed=0)
         cfg = experiments.default_benchmark_config(0)
         cfg.stage1.epochs = 50
-        cfg = training.arm_config("s", cfg)
-        _, log = training.train_two_stage(ds, cfg)
+        _, log = train_one(ds, cfg, "s")
         final = [r for r in log if r["stage"] == 1][-1]
         assert final["train_acc"] >= 0.99
 
     def test_disabled_lq_leaves_variance_head_at_init(self, tiny_dataset):
         cfg = small_config()
         cfg.enable_lq = False
-        params, _ = training.train_stage1_lq(tiny_dataset, cfg)
+        params, _ = train_one(tiny_dataset, cfg)
         assert np.all(params.w_lq == 0.0)
         assert np.all(params.b_lq == 0.0)
 
     def test_enabled_lq_moves_variance_head(self, tiny_dataset):
         cfg = small_config(epochs1=5)
-        params, _ = training.train_stage1_lq(tiny_dataset, cfg)
+        params, _ = train_one(tiny_dataset, cfg)
         assert np.any(params.b_lq != 0.0) or np.any(params.w_lq != 0.0)
 
     def test_loss_decreases_on_default_benchmark(self):
         train, _ = experiments.make_benchmark_data(0)
         cfg = experiments.default_benchmark_config(0)
-        _, log = training.train_two_stage(train, training.arm_config("s-lq", cfg))
+        _, log = train_one(train, cfg, "s-lq")
         stage1 = [r for r in log if r["stage"] == 1]
         assert stage1[-1]["loss_total"] < stage1[0]["loss_total"]
 
     def test_log_rows_are_finite_with_monotone_epochs(self, tiny_dataset):
-        _, log = training.train_stage1_lq(tiny_dataset, small_config(epochs1=4))
+        _, log = train_one(tiny_dataset, small_config(epochs1=4))
         epochs = [r["epoch"] for r in log]
         assert epochs == sorted(epochs) == list(range(4))
         for row in log:
@@ -130,9 +141,9 @@ class TestStage1:
 class TestStage2:
     def test_backbone_and_lq_head_frozen(self, tiny_dataset):
         cfg = small_config()
-        stage1_params, _ = training.train_stage1_lq(tiny_dataset, cfg)
+        stage1_params, _ = train_one(tiny_dataset, cfg)
         before = {name: t.copy() for name, t in stage1_params.named_tensors()}
-        after_params, _ = training.train_stage2_dq(stage1_params, tiny_dataset, cfg)
+        after_params, _ = train_one(tiny_dataset, cfg, params=stage1_params)
         moved = {"omega_c", "w_dq", "b_dq"}
         for name, t in after_params.named_tensors():
             if name in moved:
@@ -141,9 +152,9 @@ class TestStage2:
 
     def test_frozen_tensors_stay_bit_identical_under_adam(self, tiny_dataset):
         cfg = small_config()
-        stage1_params, _ = training.train_stage1_lq(tiny_dataset, cfg)
+        stage1_params, _ = train_one(tiny_dataset, cfg)
         cfg.stage2 = training.StageConfig("adam", 1e-2, 3, 16)
-        after_params, _ = training.train_stage2_dq(stage1_params, tiny_dataset, cfg)
+        after_params, _ = train_one(tiny_dataset, cfg, params=stage1_params)
         for (name, t), (_, before) in zip(after_params.named_tensors(), stage1_params.named_tensors()):
             if name not in {"omega_c", "w_dq", "b_dq"}:
                 assert np.array_equal(t, before), f"{name} must not move in stage 2"
@@ -151,14 +162,14 @@ class TestStage2:
 
     def test_finetuned_tensors_actually_move(self, tiny_dataset):
         cfg = small_config()
-        stage1_params, _ = training.train_stage1_lq(tiny_dataset, cfg)
-        after_params, _ = training.train_stage2_dq(stage1_params, tiny_dataset, cfg)
+        stage1_params, _ = train_one(tiny_dataset, cfg)
+        after_params, _ = train_one(tiny_dataset, cfg, params=stage1_params)
         assert not np.array_equal(after_params.omega_c, stage1_params.omega_c)
 
     def test_zero_epochs_is_identity(self, tiny_dataset):
         cfg = small_config(epochs2=0)
-        stage1_params, _ = training.train_stage1_lq(tiny_dataset, cfg)
-        after_params, log = training.train_stage2_dq(stage1_params, tiny_dataset, cfg)
+        stage1_params, _ = train_one(tiny_dataset, cfg)
+        after_params, log = train_one(tiny_dataset, cfg, params=stage1_params)
         assert np.array_equal(after_params.flat, stage1_params.flat)
         assert log == []
 
@@ -170,7 +181,7 @@ class TestStage2:
             cfg = experiments.default_benchmark_config(seed)
             train, _ = experiments.make_benchmark_data(seed)
             train = data.inject_data_noise(train, 0.3, 2.0, seed)
-            params, _ = training.train_two_stage(train, training.arm_config("s-lq-dq", cfg))
+            params, _ = train_one(train, cfg, "s-lq-dq")
             mu = model.embed(params, train.X())
             s2 = model.dq_variance(params, mu)
             corrupted = train.flag_mask("data_corrupted")
@@ -185,7 +196,7 @@ class TestDivergence:
         cfg = small_config()
         cfg.stage1 = training.StageConfig("sgd", 1e12, 5, 16)
         with pytest.raises(training.TrainingDiverged) as exc:
-            training.train_stage1_lq(tiny_dataset, cfg)
+            train_one(tiny_dataset, cfg)
         assert exc.value.stage == 1
         assert exc.value.epoch >= 0
         assert "total" in exc.value.components
@@ -207,16 +218,14 @@ class TestArms:
             training.arm_config("everything", base)
 
     def test_baseline_never_trains_stage2(self, tiny_dataset):
-        cfg = training.arm_config("baseline", small_config())
-        _, log = training.train_two_stage(tiny_dataset, cfg)
+        _, log = train_one(tiny_dataset, small_config(), "baseline")
         assert all(r["stage"] == 1 for r in log)
 
 
 class TestSigmaLStatistics:
     def test_sigma_l_decays_during_training(self):
         train, _ = experiments.make_benchmark_data(0)
-        cfg = training.arm_config("s-lq", experiments.default_benchmark_config(0))
-        _, log = training.train_two_stage(train, cfg)
+        _, log = train_one(train, experiments.default_benchmark_config(0), "s-lq")
         stage1 = [r for r in log if r["stage"] == 1]
         assert stage1[-1]["mean_sigma_l"] < stage1[0]["mean_sigma_l"]
 
@@ -232,10 +241,10 @@ class TestSigmaLStatistics:
         wins = strict = 0
         rows = []
         for seed in range(5):
-            cfg = training.arm_config("s-lq", experiments.default_benchmark_config(seed))
+            cfg = experiments.default_benchmark_config(seed)
             train, _ = experiments.make_benchmark_data(seed)
             train = data.inject_semantic_label_noise(train, 0.5, seed)
-            params, _ = training.train_two_stage(train, cfg)
+            params, _ = train_one(train, cfg, "s-lq")
             sigma = model.lq_variance(params, model.embed(params, train.X())).mean(axis=1)
             reassigned = train.flag_mask("semantic_reassigned")
             clean_spoof = train.spoof_mask() & ~reassigned
@@ -254,7 +263,7 @@ class TestSigmaLStatistics:
 
 class TestTrainLogIO:
     def test_round_trip(self, tiny_dataset, tmp_path):
-        _, log = training.train_two_stage(tiny_dataset, small_config())
+        _, log = train_one(tiny_dataset, small_config(), "s-lq-dq")
         path = tmp_path / "log.jsonl"
         training.save_trainlog(log, path)
         assert training.load_trainlog(path) == log
@@ -263,7 +272,7 @@ class TestTrainLogIO:
 class TestCheckpoint:
     def test_round_trip_exact(self, tiny_dataset, tmp_path):
         cfg = small_config()
-        params, _ = training.train_two_stage(tiny_dataset, cfg)
+        params, _ = train_one(tiny_dataset, cfg, "s-lq-dq")
         path = tmp_path / "model.ckpt"
         training.save_checkpoint(path, params, config=cfg)
         loaded, loaded_cfg = training.load_checkpoint(path)
