@@ -63,7 +63,7 @@ def run_arms(splits, arms, configs, threshold=0.5):
     (S, P) params, one EvalReport per replica) as each arm is trained. The
     DQ arm uses stage-2 training and corrected inference."""
     trains = [train for train, _ in splits]
-    for arm, arm_cfgs, params, _ in training.train_arms(trains, arms, configs):
+    for arm, arm_cfgs, params, _ in training.train_arms(trains, arms, configs, keep_logs=False):
         reports = [_evaluate(params.replica(r), test, cfg, threshold)
                    for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs))]
         yield arm, arm_cfgs, params, reports

@@ -242,15 +242,15 @@ def stage1_objective(params, X, c, s_by_category, epsilon, lambda_s=1.0, enable_
     return _make_loss(per_sample), grads, aux
 
 
-def stage2_objective(params, X, c):
+def stage2_objective(params, mu, c):
     """Gaussian NLL on row-normalized mu and omega_c with the scalar
-    data-quality variance. The backbone is treated as frozen: gradients
-    are produced only for omega_c and the data-quality head.
+    data-quality variance. The backbone is frozen, so it takes the batch's
+    embedding ``mu`` (model.embed) rather than its features: gradients are
+    produced only for omega_c and the data-quality head.
 
     Returns (LossValue, grads: ModelParams-shaped, aux dict).
     """
     c = _check_labels(c, 2)
-    mu = model.embed(params, X)
     mu_n = l2_normalize_rows(mu)
     w_n = l2_normalize_rows(params.omega_c)
     s2_raw = model.dq_variance(params, mu)

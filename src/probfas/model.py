@@ -179,7 +179,10 @@ def embed_with_cache(params, X):
 
 
 def embed(params, X):
-    """mu of every row, the same bytes whatever batch the row comes in."""
+    """mu of every row. A row's bytes do not depend on the other rows of its
+    batch, but can on their count: OpenBLAS picks its kernel by size (with
+    OpenBLAS 0.3.31 at hidden (32,), B 16, a batch of 76 rows or more
+    rounds differently from a smaller one)."""
     X = _checked_rows(params, X)
     if X.shape[-2] == 1:
         # a one-row product is a matrix-vector call, which rounds differently

@@ -215,10 +215,9 @@ class OptState:
             p -= self.lr * g
 
 
-def _epoch_rngs(seed, stage, epoch):
-    shuffle = np.random.default_rng(np.random.SeedSequence([int(seed), stage, epoch, 0]))
-    eps = np.random.default_rng(np.random.SeedSequence([int(seed), stage, epoch, 1]))
-    return shuffle, eps
+def _epoch_rng(seed, stage, epoch, stream):
+    """Stream 0 of an epoch shuffles its rows, stream 1 draws its noise."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), stage, epoch, stream]))
 
 
 def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, noise_dim=0):
@@ -227,10 +226,11 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, noise_dim=
     the replicas' sample arrays, each (S, n, ...).
 
     Replica r shuffles its n rows with, and draws its (n, noise_dim) noise
-    of each epoch from, streams derived from (seeds[r], stage, epoch), so it
-    trains as it would alone. ``step(batch, eps) -> (grads, figures)`` gets the
-    columns' rows of one batch, (S, bs, ...) each, and their noise rows
-    (S, bs, noise_dim). ``figures`` maps names to (S,) arrays,
+    of each epoch from, streams (seeds[r], stage, epoch, 0) and (..., 1), so
+    it trains as it would alone; with noise_dim 0 no noise stream is built.
+    ``step(batch, eps) -> (grads, figures)`` gets the columns' rows of one
+    batch, (S, bs, ...) each, and their noise rows (S, bs, noise_dim), or
+    None without noise. ``figures`` maps names to (S,) arrays,
     ``figures["total"]`` being the batch losses, or to functions of a
     replica index, evaluated only to report a divergence.
 
@@ -249,17 +249,18 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, noise_dim=
     for epoch in range(stage_cfg.epochs):
         if frozen.all():
             return
-        rngs = [_epoch_rngs(seed, stage, epoch) for seed in seeds]
-        order = np.stack([shuffle.permutation(n) for shuffle, _ in rngs])
+        order = np.stack([_epoch_rng(seed, stage, epoch, 0).permutation(n) for seed in seeds])
         shuffled = [col[replica, order] for col in columns]
-        noise = np.stack([eps.standard_normal((n, noise_dim)) for _, eps in rngs])
+        if noise_dim:
+            noise = np.stack([_epoch_rng(seed, stage, epoch, 1).standard_normal((n, noise_dim)) for seed in seeds])
         live = ~frozen if frozen.any() else None
         history = {}
         for j, lo in enumerate(range(0, n, bs)):
             # a frozen replica's arithmetic is discarded, so its overflow is
             # not reported
             with contextlib.nullcontext() if live is None else np.errstate(all="ignore"):
-                grads, figures = step([col[:, lo : lo + bs] for col in shuffled], noise[:, lo : lo + bs])
+                grads, figures = step([col[:, lo : lo + bs] for col in shuffled],
+                                      noise[:, lo : lo + bs] if noise_dim else None)
             diverged = ~(np.abs(figures["total"]) <= DIVERGENCE_CAP)
             if diverged.any():
                 for r in np.flatnonzero(diverged & ~frozen):
@@ -309,13 +310,14 @@ def _check_stack(datasets, configs):
 # stage 1
 # ---------------------------------------------------------------------------
 
-def train_stage1_lq(datasets, configs):
+def train_stage1_lq(datasets, configs, keep_logs=True):
     """Multi-task stage-1 training of a stack of runs. With enable_lq=False
-    the semantic loss is evaluated at mu (deterministic arm) and the
-    variance head stays at its initialization.
+    the semantic loss is evaluated at mu (deterministic arm), no noise is
+    drawn and the variance head stays at its initialization.
 
     Returns the (S, P) parameters and one train log per replica; a replica
-    that diverges is frozen and its log is its TrainingDiverged.
+    that diverges is frozen and its log is its TrainingDiverged. Without
+    keep_logs no per-epoch figure is computed and the other logs are empty.
     """
     _check_stack(datasets, configs)
     cfg, S = configs[0], len(configs)
@@ -340,8 +342,11 @@ def train_stage1_lq(datasets, configs):
 
     logs, errors = [[] for _ in range(S)], [None] * S
     seeds = [run.seed for run in configs]
-    stage = run_stage(params, [X, c, *labels], 1, cfg.stage1, seeds, step, errors, noise_dim=params.B)
+    stage = run_stage(params, [X, c, *labels], 1, cfg.stage1, seeds, step, errors,
+                      noise_dim=params.B if cfg.enable_lq else 0)
     for epoch, means in stage:
+        if not keep_logs:
+            continue
         sigma_l, sigma_d_sq, acc = _stage1_figures(params, X, c)
         for r, log in enumerate(logs):
             log.append({
@@ -368,11 +373,13 @@ def _stage1_figures(params, X, c):
 # stage 2
 # ---------------------------------------------------------------------------
 
-def train_stage2_dq(params, datasets, configs):
+def train_stage2_dq(params, datasets, configs, keep_logs=True):
     """Finetune omega_c and the data-quality head of a copy of the stack's
     (S, P) ``params`` on the normalized NLL; backbone and label-quality head
     get zero gradients, so they stay bit-identical under SGD and Adam
-    alike. Stacks and returns as train_stage1_lq."""
+    alike. Each batch is still embedded as it comes, because a row's mu can
+    round differently in a batch of another size (see model.embed). Stacks
+    and returns as train_stage1_lq."""
     _check_stack(datasets, configs)
     cfg, S = configs[0], len(configs)
     if params.flat.shape[:-1] != (S,):
@@ -383,13 +390,16 @@ def train_stage2_dq(params, datasets, configs):
     c = np.stack([d.c for d in datasets])
 
     def step(batch, _):
-        loss, grads, aux = losses.stage2_objective(params, *batch)
+        X_b, c_b = batch
+        loss, grads, aux = losses.stage2_objective(params, model.embed(params, X_b), c_b)
         return grads, {"total": loss.total, "mean_d2": aux["d2"].mean(axis=-1)}
 
     logs, errors = [[] for _ in range(S)], [None] * S
     seeds = [run.seed for run in configs]
     stage = run_stage(params, [X, c], 2, cfg.stage2, seeds, step, errors)
     for epoch, means in stage:
+        if not keep_logs:
+            continue
         sigma_d_sq = model.dq_variance(params, model.embed(params, X)).mean(axis=1)
         for r, log in enumerate(logs):
             log.append({
@@ -404,11 +414,11 @@ def train_stage2_dq(params, datasets, configs):
 ARMS = ("baseline", "s", "s-lq", "s-lq-dq")
 
 
-def train_arms(datasets, arms, configs):
+def train_arms(datasets, arms, configs, keep_logs=True):
     """Trains each ablation arm of a stack of runs, in ``arms`` order:
     stage 1, then (when the arm enables DQ) stage 2 of the replicas that
     survive it. Yields (arm, arm configs, (S, P) params, one log per
-    replica joining both stages).
+    replica joining both stages, empty without keep_logs).
 
     If any replica diverges, the arm's first diverged replica in list
     order raises its TrainingDiverged before the arm is yielded, so later
@@ -425,14 +435,15 @@ def train_arms(datasets, arms, configs):
         arm_cfgs = [arm_config(arm, cfg) for cfg in configs]
         key = json.dumps([{**cfg.to_dict(), "stage2": None, "enable_dq": None} for cfg in arm_cfgs])
         if key not in stage1:
-            stage1[key] = train_stage1_lq(datasets, arm_cfgs)
+            stage1[key] = train_stage1_lq(datasets, arm_cfgs, keep_logs=keep_logs)
         params, logs = stage1[key]
         alive = [r for r, log in enumerate(logs) if not isinstance(log, TrainingDiverged)]
         if arm_cfgs[0].enable_dq and alive:
             # stage 2 tunes a copy, leaving stage 1 for later arms; these are
             # not the whole stack if a replica diverged, but then the arm raises
             params, logs2 = train_stage2_dq(
-                params.with_flat(params.flat[alive]), [datasets[r] for r in alive], [arm_cfgs[r] for r in alive]
+                params.with_flat(params.flat[alive]), [datasets[r] for r in alive], [arm_cfgs[r] for r in alive],
+                keep_logs=keep_logs,
             )
             logs = list(logs)
             for r, log2 in zip(alive, logs2):

@@ -96,7 +96,7 @@ def test_criterion_1_gradient_oracle_suite():
 
         # normalized stage-2 objective over its trainable tensors
         X = rng.standard_normal((n, 4))
-        _, grads, _ = losses.stage2_objective(params, X, c)
+        _, grads, _ = losses.stage2_objective(params, model.embed(params, X), c)
 
         def f_s2obj(v):
             q = params.copy()
@@ -104,7 +104,7 @@ def test_criterion_1_gradient_oracle_suite():
             q.omega_c[...] = v[:k].reshape(q.omega_c.shape)
             q.w_dq[...] = v[k : k + q.w_dq.size]
             q.b_dq[...] = v[-1]
-            return losses.stage2_objective(q, X, c)[0].total
+            return losses.stage2_objective(q, model.embed(q, X), c)[0].total
 
         v0 = np.concatenate([params.omega_c.ravel(), params.w_dq, [float(params.b_dq)]])
         analytic = np.concatenate([grads.omega_c.ravel(), grads.w_dq, [float(grads.b_dq)]])

@@ -117,7 +117,8 @@ class TestPipeline:
         cfg = quick_config(3)
         calls = []
         train_stage1_lq = training.train_stage1_lq
-        monkeypatch.setattr(training, "train_stage1_lq", lambda *args: calls.append(1) or train_stage1_lq(*args))
+        monkeypatch.setattr(training, "train_stage1_lq",
+                            lambda *args, **kwargs: calls.append(1) or train_stage1_lq(*args, **kwargs))
         params_by_arm, report = generalized.run_generalized_pipeline(d_suf, d_def, cfg, arms=("s-lq", "s-lq-dq"))
         assert len(calls) == 1
         tagged, _ = generalized.self_label(generalized.train_tagger(d_suf, "spoof_type", cfg), d_def)

@@ -1,0 +1,110 @@
+"""Seeded input mutations through every CLI command.
+
+Each command reads some of a dataset, a config, a checkpoint and the
+``manifest.json`` of its output directory. Every mutant of one of those
+files (a bit flip, a truncation, an inserted ``nan``/``inf``/``1e308``/CR/
+``#``/newline, or one field spliced over another) must end in exit 0, 2 or
+3; a non-zero exit prints exactly one line, ``error: ...`` or ``training
+diverged: ...``, and writes no manifest; no mutant ends in a traceback.
+Each pair's mutants come from ``random.Random(f"{SEED}:{command}:{input}")``,
+so a failure names a reproducible mutant.
+"""
+
+import random
+import re
+import shutil
+
+import pytest
+
+from probfas import cli, experiments, training
+
+SEED = 1018
+MUTANTS_PER_INPUT = 30
+INSERTS = (b"nan", b"inf", b"-inf", b"1e308", b"\r", b"#", b"\n")
+FIELD_SEPARATORS = re.compile(rb"([,=:\n ])")
+
+
+def mutate(blob, rng):
+    """One seeded mutation of a file's bytes, and its name."""
+    kind = rng.choice(("flip", "truncate", "insert", "splice"))
+    if kind == "flip":
+        at = rng.randrange(len(blob))
+        bit = rng.randrange(8)
+        return blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1:], f"flip bit {bit} of byte {at}"
+    if kind == "truncate":
+        at = rng.randrange(len(blob))
+        return blob[:at], f"truncate at {at}"
+    if kind == "insert":
+        at, text = rng.randrange(len(blob) + 1), rng.choice(INSERTS)
+        return blob[:at] + text + blob[at:], f"insert {text!r} at {at}"
+    fields = FIELD_SEPARATORS.split(blob)  # fields at even indices
+    dst, src = rng.randrange(0, len(fields), 2), rng.randrange(0, len(fields), 2)
+    fields[dst] = fields[src]
+    return b"".join(fields), f"splice field {src} over field {dst}"
+
+
+@pytest.fixture(scope="module")
+def clean(tmp_path_factory):
+    """One clean run of every command: its inputs and output directories."""
+    root = tmp_path_factory.mktemp("clean")
+    config = root / "config.txt"
+    cfg = experiments.default_benchmark_config(0)
+    cfg.stage1 = training.StageConfig("adam", 3e-3, 2, 32)
+    cfg.stage2 = training.StageConfig("sgd", 1e-1, 2, 32)
+    cfg.hidden, cfg.embedding_dim = (8,), 6
+    training.save_config(cfg, config)
+    paths = {"config": config, "dataset": root / "gen-data" / cli.DATASET_FILENAME,
+             "checkpoint": root / "train" / cli.CHECKPOINT_FILENAME}
+    commands = {
+        "gen-data": ["gen-data", "--n", "10", "--dim", "4", "--spoof-types", "3", "--overlap", "0.5",
+                     "--data-noise", "0.2", "--seed", "3"],
+        "train": ["train", "--data", "{dataset}", "--config", "{config}"],
+        "eval": ["eval", "--data", "{dataset}", "--checkpoint", "{checkpoint}"],
+        "noise-sweep": ["noise-sweep", "--noise-kind", "semantic", "--fractions", "0.5", "--arm", "s-lq-dq",
+                        "--seeds", "0", "--config", "{config}"],
+        "quality-report": ["quality-report", "--data", "{dataset}", "--checkpoint", "{checkpoint}"],
+    }
+    for command, argv in commands.items():
+        assert cli.main([arg.format(**paths) for arg in argv] + ["--out", str(root / command)]) == 0
+    return root, paths, commands
+
+
+# (command, the input it reads); every command also reads its manifest
+CASES = [("gen-data", "manifest"), ("train", "dataset"), ("train", "config"), ("train", "manifest"),
+         ("eval", "dataset"), ("eval", "checkpoint"), ("eval", "manifest"), ("noise-sweep", "config"),
+         ("noise-sweep", "manifest"), ("quality-report", "dataset"), ("quality-report", "checkpoint"),
+         ("quality-report", "manifest")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, target", CASES)
+def test_mutated_input_gives_a_documented_exit(clean, tmp_path, capsys, command, target):
+    root, paths, commands = clean
+    rng = random.Random(f"{SEED}:{command}:{target}")
+    source = root / command / cli.MANIFEST_FILENAME if target == "manifest" else paths[target]
+    blob = source.read_bytes()
+    for k in range(MUTANTS_PER_INPUT):
+        mutant, how = mutate(blob, rng)
+        inputs, out = dict(paths), tmp_path / f"out{k}"
+        out.mkdir()
+        if target == "manifest":
+            (out / cli.MANIFEST_FILENAME).write_bytes(mutant)
+        else:
+            inputs[target] = tmp_path / f"{target}{k}"
+            inputs[target].write_bytes(mutant)
+        argv = [arg.format(**inputs) for arg in commands[command]] + ["--out", str(out)]
+        label = f"{command} with {target} mutant {k} ({how})"
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # the traceback a user would see
+            pytest.fail(f"{label} raised {exc!r}")
+        stdout, err = capsys.readouterr()
+        assert code in (0, 2, 3), f"{label}: exit {code}: {err!r}"
+        assert "Traceback" not in stdout + err, label
+        if code:
+            prefix = "training diverged: " if code == 3 else "error: "
+            assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), f"{label}: {err!r}"
+            # a failed run writes no manifest, so none vouches for what it left
+            manifest = out / cli.MANIFEST_FILENAME
+            assert manifest.read_bytes() == mutant if target == "manifest" else not manifest.exists(), label
+        shutil.rmtree(out)

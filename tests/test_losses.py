@@ -326,14 +326,14 @@ class TestStage2Objective:
         mask = selection_mask(params, {"omega_c", "w_dq", "b_dq"})
 
         def lg(p):
-            loss, grads, _ = losses.stage2_objective(p, X, c)
+            loss, grads, _ = losses.stage2_objective(p, model.embed(p, X), c)
             return loss.total, grads
 
         check_param_gradients(params, lg, mask=mask)
 
     def test_frozen_parameters_have_zero_gradients(self):
         params, X, c, _, _ = make_stage_case(300)
-        _, grads, _ = losses.stage2_objective(params, X, c)
+        _, grads, _ = losses.stage2_objective(params, model.embed(params, X), c)
         live = {"omega_c", "w_dq", "b_dq"}
         for name, t in grads.named_tensors():
             if name not in live:
@@ -342,7 +342,7 @@ class TestStage2Objective:
     def test_underflowed_variance_is_floored_with_zero_gradient(self):
         params, X, c, _, _ = make_stage_case(302)
         params.b_dq[...] = -1e4  # exp() underflows to exactly 0
-        loss, grads, aux = losses.stage2_objective(params, X, c)
+        loss, grads, aux = losses.stage2_objective(params, model.embed(params, X), c)
         assert np.all(aux["sigma_d_sq"] == 0.0)
         floored = dq_nll(
             losses.l2_normalize_rows(aux["mu"]), losses.l2_normalize_rows(params.omega_c),
@@ -359,7 +359,7 @@ class TestStage2Objective:
         params.omega_c[0] = mu[0] / np.linalg.norm(mu[0]) * 3.0
         c0 = np.zeros(len(c), dtype=np.int64)
         X0 = np.repeat(X[:1], len(c), axis=0)
-        _, _, aux = losses.stage2_objective(params, X0, c0)
+        _, _, aux = losses.stage2_objective(params, model.embed(params, X0), c0)
         assert aux["d2"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_antiparallel_rows_distance_four(self):

@@ -113,7 +113,7 @@ class TestFlatten:
         s = {"spoof_type": tiny_dataset.s_labels("spoof_type")}
         eps = np.random.default_rng(0).standard_normal((len(c), tiny_params.B))
         _, g1, _ = losses.stage1_objective(tiny_params, X, c, s, eps)
-        _, g2, _ = losses.stage2_objective(tiny_params, X, c)
+        _, g2, _ = losses.stage2_objective(tiny_params, model.embed(tiny_params, X), c)
         for grads in (g1, g2):
             assert not np.shares_memory(grads.flat, tiny_params.flat)
             for name, t in grads.named_tensors():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probfas import cli, data, experiments, inference, losses, model, training
+from probfas import cli, data, experiments, inference, losses, metrics, model, training
 from conftest import check_replica_gradients, selection_mask, train_one
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -130,9 +130,9 @@ class TestEquivalence:
         calls = []
         train_stage1_lq = training.train_stage1_lq
 
-        def counted(ds, config):
+        def counted(ds, config, **kwargs):
             calls.append([cfg.seed for cfg in config])
-            return train_stage1_lq(ds, config)
+            return train_stage1_lq(ds, config, **kwargs)
 
         monkeypatch.setattr(training, "train_stage1_lq", counted)
         cfg = tiny_config(0, epochs=1, batch_size=64)
@@ -245,7 +245,8 @@ class TestDivergence:
             train_one(trains[0], configs[0], "s-lq")
         calls, yielded = [], []
         train_stage1_lq = training.train_stage1_lq
-        monkeypatch.setattr(training, "train_stage1_lq", lambda *args: calls.append(1) or train_stage1_lq(*args))
+        monkeypatch.setattr(training, "train_stage1_lq",
+                            lambda *args, **kwargs: calls.append(1) or train_stage1_lq(*args, **kwargs))
         with pytest.raises(training.TrainingDiverged) as exc:
             for arm, *_ in training.train_arms(trains, ["baseline", "s-lq", "s"], configs):
                 yielded.append(arm)
@@ -263,6 +264,92 @@ class TestDivergence:
             single, single_log = train_one(trains[r], configs[r], "s-lq-dq")
             assert stacked.replica(r).flat.tobytes() == single.flat.tobytes()
             assert logs[r] == single_log
+
+
+def _arm_outcome(trains, arm, configs, keep_logs):
+    """The params bytes one arm's stack ends on, or its divergence."""
+    try:
+        [(_, _, params, logs)] = training.train_arms(trains, [arm], configs, keep_logs=keep_logs)
+    except training.TrainingDiverged as exc:
+        return exc.stage, exc.epoch, str(exc)
+    assert all(logs) == keep_logs  # a log kept is never empty
+    return params.flat.tobytes()
+
+
+class TestUnreadWork:
+    """A caller that keeps no train log gets no per-epoch figures computed,
+    and an arm without LQ draws no noise; neither moves a byte of what the
+    caller does read."""
+
+    @pytest.mark.parametrize("arm", training.ARMS)
+    def test_logs_off_gives_the_same_params_and_reports(self, arm):
+        splits = [benchmark_cell(seed) for seed in SEEDS[:3]]
+        trains = [train for train, _ in splits]
+        configs = [tiny_config(seed, epochs=4, batch_size=32) for seed in SEEDS[:3]]
+        with_logs = _arm_outcome(trains, arm, configs, keep_logs=True)
+        assert _arm_outcome(trains, arm, configs, keep_logs=False) == with_logs
+        [(_, arm_cfgs, params, reports)] = experiments.run_arms(splits, [arm], configs)
+        assert params.flat.tobytes() == with_logs
+        for r, ((_, test), cfg, report) in enumerate(zip(splits, arm_cfgs, reports)):
+            probs, _ = inference.predict_batch(params.replica(r), test.X(), corrected=cfg.enable_dq)
+            want = metrics.evaluate(probs[:, 1], test.c_labels(), 0.5, include_roc=False)
+            assert report.to_json() == want.to_json(), r
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("arm", training.ARMS)
+    def test_logs_off_raises_the_same_divergence(self, arm):
+        # TestDivergence's SGD lr-1 sets: all arms but the baseline diverge
+        # in stage 1
+        seeds = [2, 7, 0]
+        trains = [data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=seed) for seed in seeds]
+        configs = [tiny_config(seed, stage1=("sgd", 1.0), epochs=6, batch_size=8) for seed in seeds]
+        with_logs = _arm_outcome(trains, arm, configs, keep_logs=True)
+        assert isinstance(with_logs, tuple) == (arm != "baseline")
+        assert _arm_outcome(trains, arm, configs, keep_logs=False) == with_logs
+
+    def test_noise_sweep_computes_no_epoch_figures(self, monkeypatch):
+        def unread(*args):
+            raise AssertionError("the sweep reads no train log")
+
+        monkeypatch.setattr(training, "_stage1_figures", unread)
+        cfg = tiny_config(0, epochs=2, batch_size=64)
+        rows = experiments.noise_sweep(["semantic"], {"semantic": [0.5]}, None, [1, 0], cfg)
+        assert len(rows) == len(training.ARMS) * 2
+
+    @pytest.mark.parametrize("keep_logs", [True, False])
+    def test_stage2_embeds_all_rows_only_for_the_log(self, monkeypatch, keep_logs):
+        trains = [benchmark_cell(seed)[0] for seed in (0, 1)]
+        configs = [training.arm_config("s-lq-dq", tiny_config(seed, epochs=3, batch_size=16)) for seed in (0, 1)]
+        stage1, _ = training.train_stage1_lq(trains, configs)
+        rows = []
+        embed = model.embed
+        monkeypatch.setattr(model, "embed", lambda params, X: rows.append(X.shape[1]) or embed(params, X))
+        training.train_stage2_dq(stage1, trains, configs, keep_logs=keep_logs)
+        n = len(trains[0])
+        batches = [min(16, n - lo) for lo in range(0, n, 16)]
+        assert rows == (batches + [n] * keep_logs) * 3
+
+    def test_only_the_lq_stage1_run_draws_noise(self, monkeypatch):
+        # a cell of all four arms trains three stage-1 runs (s-lq-dq shares
+        # s-lq's); only s-lq's, the third, builds noise streams
+        runs, noise_streams = [], []
+        train_stage1_lq, epoch_rng = training.train_stage1_lq, training._epoch_rng
+
+        def counted_run(datasets, configs, **kwargs):
+            runs.append(configs[0].enable_lq)
+            return train_stage1_lq(datasets, configs, **kwargs)
+
+        def counted_rng(seed, stage, epoch, stream):
+            if stream == 1:
+                noise_streams.append((len(runs), stage, seed))
+            return epoch_rng(seed, stage, epoch, stream)
+
+        monkeypatch.setattr(training, "train_stage1_lq", counted_run)
+        monkeypatch.setattr(training, "_epoch_rng", counted_rng)
+        cfg = tiny_config(0, epochs=2, batch_size=64)
+        experiments.noise_sweep(["semantic"], {"semantic": [0.5]}, None, [1, 0], cfg)
+        assert runs == [False, False, True]
+        assert noise_streams == [(3, 1, 1), (3, 1, 0)] * cfg.stage1.epochs
 
 
 def stacked_stage_case(seeds, n=8, D=4, B=5, hidden=(6,), A=3):
@@ -305,7 +392,7 @@ class TestStackedGradientOracles:
         c = np.broadcast_to(np.where(np.arange(c.shape[1]) % 3 == 0, data.SPOOF, data.LIVE), c.shape).copy()
 
         def lg(p):
-            loss, grads, _ = losses.stage2_objective(p, X, c)
+            loss, grads, _ = losses.stage2_objective(p, model.embed(p, X), c)
             return loss.total, grads
 
         check_replica_gradients(params, lg, mask=selection_mask(params.replica(0), {"omega_c", "w_dq", "b_dq"}))
