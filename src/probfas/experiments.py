@@ -79,8 +79,8 @@ def _evaluate(params, test, cfg, threshold):
 # ---------------------------------------------------------------------------
 
 def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, threshold=0.5):
-    """Returns raw rows [(kind, fraction, arm, seed, acer, apcer, bpcer)]
-    in canonical order plus aggregate mean/std rows per cell.
+    """Returns the raw rows [(kind, fraction, arm, seed, acer, apcer, bpcer)]
+    in kinds, fractions, arms, seeds order; sweep_rows_to_csv adds mean/std rows.
 
     Each cell's seeds train as one stacked model per arm (see run_arms),
     and arms that share a stage-1 configuration (``s-lq`` and ``s-lq-dq``

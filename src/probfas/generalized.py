@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import experiments, losses, model, training
+from . import experiments, inference, losses, model, training
 from .training import ConfigError
 
 
@@ -18,10 +18,7 @@ class TaggerModel:
 
     def predict_proba(self, X):
         mu = model.embed(self.params, X)
-        logits = model.semantic_logits(self.params, self.category, mu)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return inference.softmax_rows(model.semantic_logits(self.params, self.category, mu))
 
     def predict(self, X):
         return np.argmax(self.predict_proba(X), axis=1)
@@ -48,10 +45,7 @@ def train_tagger(d_suf, category, config):
         loss, dz, domega = losses.semantic_ce_with_grads(mu, params.omega_s[category], y)
         grads = params.zeros_like()
         grads.omega_s[category] += domega
-        layer_grads, _ = model.embed_backward(params, cache, dz)
-        for (gW, gb), (GW, Gb) in zip(layer_grads, grads.layers):
-            GW += gW
-            Gb += gb
+        model.embed_backward(params, cache, dz, grads)
         return grads, {"total": loss.total}
 
     errors = [None]

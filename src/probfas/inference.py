@@ -11,7 +11,8 @@ from . import model
 from .losses import l2_normalize_rows
 
 
-def _softmax_rows(logits):
+def softmax_rows(logits):
+    """Softmax of each row of (N, A) logits."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -21,7 +22,7 @@ def standard_confidence(mu, omega_c):
     """Row-wise softmax of the plain inner-product logits; mu is (N, B)."""
     # one matrix-vector product per row: a single (N, B) @ (B, 2) product
     # rounds some logits differently
-    return _softmax_rows((omega_c[None] @ mu[:, :, None])[:, :, 0])
+    return softmax_rows((omega_c[None] @ mu[:, :, None])[:, :, 0])
 
 
 def corrected_confidence(mu, omega_c, sigma_d_sq):
@@ -35,7 +36,7 @@ def corrected_confidence(mu, omega_c, sigma_d_sq):
     if np.any(sigma_d_sq <= 0):
         raise ValueError("sigma_d_sq must be strictly positive")
     d2 = ((omega_c[None] - mu[:, None]) ** 2).sum(axis=2)
-    return _softmax_rows(-d2 / (2.0 * sigma_d_sq[:, None]))
+    return softmax_rows(-d2 / (2.0 * sigma_d_sq[:, None]))
 
 
 def predict_batch(params, X, corrected):

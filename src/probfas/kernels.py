@@ -46,8 +46,10 @@ def smooth_rows(X, window):
     return out
 
 
-def adam_step(p, g, m, v, lr, beta1, beta2, eps, t):
-    """In-place Adam update on flat float64 arrays of one shape."""
+def adam_step(p, g, m, v, lr, t):
+    """In-place Adam update (step t >= 1) on flat float64 arrays of one
+    shape, with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2

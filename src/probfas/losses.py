@@ -158,19 +158,18 @@ def stage1_objective(params, X, c, s_by_category, epsilon, lambda_s=1.0, enable_
     """Live/spoof CE plus lambda_s * semantic CE per category, the latter at
     the sampled z when enable_lq else at mu, restricted to spoof samples.
 
-    Returns (LossValue, grads: ModelParams-shaped, aux dict). aux["loss_s"]
-    is a function of a replica index (``()`` for one model) that gives that
-    replica's {category: lambda_s * semantic CE}.
+    Returns (LossValue, grads: ModelParams-shaped, aux dict). aux["loss_c"]
+    is the live/spoof CE total, and aux["loss_s"] is a function of a
+    replica index (``()`` for one model) that gives that replica's
+    {category: lambda_s * semantic CE}.
     """
     c = _check_labels(c, 2)
     mu, cache = model.embed_with_cache(params, X)
     n = mu.shape[-2]
     grads = params.zeros_like()
 
-    per_c, probs_c = kernels.softmax_xent(model.live_spoof_logits(params, mu), c)
-    loss_c = _make_loss(per_c)
-    per_sample = per_c.copy()
-    dlogits_c = _xent_grad(probs_c, c) / n
+    loss_c, dlogits_c = softmax_ce_with_grads(model.live_spoof_logits(params, mu), c)
+    per_sample = loss_c.per_sample.copy()
     grads.omega_c += model._t(dlogits_c) @ mu
     dmu = dlogits_c @ params.omega_c
 
@@ -180,7 +179,6 @@ def stage1_objective(params, X, c, s_by_category, epsilon, lambda_s=1.0, enable_
     spoof = c == SPOOF
     n_sp = spoof.sum(axis=-1)
     per_sem = {}
-    sigma_l = None
     if lambda_s != 0.0 and s_by_category and spoof.any():
         if enable_lq:
             sigma_l = model.lq_variance(params, mu)
@@ -219,10 +217,7 @@ def stage1_objective(params, X, c, s_by_category, epsilon, lambda_s=1.0, enable_
             grads.b_lq += db_lq
             dmu += dmu_head
 
-    layer_grads, _ = model.embed_backward(params, cache, dmu)
-    for (gW, gb), (GW, Gb) in zip(layer_grads, grads.layers):
-        GW += gW
-        Gb += gb
+    model.embed_backward(params, cache, dmu, grads)
 
     def loss_s(r):
         # the mean over the spoof rows alone: a mean over masked rows rounds
@@ -232,14 +227,7 @@ def stage1_objective(params, X, c, s_by_category, epsilon, lambda_s=1.0, enable_
             return {}
         return {cat: lambda_s * float(per[r][rows].mean()) for cat, per in per_sem.items()}
 
-    aux = {
-        "loss_c": loss_c.total,
-        "loss_s": loss_s,
-        "probs_c": probs_c,
-        "mu": mu,
-        "sigma_l": sigma_l,
-    }
-    return _make_loss(per_sample), grads, aux
+    return _make_loss(per_sample), grads, {"loss_c": loss_c.total, "loss_s": loss_s}
 
 
 def stage2_objective(params, mu, c):
@@ -248,7 +236,8 @@ def stage2_objective(params, mu, c):
     embedding ``mu`` (model.embed) rather than its features: gradients are
     produced only for omega_c and the data-quality head.
 
-    Returns (LossValue, grads: ModelParams-shaped, aux dict).
+    Returns (LossValue, grads: ModelParams-shaped, aux dict); aux["d2"]
+    holds each row's squared distance ||w_n[c] - mu_n||^2.
     """
     c = _check_labels(c, 2)
     mu_n = l2_normalize_rows(mu)
@@ -266,5 +255,4 @@ def stage2_objective(params, mu, c):
     grads.b_dq += db_dq
 
     diff = w_n[_class_rows(c)] - mu_n
-    aux = {"sigma_d_sq": s2_raw, "d2": _row_dots(diff, diff), "mu": mu}
-    return loss, grads, aux
+    return loss, grads, {"d2": _row_dots(diff, diff)}

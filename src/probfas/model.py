@@ -191,20 +191,18 @@ def embed(params, X):
     return _by_row_blocks(lambda rows: embed_with_cache(params, rows)[0], X)
 
 
-def embed_backward(params, activations, dmu):
-    """Backprop dL/dmu through the MLP. Returns (layer_grads, dX)."""
-    grads = [None] * len(params.layers)
+def embed_backward(params, activations, dmu, grads):
+    """Backprop dL/dmu through the MLP (activations from embed_with_cache),
+    adding each layer's (dW, db) into grads.layers of a ModelParams-shaped
+    gradient struct. The gradient of the input rows is not computed."""
     delta = dmu
-    last = len(params.layers) - 1
-    for i in range(last, -1, -1):
-        W, _ = params.layers[i]
-        h_in = activations[i]
-        if i != last:
-            h_out = activations[i + 1]
-            delta = delta * (1.0 - h_out * h_out)
-        grads[i] = (_t(delta) @ h_in, delta.sum(axis=-2))
-        delta = delta @ W
-    return grads, delta
+    for i in range(len(params.layers) - 1, -1, -1):
+        dW, db = grads.layers[i]
+        dW += _t(delta) @ activations[i]
+        db += delta.sum(axis=-2)
+        if i:
+            h = activations[i]
+            delta = (delta @ params.layers[i][0]) * (1.0 - h * h)
 
 
 # ---------------------------------------------------------------------------

@@ -177,42 +177,16 @@ def save_config(cfg, path):
 
 
 # ---------------------------------------------------------------------------
-# optimizer state (operates on the flat parameter vector)
+# minibatch driver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OptState:
-    kind: str
-    lr: float
-    m: np.ndarray | None = None  # (S, P), as the stacked parameters
-    v: np.ndarray | None = None
-    t: int = 0
-
-    @staticmethod
-    def create(stage_cfg, n_params, replicas):
-        if stage_cfg.optimizer == "adam":
-            shape = (replicas, n_params)
-            return OptState("adam", stage_cfg.lr, np.zeros(shape), np.zeros(shape), 0)
-        return OptState("sgd", stage_cfg.lr)
-
-    def step(self, flat_params, flat_grads, live=None):
-        """One update in place of the (S, P) parameters; with a boolean
-        ``live`` mask, only those replicas' rows and moments move."""
-        if live is not None:
-            state = [a for a in (flat_params, self.m, self.v) if a is not None]
-            rows = [a[live] for a in state]
-            self._update(rows[0], flat_grads[live], *rows[1:])
-            for a, new in zip(state, rows):
-                a[live] = new
-        else:
-            self._update(flat_params, flat_grads, self.m, self.v)
-
-    def _update(self, p, g, m=None, v=None):
-        if self.kind == "adam":
-            self.t += 1
-            kernels.adam_step(p, g, m, v, self.lr, 0.9, 0.999, 1e-8, self.t)
-        else:
-            p -= self.lr * g
+def _optimizer_step(stage_cfg, t, p, g, moments):
+    """Step t (from 1) of stage_cfg's optimizer, in place of the parameters
+    p and, under Adam, of their moments [m, v]; SGD keeps none."""
+    if stage_cfg.optimizer == "adam":
+        kernels.adam_step(p, g, *moments, stage_cfg.lr, t)
+    else:
+        p -= stage_cfg.lr * g
 
 
 def _epoch_rng(seed, stage, epoch, stream):
@@ -234,21 +208,21 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, noise_dim=
     ``figures["total"]`` being the batch losses, or to functions of a
     replica index, evaluated only to report a divergence.
 
-    A replica whose total is non-finite or beyond DIVERGENCE_CAP is frozen
-    before that step, and errors[r] (a list of S entries, None while the
-    replica trains) gets its TrainingDiverged with all its figures. The
-    others train on; the stage ends once every replica is frozen. Yields
-    (epoch, means) after each epoch, means holding the (S,) epoch means of
-    every array figure.
+    The stage steps stage_cfg's optimizer; Adam's (S, P) moments start at
+    zero. Every replica starts live. One whose total is non-finite or
+    beyond DIVERGENCE_CAP is frozen before that step: its parameters and
+    moments stop moving, and errors[r] (a list of S Nones) gets its
+    TrainingDiverged with all its figures. The others train on; the stage
+    ends once every replica is frozen. Yields (epoch, means) after each
+    epoch, means holding the (S,) epoch means of every array figure.
     """
     S, n = len(seeds), columns[0].shape[1]
-    opt_state = OptState.create(stage_cfg, params.flat.shape[-1], S)
-    bs = stage_cfg.batch_size
+    state = [params.flat] + ([np.zeros_like(params.flat), np.zeros_like(params.flat)]
+                             if stage_cfg.optimizer == "adam" else [])
+    t, bs = 0, stage_cfg.batch_size
     replica = np.arange(S)[:, None]
-    frozen = np.array([e is not None for e in errors])
+    frozen = np.zeros(S, dtype=bool)
     for epoch in range(stage_cfg.epochs):
-        if frozen.all():
-            return
         order = np.stack([_epoch_rng(seed, stage, epoch, 0).permutation(n) for seed in seeds])
         shuffled = [col[replica, order] for col in columns]
         if noise_dim:
@@ -271,7 +245,14 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, noise_dim=
                 if frozen.all():
                     return
                 live = ~frozen
-            opt_state.step(params.flat, grads.flat, live)
+            t += 1
+            if live is None:
+                _optimizer_step(stage_cfg, t, state[0], grads.flat, state[1:])
+            else:
+                kept = [a[live] for a in state]
+                _optimizer_step(stage_cfg, t, kept[0], grads.flat[live], kept[1:])
+                for a, new in zip(state, kept):
+                    a[live] = new
             if not history:
                 history = {key: np.empty((S, -(-n // bs))) for key, value in figures.items() if not callable(value)}
             for key, rows in history.items():

@@ -89,7 +89,7 @@ class TestAdamStep:
         g = np.array([2.0])
         m = np.zeros(1)
         v = np.zeros(1)
-        kernels.adam_step(p, g, m, v, 0.1, 0.9, 0.999, 1e-8, 1)
+        kernels.adam_step(p, g, m, v, 0.1, 1)
         # bias correction makes mhat = g and vhat = g^2 at t=1
         expected = -0.1 * 2.0 / (2.0 + 1e-8)
         assert p[0] == pytest.approx(expected, rel=1e-12)
@@ -104,7 +104,7 @@ class TestAdamStep:
         ref_v = np.zeros(7)
         for t in range(1, 6):
             g = rng.standard_normal(7)
-            kernels.adam_step(p, g, m, v, 0.05, 0.9, 0.999, 1e-8, t)
+            kernels.adam_step(p, g, m, v, 0.05, t)
             ref_m = 0.9 * ref_m + 0.1 * g
             ref_v = 0.999 * ref_v + 0.001 * g * g
             mhat = ref_m / (1 - 0.9**t)

@@ -302,10 +302,7 @@ class TestStage1Objective:
         dw_lq, db_lq, dmu_head = model.lq_variance_backward(params, mu, sigma_l, dz * eps)
         expected.w_lq += dw_lq
         expected.b_lq += db_lq
-        layer_grads, _ = model.embed_backward(params, cache, dmu + dz + dmu_head)
-        for (gW, gb), (GW, Gb) in zip(layer_grads, expected.layers):
-            GW += gW
-            Gb += gb
+        model.embed_backward(params, cache, dmu + dz + dmu_head, expected)
         assert loss.per_sample.tobytes() == per_sample.tobytes()
         assert np.array_equal(grads.flat, expected.flat)
 
@@ -342,10 +339,11 @@ class TestStage2Objective:
     def test_underflowed_variance_is_floored_with_zero_gradient(self):
         params, X, c, _, _ = make_stage_case(302)
         params.b_dq[...] = -1e4  # exp() underflows to exactly 0
-        loss, grads, aux = losses.stage2_objective(params, model.embed(params, X), c)
-        assert np.all(aux["sigma_d_sq"] == 0.0)
+        mu = model.embed(params, X)
+        loss, grads, _ = losses.stage2_objective(params, mu, c)
+        assert np.all(model.dq_variance(params, mu) == 0.0)
         floored = dq_nll(
-            losses.l2_normalize_rows(aux["mu"]), losses.l2_normalize_rows(params.omega_c),
+            losses.l2_normalize_rows(mu), losses.l2_normalize_rows(params.omega_c),
             c, np.full(len(c), losses.SIGMA_SQ_FLOOR),
         )
         assert loss.total == floored.total

@@ -164,23 +164,11 @@ class TestBackbone:
             return float((model.embed(p, X) * R).sum())
 
         mu, cache = model.embed_with_cache(tiny_params, X)
-        layer_grads, _ = model.embed_backward(tiny_params, cache, R)
-        analytic = np.concatenate([np.concatenate([gW.ravel(), gb.ravel()]) for gW, gb in layer_grads])
+        grads = tiny_params.zeros_like()
+        model.embed_backward(tiny_params, cache, R, grads)
+        analytic = np.concatenate([np.concatenate([gW.ravel(), gb.ravel()]) for gW, gb in grads.layers])
         numeric = fd_gradient(f, flat0)[:n_backbone]
         assert rel_err(analytic, numeric) < FD_TOL
-
-    def test_embed_backward_input_gradient(self, tiny_params):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((3, tiny_params.D))
-        R = rng.standard_normal((3, tiny_params.B))
-
-        def f(flat_x):
-            return float((model.embed(tiny_params, flat_x.reshape(X.shape)) * R).sum())
-
-        _, cache = model.embed_with_cache(tiny_params, X)
-        _, dX = model.embed_backward(tiny_params, cache, R)
-        numeric = fd_gradient(f, X.ravel()).reshape(X.shape)
-        assert rel_err(dX, numeric) < FD_TOL
 
 
 # embed and dq_variance of a wide head on many rows; prints their SHA-256
@@ -228,7 +216,7 @@ def _run(script, blas_threads=None):
 
 
 class TestRowBlocks:
-    def test_rows_do_not_depend_on_batch(self, tiny_params):
+    def test_tiny_widths_lone_and_three_row_batches_give_the_64_row_bytes(self, tiny_params):
         # a lone row is padded to two, so it takes the matrix-matrix call of
         # every larger batch rather than a matrix-vector call that rounds
         # differently
@@ -237,6 +225,21 @@ class TestRowBlocks:
         for i in range(len(X)):
             assert model.embed(tiny_params, X[i : i + 1]).tobytes() == mu[i].tobytes(), i
             assert model.embed(tiny_params, X[i : i + 3])[0].tobytes() == mu[i].tobytes(), i
+
+    @pytest.mark.parametrize("n", [20, 75, 76, 100, 300, 700])
+    def test_rows_do_not_depend_on_the_other_rows_values(self, n):
+        """At the benchmark widths, replacing every other row of a batch
+        leaves the bytes of the kept rows. Their bytes can depend on the
+        row count, though: BLAS picks its kernel by size, and of 10 rows
+        embedded in a 10-row batch and again in each batch above, 40 of
+        the 60 compared differed (all in batches of 76 rows or more). So
+        nothing here compares batches of different counts."""
+        params = model.init_params(8, {"spoof_type": 3}, B=16, hidden=(32,))
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 8)) * 3.0
+        other = X.copy()
+        other[1::2] = rng.standard_normal(other[1::2].shape) * 3.0
+        assert model.embed(params, X)[::2].tobytes() == model.embed(params, other)[::2].tobytes()
 
     def test_stacked_rows_equal_each_replica(self, tiny_params):
         # a stack of three replicas on 600 rows each crosses the 512-row block

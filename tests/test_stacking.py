@@ -265,6 +265,20 @@ class TestDivergence:
             assert stacked.replica(r).flat.tobytes() == single.flat.tobytes()
             assert logs[r] == single_log
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_frozen_replica_keeps_the_others_adam_moments(self):
+        # Adam at lr 0.5: only seed 3 diverges, at stage-1 epoch 4; the
+        # others must step on from their own moments, written back each step
+        seeds = [2, 3, 4]
+        trains = [data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=seed) for seed in seeds]
+        configs = [tiny_config(seed, stage1=("adam", 0.5), epochs=8, batch_size=8) for seed in seeds]
+        stacked, logs = training.train_stage1_lq(trains, configs)
+        assert isinstance(logs[1], training.TrainingDiverged) and (logs[1].stage, logs[1].epoch) == (1, 4)
+        for r in (0, 2):
+            single, single_log = train_one(trains[r], configs[r])
+            assert stacked.replica(r).flat.tobytes() == single.flat.tobytes(), r
+            assert logs[r] == single_log, r
+
 
 def _arm_outcome(trains, arm, configs, keep_logs):
     """The params bytes one arm's stack ends on, or its divergence."""
