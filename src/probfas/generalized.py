@@ -48,12 +48,9 @@ def train_tagger(d_suf, category, config):
         model.embed_backward(params, cache, dz, grads)
         return grads, {"total": loss.total}
 
-    errors = [None]
     columns = [d_suf.X()[spoof][None], labels[None]]
-    for _ in training.run_stage(params, columns, 3, config.stage1, [config.seed], step, errors):
+    for _ in training.run_stage(params, columns, 3, config.stage1, [config.seed], step):
         pass  # the tagger keeps no per-epoch log
-    if errors[0] is not None:
-        raise errors[0]
     return TaggerModel(params=params.replica(0), category=category)
 
 

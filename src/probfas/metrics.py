@@ -48,12 +48,13 @@ def apcer(scores, labels, threshold=0.5):
 
 
 def bpcer(scores, labels, threshold=0.5):
-    """Percent of live samples rejected (p_live < threshold)."""
+    """Percent of live samples rejected: not p_live >= threshold, so a NaN
+    score is rejected, as roc_sweep counts it."""
     scores, labels = _as_arrays(scores, labels)
     live = labels == 1
     if not np.any(live):
         raise MetricError("BPCER undefined: no live samples")
-    return 100.0 * int(np.sum(scores[live] < threshold)) / int(live.sum())
+    return 100.0 * int(np.sum(~(scores[live] >= threshold))) / int(live.sum())
 
 
 def acer(apcer_value, bpcer_value):

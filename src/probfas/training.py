@@ -14,7 +14,6 @@ differ only in seed and data, trained side by side as one stacked model
 where it would alone; one run is a stack of one, built by its caller.
 """
 
-import contextlib
 import json
 import math
 import struct
@@ -180,21 +179,12 @@ def save_config(cfg, path):
 # minibatch driver
 # ---------------------------------------------------------------------------
 
-def _optimizer_step(stage_cfg, t, p, g, moments):
-    """Step t (from 1) of stage_cfg's optimizer, in place of the parameters
-    p and, under Adam, of their moments [m, v]; SGD keeps none."""
-    if stage_cfg.optimizer == "adam":
-        kernels.adam_step(p, g, *moments, stage_cfg.lr, t)
-    else:
-        p -= stage_cfg.lr * g
-
-
 def _epoch_rng(seed, stage, epoch, stream):
     """Stream 0 of an epoch shuffles its rows, stream 1 draws its noise."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), stage, epoch, stream]))
 
 
-def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, noise_dim=0):
+def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
     """Minibatch training in place of the S = len(seeds) replicas stacked in
     ``params`` (flat (S, P)) for stage_cfg.epochs epochs, on ``columns``:
     the replicas' sample arrays, each (S, n, ...).
@@ -209,50 +199,39 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, errors, noise_dim=
     replica index, evaluated only to report a divergence.
 
     The stage steps stage_cfg's optimizer; Adam's (S, P) moments start at
-    zero. Every replica starts live. One whose total is non-finite or
-    beyond DIVERGENCE_CAP is frozen before that step: its parameters and
-    moments stop moving, and errors[r] (a list of S Nones) gets its
-    TrainingDiverged with all its figures. The others train on; the stage
-    ends once every replica is frozen. Yields (epoch, means) after each
-    epoch, means holding the (S,) epoch means of every array figure.
+    zero. Before each step, the first replica whose total is non-finite or
+    beyond DIVERGENCE_CAP raises its TrainingDiverged with all its figures:
+    in a stack of one, the error the run meets alone. Which run of a larger
+    stack to report is the caller's choice (see train_arms). Yields
+    (epoch, means) after each epoch, means holding the (S,) epoch means of
+    every array figure.
     """
     S, n = len(seeds), columns[0].shape[1]
-    state = [params.flat] + ([np.zeros_like(params.flat), np.zeros_like(params.flat)]
-                             if stage_cfg.optimizer == "adam" else [])
+    flat, adam = params.flat, stage_cfg.optimizer == "adam"
+    if adam:
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
     t, bs = 0, stage_cfg.batch_size
     replica = np.arange(S)[:, None]
-    frozen = np.zeros(S, dtype=bool)
     for epoch in range(stage_cfg.epochs):
         order = np.stack([_epoch_rng(seed, stage, epoch, 0).permutation(n) for seed in seeds])
         shuffled = [col[replica, order] for col in columns]
         if noise_dim:
             noise = np.stack([_epoch_rng(seed, stage, epoch, 1).standard_normal((n, noise_dim)) for seed in seeds])
-        live = ~frozen if frozen.any() else None
         history = {}
         for j, lo in enumerate(range(0, n, bs)):
-            # a frozen replica's arithmetic is discarded, so its overflow is
-            # not reported
-            with contextlib.nullcontext() if live is None else np.errstate(all="ignore"):
-                grads, figures = step([col[:, lo : lo + bs] for col in shuffled],
-                                      noise[:, lo : lo + bs] if noise_dim else None)
-            diverged = ~(np.abs(figures["total"]) <= DIVERGENCE_CAP)
-            if diverged.any():
-                for r in np.flatnonzero(diverged & ~frozen):
-                    errors[r] = TrainingDiverged(stage, epoch, {
-                        key: value(r) if callable(value) else float(value[r]) for key, value in figures.items()
-                    })
-                frozen |= diverged
-                if frozen.all():
-                    return
-                live = ~frozen
+            grads, figures = step([col[:, lo : lo + bs] for col in shuffled],
+                                  noise[:, lo : lo + bs] if noise_dim else None)
+            diverged = np.flatnonzero(~(np.abs(figures["total"]) <= DIVERGENCE_CAP))
+            if diverged.size:
+                r = diverged[0]
+                raise TrainingDiverged(stage, epoch, {
+                    key: value(r) if callable(value) else float(value[r]) for key, value in figures.items()
+                })
             t += 1
-            if live is None:
-                _optimizer_step(stage_cfg, t, state[0], grads.flat, state[1:])
+            if adam:
+                kernels.adam_step(flat, grads.flat, m, v, stage_cfg.lr, t)
             else:
-                kept = [a[live] for a in state]
-                _optimizer_step(stage_cfg, t, kept[0], grads.flat[live], kept[1:])
-                for a, new in zip(state, kept):
-                    a[live] = new
+                flat -= stage_cfg.lr * grads.flat
             if not history:
                 history = {key: np.empty((S, -(-n // bs))) for key, value in figures.items() if not callable(value)}
             for key, rows in history.items():
@@ -296,9 +275,9 @@ def train_stage1_lq(datasets, configs, keep_logs=True):
     the semantic loss is evaluated at mu (deterministic arm), no noise is
     drawn and the variance head stays at its initialization.
 
-    Returns the (S, P) parameters and one train log per replica; a replica
-    that diverges is frozen and its log is its TrainingDiverged. Without
-    keep_logs no per-epoch figure is computed and the other logs are empty.
+    Returns the (S, P) parameters and one train log per replica, or raises
+    the TrainingDiverged of run_stage. Without keep_logs no per-epoch
+    figure is computed and the logs are empty.
     """
     _check_stack(datasets, configs)
     cfg, S = configs[0], len(configs)
@@ -321,9 +300,9 @@ def train_stage1_lq(datasets, configs, keep_logs=True):
         )
         return grads, {"total": loss.total, "loss_c": aux["loss_c"], "loss_s": aux["loss_s"]}
 
-    logs, errors = [[] for _ in range(S)], [None] * S
+    logs = [[] for _ in range(S)]
     seeds = [run.seed for run in configs]
-    stage = run_stage(params, [X, c, *labels], 1, cfg.stage1, seeds, step, errors,
+    stage = run_stage(params, [X, c, *labels], 1, cfg.stage1, seeds, step,
                       noise_dim=params.B if cfg.enable_lq else 0)
     for epoch, means in stage:
         if not keep_logs:
@@ -339,7 +318,7 @@ def train_stage1_lq(datasets, configs, keep_logs=True):
                 "mean_sigma_d_sq": float(sigma_d_sq[r]),
                 "train_acc": float(acc[r]),
             })
-    return params, [error or log for log, error in zip(logs, errors)]
+    return params, logs
 
 
 def _stage1_figures(params, X, c):
@@ -375,9 +354,9 @@ def train_stage2_dq(params, datasets, configs, keep_logs=True):
         loss, grads, aux = losses.stage2_objective(params, model.embed(params, X_b), c_b)
         return grads, {"total": loss.total, "mean_d2": aux["d2"].mean(axis=-1)}
 
-    logs, errors = [[] for _ in range(S)], [None] * S
+    logs = [[] for _ in range(S)]
     seeds = [run.seed for run in configs]
-    stage = run_stage(params, [X, c], 2, cfg.stage2, seeds, step, errors)
+    stage = run_stage(params, [X, c], 2, cfg.stage2, seeds, step)
     for epoch, means in stage:
         if not keep_logs:
             continue
@@ -389,7 +368,7 @@ def train_stage2_dq(params, datasets, configs, keep_logs=True):
                 "loss_total": float(means["total"][r]),
                 "mean_sigma_d_sq": float(sigma_d_sq[r]),
             })
-    return params, [error or log for log, error in zip(logs, errors)]
+    return params, logs
 
 
 ARMS = ("baseline", "s", "s-lq", "s-lq-dq")
@@ -397,13 +376,14 @@ ARMS = ("baseline", "s", "s-lq", "s-lq-dq")
 
 def train_arms(datasets, arms, configs, keep_logs=True):
     """Trains each ablation arm of a stack of runs, in ``arms`` order:
-    stage 1, then (when the arm enables DQ) stage 2 of the replicas that
-    survive it. Yields (arm, arm configs, (S, P) params, one log per
-    replica joining both stages, empty without keep_logs).
+    stage 1, then stage 2 when the arm enables DQ. Yields (arm, arm
+    configs, (S, P) params, one log per replica joining both stages, empty
+    without keep_logs).
 
-    If any replica diverges, the arm's first diverged replica in list
-    order raises its TrainingDiverged before the arm is yielded, so later
-    arms do not train: the error one run after another would meet first.
+    If the stack diverges, the arm raises before it is yielded, so later
+    arms do not train, and it raises the error one run after another would
+    meet first: a stack of one raises its own; a larger stack trains the
+    arm again run by run, in list order, until one raises.
 
     Arms whose configs agree on every field that stage 1 reads (all but
     stage2 and enable_dq) share one stage-1 run, each going on to its own
@@ -415,23 +395,20 @@ def train_arms(datasets, arms, configs, keep_logs=True):
     for arm in arms:
         arm_cfgs = [arm_config(arm, cfg) for cfg in configs]
         key = json.dumps([{**cfg.to_dict(), "stage2": None, "enable_dq": None} for cfg in arm_cfgs])
-        if key not in stage1:
-            stage1[key] = train_stage1_lq(datasets, arm_cfgs, keep_logs=keep_logs)
-        params, logs = stage1[key]
-        alive = [r for r, log in enumerate(logs) if not isinstance(log, TrainingDiverged)]
-        if arm_cfgs[0].enable_dq and alive:
-            # stage 2 tunes a copy, leaving stage 1 for later arms; these are
-            # not the whole stack if a replica diverged, but then the arm raises
-            params, logs2 = train_stage2_dq(
-                params.with_flat(params.flat[alive]), [datasets[r] for r in alive], [arm_cfgs[r] for r in alive],
-                keep_logs=keep_logs,
-            )
-            logs = list(logs)
-            for r, log2 in zip(alive, logs2):
-                logs[r] = log2 if isinstance(log2, TrainingDiverged) else logs[r] + log2
-        for log in logs:
-            if isinstance(log, TrainingDiverged):
-                raise log
+        try:
+            if key not in stage1:
+                stage1[key] = train_stage1_lq(datasets, arm_cfgs, keep_logs=keep_logs)
+            params, logs = stage1[key]
+            if arm_cfgs[0].enable_dq:
+                # stage 2 tunes a copy, leaving stage 1 for later arms
+                params, logs2 = train_stage2_dq(params, datasets, arm_cfgs, keep_logs=keep_logs)
+                logs = [log + log2 for log, log2 in zip(logs, logs2)]
+        except TrainingDiverged:
+            if len(datasets) == 1:
+                raise
+            for ds, cfg in zip(datasets, configs):
+                next(train_arms([ds], [arm], [cfg], keep_logs=False))
+            raise
         yield arm, arm_cfgs, params, logs
 
 
@@ -542,6 +519,10 @@ def load_checkpoint(path):
         )
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing tensor {exc}") from exc
+    try:
+        params.check_finite()
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
     if config is not None and params.B != config.embedding_dim:
         raise CheckpointError(

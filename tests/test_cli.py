@@ -280,6 +280,27 @@ class TestEval:
         assert on_disk["acer"] == pytest.approx(rep.acer, abs=1e-12)
 
 
+@pytest.mark.parametrize("command", ["eval", "quality-report"])
+def test_non_finite_checkpoint_is_data_error(dataset_dir, trained, tmp_path, capsys, command):
+    blob = bytearray(trained.read_bytes())
+    params, _ = training.load_checkpoint(trained)
+    offset = len(blob) - 8 * params.flat.size
+    for name, t in params.named_tensors():
+        if name == "omega_c":
+            break
+        offset += 8 * t.size
+    blob[offset : offset + 8] = np.float64(np.nan).tobytes()  # omega_c[0, 0]
+    ckpt = tmp_path / "nan.ckpt"
+    ckpt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--data", str(dataset_dir / "dataset.txt"), "--checkpoint", str(ckpt),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt}: non-finite values in parameter omega_c\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 class TestNoiseSweep:
     def test_row_count_and_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

@@ -136,6 +136,8 @@ class TestPredictBatch:
 
     @pytest.mark.parametrize("corrected", [False, True])
     def test_rows_do_not_depend_on_batch(self, tiny_params, corrected):
+        # tiny test widths only: at the benchmark widths a row's bytes can
+        # depend on the row count (see the next test).
         # bit-exact: a row's prediction is the same in a 64-row batch, in a
         # 7-row batch, alone, and by the one-row formula (a gemv for the
         # uncorrected logits), so no matrix product may round some rows
@@ -160,6 +162,26 @@ class TestPredictBatch:
                 logits = omega @ mu[i]
             e = np.exp(logits - logits.max())
             assert (e / e.sum()).tobytes() == probs[i].tobytes(), i
+
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("n", [20, 75, 76, 100, 300, 700])
+    def test_rows_do_not_depend_on_the_other_rows_values(self, n, corrected):
+        """At the benchmark widths, replacing every other row of a batch
+        leaves the predictions of the kept rows. Their bytes can depend on
+        the row count, though (see model.embed): the first 10 rows of a
+        100-row set predicted alone and inside the whole set differed in 9
+        of 10 rows uncorrected and 4 of 10 corrected. So nothing here
+        compares batches of different counts."""
+        params = model.init_params(8, {"spoof_type": 3}, B=16, hidden=(32,))
+        rng = np.random.default_rng(n)
+        params.w_dq[...] = rng.standard_normal(params.w_dq.shape) * 0.1
+        X = rng.standard_normal((n, 8)) * 3.0
+        other = X.copy()
+        other[1::2] = rng.standard_normal(other[1::2].shape) * 3.0
+        for got, want in zip(inference.predict_batch(params, other, corrected=corrected),
+                             inference.predict_batch(params, X, corrected=corrected)):
+            assert got[::2].tobytes() == want[::2].tobytes()
 
 
 class TestPredictionDump:

@@ -59,6 +59,13 @@ class TestRates:
         assert metrics.apcer(scores, labels, 0.5) == pytest.approx(6.0)
         assert metrics.bpcer(scores, labels, 0.5) == pytest.approx(0.0)
 
+    def test_nan_live_score_is_rejected_as_the_roc_counts_it(self):
+        scores = np.array([0.9, np.nan, 0.5, 0.2, np.nan, 0.7, 0.1])
+        labels = np.array([1, 1, 1, 1, 0, 0, 0])
+        tpr = {t: tpr for t, _, tpr in metrics.roc_sweep(scores, labels)}
+        for threshold in (0.1, 0.5, 0.9):
+            assert 100.0 - metrics.bpcer(scores, labels, threshold) == pytest.approx(100.0 * tpr[threshold])
+
     def test_perfect_classifier(self):
         scores = np.array([0.9, 0.8, 0.1, 0.2])
         labels = np.array([1, 1, 0, 0])

@@ -43,21 +43,6 @@ def trainlog_bytes(log, path):
     return path.read_bytes()
 
 
-def train_stack(trains, configs):
-    """Both stages of a stack without train_arms's raise, so replicas that
-    train on can be compared with single runs: (params, logs), each log
-    joining both stages or being the replica's first TrainingDiverged. A
-    replica diverged in stage 1 goes on into stage 2 from where it froze;
-    what that gives is discarded."""
-    stage1, logs1 = training.train_stage1_lq(trains, configs)
-    stacked, logs2 = training.train_stage2_dq(stage1, trains, configs)
-    logs = []
-    for log1, log2 in zip(logs1, logs2):
-        errors = [log for log in (log1, log2) if isinstance(log, training.TrainingDiverged)]
-        logs.append(errors[0] if errors else log1 + log2)
-    return stacked, logs
-
-
 def assert_replicas_equal_single_runs(stacked, logs, trains, configs, arm, tmp_path, tests=None):
     for r, (train, cfg) in enumerate(zip(trains, configs)):
         single, single_log = train_one(train, cfg, arm)
@@ -201,20 +186,6 @@ class TestDivergence:
         assert capsys.readouterr().err == f"training diverged: {self._seed_error(7)}\n"
         assert not (tmp_path / "sweep.csv").exists()
 
-    def test_diverged_replicas_are_frozen_and_the_others_train_on(self):
-        seeds = [1, 0, 5, 2]
-        trains = [benchmark_cell(seed, *self.CELL)[0] for seed in seeds]
-        configs = [training.arm_config("s-lq-dq", experiments.default_benchmark_config(seed)) for seed in seeds]
-        stacked, logs = train_stack(trains, configs)
-        assert [isinstance(log, training.TrainingDiverged) for log in logs] == [True, False, True, False]
-        for r in (0, 2):
-            alone = self._seed_error(seeds[r])
-            assert str(logs[r]) == str(alone) and logs[r].epoch == alone.epoch
-        for r in (1, 3):
-            single, single_log = train_one(trains[r], configs[r], "s-lq-dq")
-            assert stacked.replica(r).flat.tobytes() == single.flat.tobytes()
-            assert logs[r] == single_log
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stage1_divergence_reports_match_single_runs(self):
         # SGD at lr 1 on these tiny sets: seed 2 diverges at epoch 3, seed
@@ -222,22 +193,27 @@ class TestDivergence:
         seeds = [2, 7, 0]
         trains = [data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=seed) for seed in seeds]
         configs = [tiny_config(seed, stage1=("sgd", 1.0), epochs=6, batch_size=8) for seed in seeds]
-        _, logs = training.train_stage1_lq(trains, configs)
-        for log, train, cfg in zip(logs, trains, configs):
+        alone = {}
+        for seed, train, cfg in zip(seeds, trains, configs):
             with pytest.raises(training.TrainingDiverged) as exc:
                 train_one(train, cfg)
-            assert isinstance(log, training.TrainingDiverged)
-            assert (log.stage, log.epoch, str(log)) == (exc.value.stage, exc.value.epoch, str(exc.value))
-            assert "'loss_s': {'spoof_type':" in str(log)
-        assert [log.epoch for log in logs] == [3, 1, 2]
+            alone[seed] = exc.value
+            assert "'loss_s': {'spoof_type':" in str(exc.value)
+        assert [alone[seed].epoch for seed in seeds] == [3, 1, 2]
+        # the stack raises the first divergence in time, seed 7's
         with pytest.raises(training.TrainingDiverged) as exc:
-            train_one(trains[0], configs[0], "s-lq-dq")
-        assert str(exc.value) == str(logs[0])
+            training.train_stage1_lq(trains, configs)
+        assert (exc.value.stage, exc.value.epoch, str(exc.value)) == (1, 1, str(alone[7]))
+        # train_arms raises the first in list order, seed 2's
+        with pytest.raises(training.TrainingDiverged) as exc:
+            next(training.train_arms(trains, ["s-lq-dq"], configs))
+        assert (exc.value.stage, exc.value.epoch, str(exc.value)) == (1, 3, str(alone[2]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_train_arms_raises_before_a_later_arm_trains(self, monkeypatch):
         # the sets above: baseline trains, s-lq diverges (seed 7 first in
-        # time, seed 2 first in list order), and s must not start stage 1
+        # time, seed 2 first in list order), and s must not start stage 1;
+        # stage 1 runs for the baseline stack, the s-lq stack and seed 2 alone
         seeds = [2, 7, 0]
         trains = [data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=seed) for seed in seeds]
         configs = [tiny_config(seed, stage1=("sgd", 1.0), epochs=6, batch_size=8) for seed in seeds]
@@ -251,33 +227,25 @@ class TestDivergence:
             for arm, *_ in training.train_arms(trains, ["baseline", "s-lq", "s"], configs):
                 yielded.append(arm)
         assert (exc.value.stage, exc.value.epoch, str(exc.value)) == (1, 3, str(alone.value))
-        assert yielded == ["baseline"] and len(calls) == 2
+        assert yielded == ["baseline"] and len(calls) == 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_a_lone_divergence_leaves_the_others_untouched(self):
-        seeds = [3, 4, 5]  # at lr 0.7 only seed 4 diverges, at stage-1 epoch 5
-        trains = [data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=seed) for seed in seeds]
-        configs = [tiny_config(seed, stage1=("sgd", 0.7), epochs=6, batch_size=8) for seed in seeds]
-        stacked, logs = train_stack(trains, configs)
-        assert isinstance(logs[1], training.TrainingDiverged) and logs[1].epoch == 5
-        for r in (0, 2):
-            single, single_log = train_one(trains[r], configs[r], "s-lq-dq")
-            assert stacked.replica(r).flat.tobytes() == single.flat.tobytes()
-            assert logs[r] == single_log
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_a_frozen_replica_keeps_the_others_adam_moments(self):
-        # Adam at lr 0.5: only seed 3 diverges, at stage-1 epoch 4; the
-        # others must step on from their own moments, written back each step
-        seeds = [2, 3, 4]
-        trains = [data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=seed) for seed in seeds]
-        configs = [tiny_config(seed, stage1=("adam", 0.5), epochs=8, batch_size=8) for seed in seeds]
-        stacked, logs = training.train_stage1_lq(trains, configs)
-        assert isinstance(logs[1], training.TrainingDiverged) and (logs[1].stage, logs[1].epoch) == (1, 4)
-        for r in (0, 2):
-            single, single_log = train_one(trains[r], configs[r])
-            assert stacked.replica(r).flat.tobytes() == single.flat.tobytes(), r
-            assert logs[r] == single_log, r
+    @pytest.mark.parametrize("arm, stage", [("s-lq", 1), ("s-lq-dq", 2)])
+    def test_a_diverging_stack_of_one_is_not_trained_again(self, monkeypatch, arm, stage):
+        # seed 2's set above; a huge stage-2 lr makes s-lq-dq diverge there
+        train = data.generate_synthetic(6, 4, {"spoof_type": 3}, 0.5, seed=2)
+        cfg = tiny_config(2, epochs=4, batch_size=8)
+        cfg.stage1.optimizer, cfg.stage1.lr = ("sgd", 1.0) if stage == 1 else ("adam", 3e-3)
+        cfg.stage2.lr = 1e8
+        calls = []
+        for name in ("train_stage1_lq", "train_stage2_dq"):
+            fn = getattr(training, name)
+            monkeypatch.setattr(training, name,
+                                lambda *args, fn=fn, name=name, **kwargs: calls.append(name) or fn(*args, **kwargs))
+        with pytest.raises(training.TrainingDiverged) as exc:
+            next(training.train_arms([train], [arm], [cfg]))
+        assert exc.value.stage == stage
+        assert calls == ["train_stage1_lq", "train_stage2_dq"][:stage]
 
 
 def _arm_outcome(trains, arm, configs, keep_logs):
@@ -438,11 +406,36 @@ class TestRunStage:
 
         cfg = training.StageConfig("sgd", 0.1, 2, 1)
         columns = [np.zeros((3, 50, tiny_params.D))]
-        means = list(training.run_stage(params, columns, 1, cfg, [0, 1, 2], step, [None] * 3))
+        means = list(training.run_stage(params, columns, 1, cfg, [0, 1, 2], step))
         assert calls == [(3, 1, tiny_params.D)] * 100
         for epoch, epoch_means in means:
             for r in range(3):
                 assert epoch_means["total"][r] == np.mean(list(totals[epoch, :, r]))
+
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_raises_the_first_diverged_replica_before_its_step(self, tiny_params, optimizer):
+        # two-row epochs in one-row batches; at step 3 (epoch 1, batch 1)
+        # replicas 1 and 2 go non-finite, and replica 1 is reported
+        params = model.ModelParams.stack([tiny_params] * 3)
+        totals = np.ones((6, 3))
+        totals[3, 1:] = [np.inf, np.nan]
+        seen = []
+
+        def step(batch, eps):
+            j = len(seen)
+            seen.append(params.flat.copy())
+            return params.with_flat(np.ones_like(params.flat)), {
+                "total": totals[j], "rank": np.arange(3) + 10.0 * j, "per_replica": lambda r: {"j": j, "r": r},
+            }
+
+        cfg = training.StageConfig(optimizer, 0.5, 3, 1)
+        with pytest.raises(training.TrainingDiverged) as exc:
+            list(training.run_stage(params, [np.zeros((3, 2, tiny_params.D))], 2, cfg, [0, 1, 2], step))
+        assert (exc.value.stage, exc.value.epoch) == (2, 1)
+        assert exc.value.components == {"total": np.inf, "rank": 31.0, "per_replica": {"j": 3, "r": 1}}
+        assert len(seen) == 4 and not np.array_equal(seen[2], seen[3])
+        assert params.flat.tobytes() == seen[3].tobytes()
 
 
 class TestStackChecks:
