@@ -7,6 +7,7 @@ divergence. ``PROBFAS_OUT_ROOT`` provides the default output root when
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -43,10 +44,6 @@ def _parse_seeds(text):
     return _parse_list(text, int, "--seeds")
 
 
-def _parse_fractions(text):
-    return _parse_list(text, float, "--fractions")
-
-
 def _parse_list(text, typ, flag):
     try:
         values = [typ(tok) for tok in text.split(",") if tok.strip()]
@@ -77,10 +74,19 @@ def _claim_manifest(out, doc):
 
 
 def _load_config(path, seed=None):
-    cfg = training.load_config(path) if path else experiments.default_benchmark_config()
+    cfg = training.load_config(path) if path else training.TrainConfig()
     if seed is not None:
         cfg.seed = seed
     return cfg
+
+
+@contextlib.contextmanager
+def _quality_of(checkpoint):
+    """Names the checkpoint in a sigma_D^2 error of the block, raised before it writes."""
+    try:
+        yield
+    except inference.QualityError as exc:
+        raise training.CheckpointError(f"{checkpoint}: {exc}") from None
 
 
 def build_parser():
@@ -117,7 +123,7 @@ def build_parser():
 
     p = sub.add_parser("noise-sweep", help="noise-robustness sweep over arms and seeds")
     p.add_argument("--noise-kind", choices=experiments.NOISE_KINDS, action="append")
-    p.add_argument("--fractions", type=_parse_fractions)
+    p.add_argument("--fractions", type=lambda text: _parse_list(text, float, "--fractions"))
     p.add_argument("--arm", choices=training.ARMS, action="append")
     p.add_argument("--seeds", type=_parse_seeds, default=[0, 1, 2, 3, 4])
     p.add_argument("--threshold", type=float, default=0.5)
@@ -200,11 +206,7 @@ def cmd_eval(args):
     ds = data.load_dataset(args.data)
     params, _ = training.load_checkpoint(args.checkpoint)
 
-    modes = ["uncorrected", "corrected"]
-    if args.corrected:
-        modes = ["corrected"]
-    elif args.uncorrected:
-        modes = ["uncorrected"]
+    modes = [tag for tag in ("uncorrected", "corrected") if getattr(args, tag)] or ["uncorrected", "corrected"]
     doc = {
         "experiment": "eval",
         "dataset_paths": [args.data],
@@ -213,8 +215,9 @@ def cmd_eval(args):
     }
     manifest = _claim_manifest(out, doc)
     reports = {}
-    for tag in modes:
-        reports[tag] = _eval_mode(params, ds, tag == "corrected", args.threshold, out, tag)
+    with _quality_of(args.checkpoint):
+        for tag in modes:
+            reports[tag] = _eval_mode(params, ds, tag == "corrected", args.threshold, out, tag)
     if len(reports) == 2:
         delta = {
             key: getattr(reports["corrected"], key) - getattr(reports["uncorrected"], key)
@@ -229,17 +232,18 @@ def cmd_eval(args):
 
 
 def cmd_noise_sweep(args):
+    # a repeated value would train its runs twice into one cell's statistics
+    for flag, values in (("--noise-kind", args.noise_kind), ("--fractions", args.fractions),
+                         ("--arm", args.arm), ("--seeds", args.seeds)):
+        for i, value in enumerate(values or ()):
+            if value in values[:i]:
+                raise _UsageError(f"{flag} repeats {value}")
     out = _resolve_out(args.out, "noise-sweep")
     kinds = args.noise_kind or ["semantic", "data"]
     arms = args.arm or list(training.ARMS)
-    fractions_by_kind = {}
-    for kind in kinds:
-        if args.fractions is not None:
-            fractions_by_kind[kind] = list(args.fractions)
-        elif kind == "data":
-            fractions_by_kind[kind] = list(experiments.DATA_NOISE_FRACTIONS)
-        else:
-            fractions_by_kind[kind] = list(experiments.LABEL_NOISE_FRACTIONS)
+    default_fractions = {"data": experiments.DATA_NOISE_FRACTIONS}
+    fractions_by_kind = {kind: list(args.fractions or default_fractions.get(kind, experiments.LABEL_NOISE_FRACTIONS))
+                         for kind in kinds}
     cfg = _load_config(args.config)
     doc = {
         "experiment": "noise-sweep",
@@ -267,7 +271,8 @@ def cmd_quality_report(args):
         "flags": {},
     }
     manifest = _claim_manifest(out, doc)
-    per_sample, hist, summary = experiments.quality_report(params, ds)
+    with _quality_of(args.checkpoint):
+        per_sample, hist, summary = experiments.quality_report(params, ds)
     with open(os.path.join(out, "quality.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(per_sample)
     with open(os.path.join(out, "quality_hist.csv"), "w", encoding="utf-8", newline="\n") as fh:

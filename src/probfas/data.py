@@ -231,14 +231,14 @@ def _pick(rng, n, fraction):
     return np.sort(rng.choice(n, size=_round_half_up(fraction * n), replace=False))
 
 
-def inject_semantic_label_noise(ds, fraction, seed, category=None):
-    """Re-draw the semantic label of round(fraction * N_spoof) spoof samples
-    uniformly (possibly equal to the original)."""
+def inject_semantic_label_noise(ds, fraction, seed):
+    """Re-draw the primary-category label of round(fraction * N_spoof) spoof
+    samples uniformly (possibly equal to the original)."""
     _check_fraction(fraction, "semantic")
     out = ds.copy()
     if fraction == 0.0:
         return out
-    category = category or ds.primary_category
+    category = ds.primary_category
     spoof_rows = np.flatnonzero(ds.c == SPOOF)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5E3A]))
     rows = spoof_rows[_pick(rng, spoof_rows.size, fraction)]
@@ -260,9 +260,9 @@ def inject_binary_label_noise(ds, fraction, seed):
     return out
 
 
-def inject_data_noise(ds, fraction, severity, seed, window=3):
-    """Degrade round(fraction * N) feature vectors: boxcar smoothing over the
-    feature axis plus additive Gaussian noise with std = severity."""
+def inject_data_noise(ds, fraction, severity, seed):
+    """Degrade round(fraction * N) feature vectors: 3-wide boxcar smoothing
+    over the feature axis plus additive Gaussian noise with std = severity."""
     _check_fraction(fraction, "data")
     if not (math.isfinite(severity) and severity >= 0):
         raise DataError(f"data noise severity must be finite and >= 0, got {severity}")
@@ -271,7 +271,7 @@ def inject_data_noise(ds, fraction, severity, seed, window=3):
         return out
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A2]))
     rows = _pick(rng, len(ds), fraction)
-    smoothed = kernels.smooth_rows(out.x[rows], window)
+    smoothed = kernels.smooth_rows(out.x[rows], 3)
     out.x[rows] = smoothed + severity * rng.standard_normal(smoothed.shape)
     out.data_corrupted[rows] = True
     out.corruption_severity[rows] = float(severity)

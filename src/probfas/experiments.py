@@ -16,42 +16,25 @@ DEFAULT_DATA_NOISE_SEVERITY = 2.0
 NOISE_KINDS = ("semantic", "binary", "data")
 
 
-def default_benchmark_config(seed=0):
-    """Training configuration of the default synthetic benchmark.
-
-    The stage-1 learning rate is raised from the 1e-4 library default so
-    the small MLP converges on a few hundred samples, and the schedule is
-    long enough (125 epochs) for the learned label-quality scale to anneal
-    toward its deterministic limit within the budget.
-    """
-    cfg = training.TrainConfig(seed=seed)
-    cfg.stage1 = training.StageConfig("adam", 3e-3, 125, 32)
-    cfg.stage2 = training.StageConfig("sgd", 1e-1, 50, 32)
-    cfg.hidden = (32,)
-    cfg.embedding_dim = 16
-    return cfg.validate()
-
-
-def make_benchmark_data(seed, n_per_class=120, D=8, spoof_types=3, overlap=1.5):
-    """Clean train/test pair drawn from one cluster layout."""
-    ds = data.generate_synthetic(
-        n_per_class=n_per_class, D=D, categories={"spoof_type": spoof_types},
-        cluster_overlap=overlap, seed=seed,
-    )
+def make_benchmark_data(seed):
+    """Clean train/test pair drawn from one cluster layout: 120 samples per
+    cluster of 8 features, 3 spoof types, cluster overlap 1.5."""
+    ds = data.generate_synthetic(n_per_class=120, D=8, categories={"spoof_type": 3}, cluster_overlap=1.5, seed=seed)
     return data.split_dataset(ds, test_fraction=0.5, seed=seed)
 
 
-def apply_noise_kind(train, test, kind, fraction, seed, severity=DEFAULT_DATA_NOISE_SEVERITY):
+def apply_noise_kind(train, test, kind, fraction, seed):
     """Route one noise kind to the split the mechanism targets: label
-    noise pollutes training labels, data noise pollutes both splits."""
+    noise pollutes training labels, data noise (at the default severity)
+    pollutes both splits."""
     if kind == "semantic":
         return data.inject_semantic_label_noise(train, fraction, seed), test
     if kind == "binary":
         return data.inject_binary_label_noise(train, fraction, seed), test
     if kind == "data":
         return (
-            data.inject_data_noise(train, fraction, severity, seed),
-            data.inject_data_noise(test, fraction, severity, seed + 1),
+            data.inject_data_noise(train, fraction, DEFAULT_DATA_NOISE_SEVERITY, seed),
+            data.inject_data_noise(test, fraction, DEFAULT_DATA_NOISE_SEVERITY, seed + 1),
         )
     raise data.DataError(f"unknown noise kind {kind!r}")
 
@@ -91,13 +74,9 @@ def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, thresho
     the one of the first arm, and within it the first seed in ``seeds``
     order, that diverges: the error one run after another would meet first.
     """
-    base = base_config or default_benchmark_config()
+    base = base_config or training.TrainConfig()
     arms = training.ARMS if arms is None else arms
-    configs = []
-    for seed in seeds:
-        cfg = training.TrainConfig.from_dict(base.to_dict())
-        cfg.seed = seed
-        configs.append(cfg)
+    configs = [training.TrainConfig.from_dict({**base.to_dict(), "seed": seed}) for seed in seeds]
     rows = []
     for kind in kinds:
         for fraction in fractions_by_kind[kind]:
@@ -128,30 +107,29 @@ def sweep_rows_to_csv(rows, path):
                 f"{kind},{format(fraction, '.17g')},{arm},{stat_name},"
                 + ",".join(format(v, ".17g") for v in stat)
             )
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # quality report
 # ---------------------------------------------------------------------------
 
-def quality_report(params, ds, n_bins=20):
+QUALITY_BINS = 20
+
+
+def quality_report(params, ds):
     """Per-sample data-quality values with corruption provenance plus a
-    binned histogram comparing corrupted vs clean distributions."""
+    QUALITY_BINS-bin histogram comparing corrupted vs clean distributions."""
     if len(ds) == 0:
         raise data.DataError("cannot build a quality report for an empty dataset")
-    mu = model.embed(params, ds.X())
-    s2 = model.dq_variance(params, mu)
+    s2 = inference.data_quality(params, model.embed(params, ds.X()))
     corrupted = ds.flag_mask("data_corrupted")
 
     lo, hi = float(s2.min()), float(s2.max())
     if hi == lo:
         hi = lo + 1e-12
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, QUALITY_BINS + 1)
     hist_corrupt, _ = np.histogram(s2[corrupted], bins=edges)
     hist_clean, _ = np.histogram(s2[~corrupted], bins=edges)
 
@@ -160,7 +138,7 @@ def quality_report(params, ds, n_bins=20):
     per_sample = "id,sigma_d_sq,data_corrupted,corruption_severity\n" + (
         "%d,%.17g,%d,%.17g\n" * len(ds) % tuple(cells.ravel().tolist()))
     hist_lines = ["bin_lo,bin_hi,count_clean,count_corrupted"]
-    for b in range(n_bins):
+    for b in range(QUALITY_BINS):
         hist_lines.append(
             f"{format(edges[b], '.17g')},{format(edges[b + 1], '.17g')},"
             f"{int(hist_clean[b])},{int(hist_corrupt[b])}"

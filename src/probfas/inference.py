@@ -11,6 +11,21 @@ from . import model
 from .losses import l2_normalize_rows
 
 
+class QualityError(ValueError):
+    """A sigma_D^2 that is not finite and > 0."""
+
+
+def data_quality(params, mu):
+    """sigma_D^2 of every row of mu (model.dq_variance), without numpy's
+    overflow warning. Raises QualityError at the first not finite and > 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = model.dq_variance(params, mu)
+    bad = np.flatnonzero(~(np.isfinite(s2) & (s2 > 0)))
+    if bad.size:
+        raise QualityError(f"sigma_D^2 of row {bad[0]} is {s2[bad[0]]}, not finite and > 0")
+    return s2
+
+
 def softmax_rows(logits):
     """Softmax of each row of (N, A) logits."""
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -43,10 +58,11 @@ def predict_batch(params, X, corrected):
     """Returns (probs (N, 2), sigma_d_sq (N,)); column 1 of probs is p_live.
 
     When corrected, mu and omega_c are row-normalized (the stage-2
-    geometry) and the distance softmax is used.
+    geometry) and the distance softmax is used. Raises QualityError when a
+    sigma_D^2 is out of range (see data_quality).
     """
     mu = model.embed(params, X)
-    s2 = model.dq_variance(params, mu)
+    s2 = data_quality(params, mu)
     if corrected:
         probs = corrected_confidence(l2_normalize_rows(mu), l2_normalize_rows(params.omega_c), s2)
     else:

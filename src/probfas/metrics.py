@@ -134,8 +134,11 @@ class EvalReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def evaluate(scores, labels, threshold=0.5, fpr_targets=(0.01, 0.005, 0.001), include_roc=True):
-    """Rates at threshold plus TPR at each FPR target, all from one ROC sweep.
+FPR_TARGETS = (0.01, 0.005, 0.001)
+
+
+def evaluate(scores, labels, threshold=0.5, include_roc=True):
+    """Rates at threshold plus TPR at each of FPR_TARGETS, all from one ROC sweep.
     include_roc=False leaves the sweep out of the report."""
     scores, labels = _as_arrays(scores, labels)
     _check_both_classes(labels)
@@ -154,6 +157,6 @@ def evaluate(scores, labels, threshold=0.5, fpr_targets=(0.01, 0.005, 0.001), in
         threshold_used=float(threshold),
         n_live=int(np.sum(labels == 1)),
         n_spoof=n_spoof,
-        tpr_at_fpr={t: _best_tpr(sweep, n_spoof, t) for t in fpr_targets},
+        tpr_at_fpr={t: _best_tpr(sweep, n_spoof, t) for t in FPR_TARGETS},
         roc=roc if include_roc else [],
     )

@@ -132,7 +132,7 @@ class ModelParams:
                 raise ValueError(f"non-finite values in parameter {name}")
 
 
-def init_params(D, categories, B=32, hidden=(64, 64), seed=0):
+def init_params(D, categories, B, hidden, seed=0):
     """Gaussian init with std 1/sqrt(fan_in), zero biases; both variance
     heads start at zero so sigma == 1 initially."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1417]))

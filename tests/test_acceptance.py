@@ -197,7 +197,7 @@ BENCH_SEEDS = (0, 1, 2, 3, 4)
 def _mean_acer(arm, seeds, semantic=0.0, data_frac=0.0):
     out = []
     for seed in seeds:
-        cfg = experiments.default_benchmark_config(seed)
+        cfg = training.TrainConfig(seed=seed)
         train, test = experiments.make_benchmark_data(seed)
         if semantic:
             train = data.inject_semantic_label_noise(train, semantic, seed)
@@ -223,7 +223,7 @@ def test_criterion_6_data_noise_quality_separation_and_damping():
     separation_wins = 0
     cand_corrected, cand_uncorrected = [], []
     for seed in BENCH_SEEDS:
-        cfg = experiments.default_benchmark_config(seed)
+        cfg = training.TrainConfig(seed=seed)
         train, test = experiments.make_benchmark_data(seed)
         train = data.inject_data_noise(train, 0.3, 2.0, seed)
         test = data.inject_data_noise(test, 0.3, 2.0, seed + 1)
@@ -284,7 +284,7 @@ def test_criterion_8_metric_oracle_equivalence():
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_full_pipeline_determinism(tmp_path):
-    cfg = experiments.default_benchmark_config(0)
+    cfg = training.TrainConfig(seed=0)
     cfg.stage1.epochs = 5
     cfg.stage2.epochs = 5
     cfg.hidden = (16,)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from probfas import cli, data, experiments, metrics, training
+from probfas import cli, data, inference, metrics, training
 from conftest import reference_load_predictions, train_one
 
 
@@ -16,7 +16,7 @@ def run(argv):
 
 
 def write_quick_config(path, **overrides):
-    cfg = experiments.default_benchmark_config(0)
+    cfg = training.TrainConfig(seed=0)
     cfg.stage1.epochs = 3
     cfg.stage2.epochs = 3
     cfg.hidden = (8,)
@@ -155,7 +155,7 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_exit_three(self, dataset_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
-        cfg = experiments.default_benchmark_config(0)
+        cfg = training.TrainConfig(seed=0)
         cfg.stage1 = training.StageConfig("sgd", 1e12, 3, 16)
         cfg.stage2.epochs = 1
         cfg.hidden = (8,)
@@ -301,6 +301,26 @@ def test_non_finite_checkpoint_is_data_error(dataset_dir, trained, tmp_path, cap
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("b_dq, value", [(800.0, "inf"), (-800.0, "0.0")])
+@pytest.mark.parametrize("command", ["eval", "quality-report"])
+def test_out_of_range_sigma_d_sq_is_data_error(dataset_dir, trained, tmp_path, capsys, command, b_dq, value):
+    # a finite checkpoint whose sigma_D^2 = exp(w_dq . mu + b_dq) overflows
+    # to inf or underflows to 0; tier-1 turns numpy's overflow warning into
+    # an error, so none may escape on the way
+    params, cfg = training.load_checkpoint(trained)
+    params = params.copy()
+    params.b_dq[...] = b_dq
+    ckpt = tmp_path / "b_dq.ckpt"
+    training.save_checkpoint(ckpt, params, config=cfg)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--data", str(dataset_dir / "dataset.txt"), "--checkpoint", str(ckpt),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {ckpt}: sigma_D^2 of row 0 is {value}, not finite and > 0\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 class TestNoiseSweep:
     def test_row_count_and_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
@@ -320,6 +340,25 @@ class TestNoiseSweep:
     def test_seed_list_parsing(self, tmp_path):
         assert run(["noise-sweep", "--seeds", "5..3", "--out", str(tmp_path / "x")]) == 1
         assert run(["noise-sweep", "--seeds", "a,b", "--out", str(tmp_path / "y")]) == 1
+
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--seeds", ["0,1,1"], "--seeds repeats 1"),
+        ("--fractions", ["0.5,0.50"], "--fractions repeats 0.5"),
+        ("--arm", ["s", "s-lq", "s"], "--arm repeats s"),
+        ("--noise-kind", ["semantic", "semantic"], "--noise-kind repeats semantic"),
+    ], ids=["seeds", "fractions", "arm", "noise-kind"])
+    def test_repeated_value_is_usage_error(self, tmp_path, capsys, flag, values, message):
+        # a repeated value would train its runs twice into one cell's mean and std
+        cfg_path = tmp_path / "cfg.txt"
+        write_quick_config(cfg_path)
+        flags = {"--noise-kind": ["semantic"], "--fractions": ["0.5"], "--arm": ["s"], "--seeds": ["0"], flag: values}
+        capsys.readouterr()
+        out = tmp_path / "x"
+        argv = ["noise-sweep", "--config", str(cfg_path), "--out", str(out)]
+        argv += [arg for name, vals in flags.items() for value in vals for arg in (name, value)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--seeds", "--fractions"])
     def test_empty_list_is_usage_error(self, tmp_path, flag):
@@ -346,7 +385,7 @@ class TestQualityReport:
                     "--data-noise", "0.3", "--severity", "2.0",
                     "--out", str(data_dir)]) == 0
         cfg_path = tmp_path / "cfg.txt"
-        cfg = experiments.default_benchmark_config(0)
+        cfg = training.TrainConfig(seed=0)
         cfg.stage1.epochs = 20
         cfg.stage2.epochs = 30
         cfg.hidden = (16,)

@@ -15,7 +15,7 @@ def sep_dataset(seed, n=40, overlap=0.0):
 
 
 def quick_config(seed=0):
-    cfg = experiments.default_benchmark_config(seed)
+    cfg = training.TrainConfig(seed=seed)
     cfg.stage1.epochs = 40
     return cfg
 
@@ -158,7 +158,7 @@ class TestPipeline:
         # than not across seeds
         wins = 0
         for seed in range(5):
-            cfg = experiments.default_benchmark_config(seed)
+            cfg = training.TrainConfig(seed=seed)
             d_suf = data.generate_synthetic(120, 8, {"spoof_type": 3}, 1.0, seed + 1000)
             d_def_full = data.generate_synthetic(120, 8, {"spoof_type": 3}, 1.5, seed)
             d_def, d_def_test = data.split_dataset(d_def_full, 0.5, seed)

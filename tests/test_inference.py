@@ -103,6 +103,19 @@ class TestCorrectedConfidence:
                 inference.corrected_confidence(mu, omega, np.array([1.0, s2, 1.0]))
 
 
+def test_first_out_of_range_sigma_d_sq_row_is_named(tiny_params):
+    params = tiny_params.copy()
+    params.w_dq[...] = 0.0
+    params.w_dq[0] = 1.0
+    mu = np.zeros((6, params.B))
+    mu[[2, 4], 0] = (1000.0, -1000.0)
+    with pytest.raises(inference.QualityError, match=r"^sigma_D\^2 of row 2 is inf, not finite and > 0$"):
+        inference.data_quality(params, mu)
+    mu[2, 0] = 0.0
+    with pytest.raises(inference.QualityError, match=r"^sigma_D\^2 of row 4 is 0.0, not finite and > 0$"):
+        inference.data_quality(params, mu)
+
+
 class TestPredictBatch:
     def test_corrected_uses_normalized_geometry(self, tiny_params, tiny_dataset):
         X = tiny_dataset.X()

@@ -16,7 +16,7 @@ import shutil
 
 import pytest
 
-from probfas import cli, experiments, training
+from probfas import cli, training
 
 SEED = 1018
 MUTANTS_PER_INPUT = 30
@@ -48,7 +48,7 @@ def clean(tmp_path_factory):
     """One clean run of every command: its inputs and output directories."""
     root = tmp_path_factory.mktemp("clean")
     config = root / "config.txt"
-    cfg = experiments.default_benchmark_config(0)
+    cfg = training.TrainConfig(seed=0)
     cfg.stage1 = training.StageConfig("adam", 3e-3, 2, 32)
     cfg.stage2 = training.StageConfig("sgd", 1e-1, 2, 32)
     cfg.hidden, cfg.embedding_dim = (8,), 6

@@ -23,7 +23,7 @@ def benchmark_cell(seed, kind="semantic", fraction=0.2):
 
 
 def short_benchmark_config(seed):
-    cfg = experiments.default_benchmark_config(seed)
+    cfg = training.TrainConfig(seed=seed)
     cfg.stage1.epochs = 30
     cfg.stage2.epochs = 10
     return cfg
@@ -166,7 +166,7 @@ class TestDivergence:
     def _seed_error(self, seed):
         train, _ = benchmark_cell(seed, *self.CELL)
         with pytest.raises(training.TrainingDiverged) as exc:
-            train_one(train, experiments.default_benchmark_config(seed), "s-lq-dq")
+            train_one(train, training.TrainConfig(seed=seed), "s-lq-dq")
         return exc.value
 
     def test_sweep_raises_the_first_seed_in_list_order(self):

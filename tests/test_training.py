@@ -2,6 +2,8 @@
 checkpointing and resume, divergence handling, and the measured
 sigma-statistics of the label-quality head."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,16 +22,16 @@ def small_config(seed=0, epochs1=3, epochs2=3):
 
 class TestConfig:
     def test_defaults(self):
+        # the one default of the CLI, the benchmark and the library
         cfg = training.TrainConfig()
-        assert cfg.stage1.optimizer == "adam" and cfg.stage1.lr == 1e-4
-        assert cfg.stage1.epochs == 50 and cfg.stage1.batch_size == 64
-        assert cfg.stage2.optimizer == "sgd" and cfg.stage2.lr == 1e-1
-        assert cfg.lambda_s == 1.0 and cfg.enable_lq and cfg.enable_dq
+        assert cfg.stage1 == training.StageConfig("adam", 3e-3, 125, 32)
+        assert cfg.stage2 == training.StageConfig("sgd", 1e-1, 50, 32)
+        assert cfg.hidden == (32,) and cfg.embedding_dim == 16
+        assert cfg.lambda_s == 1.0 and cfg.seed == 0 and cfg.enable_lq and cfg.enable_dq
 
     def test_file_round_trip(self, tmp_path):
         cfg = small_config(seed=7)
         cfg.lambda_s = 2.5
-        cfg.enable_dq = False
         path = tmp_path / "cfg.txt"
         training.save_config(cfg, path)
         loaded = training.load_config(path)
@@ -39,12 +41,22 @@ class TestConfig:
         # one key per field in field order, stage fields expanded in place
         path = tmp_path / "cfg.txt"
         training.save_config(training.TrainConfig(), path)
+        # the arm's enable_* fields are not written
         assert path.read_bytes() == (
-            b"stage1.optimizer = adam\nstage1.lr = 0.0001\nstage1.epochs = 50\nstage1.batch_size = 64\n"
-            b"stage2.optimizer = sgd\nstage2.lr = 0.1\nstage2.epochs = 50\nstage2.batch_size = 64\n"
-            b"lambda_s = 1.0\nseed = 0\nenable_lq = True\nenable_dq = True\nhidden = 64,64\nembedding_dim = 32\n"
+            b"stage1.optimizer = adam\nstage1.lr = 0.003\nstage1.epochs = 125\nstage1.batch_size = 32\n"
+            b"stage2.optimizer = sgd\nstage2.lr = 0.1\nstage2.epochs = 50\nstage2.batch_size = 32\n"
+            b"lambda_s = 1.0\nseed = 0\nhidden = 32\nembedding_dim = 16\n"
         )
         assert training.load_config(path).to_dict() == training.TrainConfig().to_dict()
+
+    def test_partial_file_fills_from_the_one_default(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("stage1.epochs = 3\n")
+        loaded = training.load_config(path)
+        assert loaded.stage1 == training.StageConfig("adam", 3e-3, 3, 32)
+        want = training.TrainConfig()
+        want.stage1.epochs = 3
+        assert loaded.to_dict() == want.to_dict()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -78,13 +90,14 @@ class TestConfig:
             cfg.validate()
 
     def test_bool_parse(self, tmp_path):
+        # enable_lq and enable_dq belong to the arm: a file may not set them
         path = tmp_path / "cfg.txt"
-        path.write_text("enable_lq = off\nenable_dq = yes\n")
-        cfg = training.load_config(path)
-        assert not cfg.enable_lq and cfg.enable_dq
-        path.write_text("enable_lq = maybe\n")
-        with pytest.raises(training.ConfigError):
-            training.load_config(path)
+        for text in ("enable_lq = off\n", "enable_dq = yes\n", "enable_lq = maybe\n"):
+            path.write_text(text)
+            key = text.split(" ")[0]
+            message = f"{path}:1: {key} is set by --arm, not by a config file"
+            with pytest.raises(training.ConfigError, match=f"^{re.escape(message)}$"):
+                training.load_config(path)
 
 
 class TestDeterminism:
@@ -104,7 +117,7 @@ class TestDeterminism:
 class TestStage1:
     def test_separable_data_reaches_high_accuracy(self):
         ds = data.generate_synthetic(50, 8, {"spoof_type": 3}, 0.0, seed=0)
-        cfg = experiments.default_benchmark_config(0)
+        cfg = training.TrainConfig(seed=0)
         cfg.stage1.epochs = 50
         _, log = train_one(ds, cfg, "s")
         final = [r for r in log if r["stage"] == 1][-1]
@@ -124,7 +137,7 @@ class TestStage1:
 
     def test_loss_decreases_on_default_benchmark(self):
         train, _ = experiments.make_benchmark_data(0)
-        cfg = experiments.default_benchmark_config(0)
+        cfg = training.TrainConfig(seed=0)
         _, log = train_one(train, cfg, "s-lq")
         stage1 = [r for r in log if r["stage"] == 1]
         assert stage1[-1]["loss_total"] < stage1[0]["loss_total"]
@@ -178,7 +191,7 @@ class TestStage2:
         # should carry larger data-quality variance (majority of seeds)
         wins = 0
         for seed in range(5):
-            cfg = experiments.default_benchmark_config(seed)
+            cfg = training.TrainConfig(seed=seed)
             train, _ = experiments.make_benchmark_data(seed)
             train = data.inject_data_noise(train, 0.3, 2.0, seed)
             params, _ = train_one(train, cfg, "s-lq-dq")
@@ -225,7 +238,7 @@ class TestArms:
 class TestSigmaLStatistics:
     def test_sigma_l_decays_during_training(self):
         train, _ = experiments.make_benchmark_data(0)
-        _, log = train_one(train, experiments.default_benchmark_config(0), "s-lq")
+        _, log = train_one(train, training.TrainConfig(seed=0), "s-lq")
         stage1 = [r for r in log if r["stage"] == 1]
         assert stage1[-1]["mean_sigma_l"] < stage1[0]["mean_sigma_l"]
 
@@ -241,7 +254,7 @@ class TestSigmaLStatistics:
         wins = strict = 0
         rows = []
         for seed in range(5):
-            cfg = experiments.default_benchmark_config(seed)
+            cfg = training.TrainConfig(seed=seed)
             train, _ = experiments.make_benchmark_data(seed)
             train = data.inject_semantic_label_noise(train, 0.5, seed)
             params, _ = train_one(train, cfg, "s-lq")
