@@ -80,6 +80,16 @@ def _load_config(path, seed=None):
     return cfg
 
 
+def _load_scored(args):
+    """The dataset and checkpoint params of eval and quality-report, of one feature width."""
+    ds = data.load_dataset(args.data)
+    params, _ = training.load_checkpoint(args.checkpoint)
+    if ds.feature_dim != params.D:
+        raise data.DataError(f"{args.data} has {ds.feature_dim} features, "
+                             f"but {args.checkpoint} was trained on {params.D}")
+    return ds, params
+
+
 @contextlib.contextmanager
 def _quality_of(checkpoint):
     """Names the checkpoint in a sigma_D^2 error of the block, raised before it writes."""
@@ -202,9 +212,9 @@ def _eval_mode(params, ds, corrected, threshold, out, tag):
 
 
 def cmd_eval(args):
+    metrics.check_threshold(args.threshold)
     out = _resolve_out(args.out, "eval")
-    ds = data.load_dataset(args.data)
-    params, _ = training.load_checkpoint(args.checkpoint)
+    ds, params = _load_scored(args)
 
     modes = [tag for tag in ("uncorrected", "corrected") if getattr(args, tag)] or ["uncorrected", "corrected"]
     doc = {
@@ -238,6 +248,7 @@ def cmd_noise_sweep(args):
         for i, value in enumerate(values or ()):
             if value in values[:i]:
                 raise _UsageError(f"{flag} repeats {value}")
+    metrics.check_threshold(args.threshold)
     out = _resolve_out(args.out, "noise-sweep")
     kinds = args.noise_kind or ["semantic", "data"]
     arms = args.arm or list(training.ARMS)
@@ -262,8 +273,7 @@ def cmd_noise_sweep(args):
 
 def cmd_quality_report(args):
     out = _resolve_out(args.out, "quality-report")
-    ds = data.load_dataset(args.data)
-    params, _ = training.load_checkpoint(args.checkpoint)
+    ds, params = _load_scored(args)
     doc = {
         "experiment": "quality-report",
         "dataset_paths": [args.data],

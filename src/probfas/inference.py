@@ -12,17 +12,19 @@ from .losses import l2_normalize_rows
 
 
 class QualityError(ValueError):
-    """A sigma_D^2 that is not finite and > 0."""
+    """A sigma_D^2 that is not finite and >= the smallest normal float."""
 
 
 def data_quality(params, mu):
-    """sigma_D^2 of every row of mu (model.dq_variance), without numpy's
-    overflow warning. Raises QualityError at the first not finite and > 0."""
+    """sigma_D^2 of every row of mu (model.dq_variance), without numpy's overflow
+    warning. Raises QualityError at the first that is not finite and >= the
+    smallest normal float, below which corrected_confidence's logits overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         s2 = model.dq_variance(params, mu)
-    bad = np.flatnonzero(~(np.isfinite(s2) & (s2 > 0)))
+    tiny = np.finfo(float).tiny
+    bad = np.flatnonzero(~(np.isfinite(s2) & (s2 >= tiny)))
     if bad.size:
-        raise QualityError(f"sigma_D^2 of row {bad[0]} is {s2[bad[0]]}, not finite and > 0")
+        raise QualityError(f"sigma_D^2 of row {bad[0]} is {s2[bad[0]]}, not finite and >= {tiny}")
     return s2
 
 

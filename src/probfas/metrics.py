@@ -33,56 +33,43 @@ def _as_arrays(scores, labels):
     return scores, labels
 
 
-def _check_both_classes(labels):
-    if not np.any(labels == 1) or not np.any(labels == 0):
-        raise MetricError("both live and spoof samples are required")
-
-
-def apcer(scores, labels, threshold=0.5):
-    """Percent of spoof samples accepted as live (p_live >= threshold)."""
-    scores, labels = _as_arrays(scores, labels)
-    spoof = labels == 0
-    if not np.any(spoof):
-        raise MetricError("APCER undefined: no spoof samples")
-    return 100.0 * int(np.sum(scores[spoof] >= threshold)) / int(spoof.sum())
-
-
-def bpcer(scores, labels, threshold=0.5):
-    """Percent of live samples rejected: not p_live >= threshold, so a NaN
-    score is rejected, as roc_sweep counts it."""
-    scores, labels = _as_arrays(scores, labels)
-    live = labels == 1
-    if not np.any(live):
-        raise MetricError("BPCER undefined: no live samples")
-    return 100.0 * int(np.sum(~(scores[live] >= threshold))) / int(live.sum())
-
-
 def acer(apcer_value, bpcer_value):
     return (apcer_value + bpcer_value) / 2.0
 
 
-def roc_sweep(scores, labels):
-    """(threshold, fpr, tpr) at every distinct score plus -inf/+inf sentinels.
+def check_threshold(threshold):
+    """Raises MetricError unless the acceptance threshold is finite."""
+    if not math.isfinite(threshold):
+        raise MetricError(f"threshold must be finite, got {threshold}")
 
-    Acceptance rule is score >= threshold, so fpr and tpr are
-    non-increasing in threshold; endpoints (0,0) and (1,1) are always
-    present. Fractions, not percentages. One sort per class: the count
-    of scores >= t is the class size minus the sorted position of t.
-    """
-    scores, labels = _as_arrays(scores, labels)
-    _check_both_classes(labels)
-    thresholds = np.concatenate(([-np.inf], np.unique(scores), [np.inf]))
-    rates = []
+
+def _accepted(scores, labels, thresholds):
+    """[(accepted, n)] of the spoof class (0), then the live class (1):
+    how many of the class's scores are >= each threshold, a NaN score never
+    counted, and the class size. One sort per class: the count of scores
+    >= t is the number of sorted scores minus the sorted position of t."""
+    counts = []
     for cls in (0, 1):
         cls_scores = scores[labels == cls]
-        ranked = np.sort(cls_scores[~np.isnan(cls_scores)])  # a NaN score is never accepted
-        accepted = ranked.size - np.searchsorted(ranked, thresholds, side="left")
-        rates.append((accepted / cls_scores.size).tolist())
-    return list(zip(thresholds.tolist(), *rates))
+        ranked = np.sort(cls_scores[~np.isnan(cls_scores)])
+        counts.append((ranked.size - np.searchsorted(ranked, thresholds, side="left"), cls_scores.size))
+    return counts
+
+
+def roc_sweep(scores, labels):
+    """(K, 3) float64 rows (threshold, fpr, tpr), thresholds ascending over
+    every distinct score plus -inf/+inf sentinels. fpr and tpr are fractions,
+    non-increasing in threshold from (1, 1) to (0, 0)."""
+    scores, labels = _as_arrays(scores, labels)
+    if not np.any(labels == 1) or not np.any(labels == 0):
+        raise MetricError("both live and spoof samples are required")
+    thresholds = np.concatenate(([-np.inf], np.unique(scores), [np.inf]))
+    (spoof, n_spoof), (live, n_live) = _accepted(scores, labels, thresholds)
+    return np.column_stack([thresholds, spoof / n_spoof, live / n_live])
 
 
 def _best_tpr(sweep, n_spoof, fpr_target):
-    """tpr_at_fpr over a roc_sweep result given as a (K, 3) array."""
+    """tpr_at_fpr over a roc_sweep result."""
     if not 0.0 < fpr_target < 1.0:
         raise ValueError(f"fpr_target must be in (0,1), got {fpr_target}")
     within = sweep[:, 1] <= fpr_target  # always holds at the +inf sentinel
@@ -94,13 +81,12 @@ def tpr_at_fpr(scores, labels, fpr_target):
     attainable_flag): the flag is False when there are too few spoof
     samples to resolve the target (fewer than 1/fpr_target spoof samples)."""
     scores, labels = _as_arrays(scores, labels)
-    sweep = np.array(roc_sweep(scores, labels))
-    return _best_tpr(sweep, int(np.sum(labels == 0)), fpr_target)
+    return _best_tpr(roc_sweep(scores, labels), int(np.sum(labels == 0)), fpr_target)
 
 
 def auc(scores, labels):
     """Trapezoidal area under the ROC."""
-    sweep = np.array(roc_sweep(scores, labels))[::-1]  # fpr and tpr ascending
+    sweep = roc_sweep(scores, labels)[::-1]  # fpr and tpr ascending
     return float(np.trapezoid(sweep[:, 2], sweep[:, 1]))
 
 
@@ -113,8 +99,8 @@ class EvalReport:
     threshold_used: float
     n_live: int
     n_spoof: int
-    tpr_at_fpr: dict = field(default_factory=dict)  # fpr target -> (tpr, attainable)
-    roc: list = field(default_factory=list)
+    tpr_at_fpr: dict  # fpr target -> (tpr, attainable)
+    roc: np.ndarray = field(compare=False)  # roc_sweep's (K, 3) rows, or (0, 3)
 
     def to_json(self):
         doc = {
@@ -129,7 +115,7 @@ class EvalReport:
                 format(k, ".17g"): {"tpr": v[0], "attainable": v[1]}
                 for k, v in sorted(self.tpr_at_fpr.items())
             },
-            "roc": [[t, f, tp] for t, f, tp in self.roc],
+            "roc": self.roc.tolist(),
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -138,25 +124,22 @@ FPR_TARGETS = (0.01, 0.005, 0.001)
 
 
 def evaluate(scores, labels, threshold=0.5, include_roc=True):
-    """Rates at threshold plus TPR at each of FPR_TARGETS, all from one ROC sweep.
+    """Rates at threshold, and TPR at each of FPR_TARGETS from one ROC sweep.
     include_roc=False leaves the sweep out of the report."""
+    check_threshold(threshold)
     scores, labels = _as_arrays(scores, labels)
-    _check_both_classes(labels)
-    if not math.isfinite(threshold):
-        raise MetricError(f"threshold must be finite, got {threshold}")
-    a = apcer(scores, labels, threshold)
-    b = bpcer(scores, labels, threshold)
     roc = roc_sweep(scores, labels)
-    sweep = np.array(roc)
-    n_spoof = int(np.sum(labels == 0))
+    (spoof, n_spoof), (live, n_live) = _accepted(scores, labels, [threshold])
+    a = 100.0 * int(spoof[0]) / n_spoof
+    b = 100.0 * (n_live - int(live[0])) / n_live  # a NaN live score is rejected
     return EvalReport(
         apcer=a,
         bpcer=b,
         acer=acer(a, b),
         hter=acer(a, b),
         threshold_used=float(threshold),
-        n_live=int(np.sum(labels == 1)),
+        n_live=n_live,
         n_spoof=n_spoof,
-        tpr_at_fpr={t: _best_tpr(sweep, n_spoof, t) for t in FPR_TARGETS},
-        roc=roc if include_roc else [],
+        tpr_at_fpr={t: _best_tpr(roc, n_spoof, t) for t in FPR_TARGETS},
+        roc=roc if include_roc else np.empty((0, 3)),
     )

@@ -219,24 +219,27 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
         if noise_dim:
             noise = np.stack([_epoch_rng(seed, stage, epoch, 1).standard_normal((n, noise_dim)) for seed in seeds])
         history = {}
-        for j, lo in enumerate(range(0, n, bs)):
-            grads, figures = step([col[:, lo : lo + bs] for col in shuffled],
-                                  noise[:, lo : lo + bs] if noise_dim else None)
-            diverged = np.flatnonzero(~(np.abs(figures["total"]) <= DIVERGENCE_CAP))
-            if diverged.size:
-                r = diverged[0]
-                raise TrainingDiverged(stage, epoch, {
-                    key: value(r) if callable(value) else float(value[r]) for key, value in figures.items()
-                })
-            t += 1
-            if adam:
-                kernels.adam_step(flat, grads.flat, m, v, stage_cfg.lr, t)
-            else:
-                flat -= stage_cfg.lr * grads.flat
-            if not history:
-                history = {key: np.empty((S, -(-n // bs))) for key, value in figures.items() if not callable(value)}
-            for key, rows in history.items():
-                rows[:, j] = figures[key]
+        # silenced: a step's non-finite values reach a total, which the divergence check reports
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for j, lo in enumerate(range(0, n, bs)):
+                grads, figures = step([col[:, lo : lo + bs] for col in shuffled],
+                                      noise[:, lo : lo + bs] if noise_dim else None)
+                diverged = np.flatnonzero(~(np.abs(figures["total"]) <= DIVERGENCE_CAP))
+                if diverged.size:
+                    r = diverged[0]
+                    raise TrainingDiverged(stage, epoch, {
+                        key: value(r) if callable(value) else float(value[r]) for key, value in figures.items()
+                    })
+                t += 1
+                if adam:
+                    kernels.adam_step(flat, grads.flat, m, v, stage_cfg.lr, t)
+                else:
+                    flat -= stage_cfg.lr * grads.flat
+                if not history:
+                    history = {key: np.empty((S, -(-n // bs))) for key, value in figures.items()
+                               if not callable(value)}
+                for key, rows in history.items():
+                    rows[:, j] = figures[key]
         shuffled = noise = None  # not held while the caller logs the epoch
         # each replica's batch figures are one contiguous row, so its mean
         # sums them as np.mean of a one-model list would

@@ -266,7 +266,7 @@ class TestEval:
         assert run(["eval", "--data", str(dataset_dir / "dataset.txt"), "--checkpoint", str(trained),
                     "--threshold", "nan", "--out", str(out)]) == 2
         assert one_line_error(capsys)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_report_matches_in_process_metrics(self, dataset_dir, trained, tmp_path):
         out = tmp_path / "eval_m"
@@ -301,14 +301,16 @@ def test_non_finite_checkpoint_is_data_error(dataset_dir, trained, tmp_path, cap
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("b_dq, value", [(800.0, "inf"), (-800.0, "0.0")])
+@pytest.mark.parametrize("b_dq, value", [(800.0, "inf"), (-800.0, "0.0"), (-736.0, "2.287e-320")])
 @pytest.mark.parametrize("command", ["eval", "quality-report"])
 def test_out_of_range_sigma_d_sq_is_data_error(dataset_dir, trained, tmp_path, capsys, command, b_dq, value):
-    # a finite checkpoint whose sigma_D^2 = exp(w_dq . mu + b_dq) overflows
-    # to inf or underflows to 0; tier-1 turns numpy's overflow warning into
-    # an error, so none may escape on the way
+    # a finite checkpoint whose sigma_D^2 = exp(b_dq) on every row overflows
+    # to inf, underflows to 0 or is subnormal, where the corrected logits
+    # overflow; tier-1 turns numpy's overflow warning into an error, so none
+    # may escape on the way
     params, cfg = training.load_checkpoint(trained)
     params = params.copy()
+    params.w_dq[...] = 0.0
     params.b_dq[...] = b_dq
     ckpt = tmp_path / "b_dq.ckpt"
     training.save_checkpoint(ckpt, params, config=cfg)
@@ -317,7 +319,20 @@ def test_out_of_range_sigma_d_sq_is_data_error(dataset_dir, trained, tmp_path, c
     assert run([command, "--data", str(dataset_dir / "dataset.txt"), "--checkpoint", str(ckpt),
                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {ckpt}: sigma_D^2 of row 0 is {value}, not finite and > 0\n"
+    assert err == f"error: {ckpt}: sigma_D^2 of row 0 is {value}, not finite and >= 2.2250738585072014e-308\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["eval", "quality-report"])
+def test_feature_width_mismatch_is_data_error(dataset_dir, trained, tmp_path, capsys, command):
+    wide = tmp_path / "wide"
+    assert run(["gen-data", "--n", "10", "--dim", "5", "--seed", "0", "--out", str(wide)]) == 0
+    dataset = wide / "dataset.txt"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--data", str(dataset), "--checkpoint", str(trained), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {dataset} has 5 features, but {trained} was trained on 4\n"
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -366,7 +381,12 @@ class TestNoiseSweep:
             assert run(["noise-sweep", flag, text, "--out", str(tmp_path / "x")]) == 1
         assert not (tmp_path / "x" / "sweep.csv").exists()
 
-    def test_non_finite_threshold_is_metric_error(self, tmp_path, capsys):
+    def test_non_finite_threshold_is_metric_error(self, tmp_path, capsys, monkeypatch):
+        # the threshold is checked before any run trains or any directory is made
+        def no_training(*args, **kwargs):
+            pytest.fail("trained before the threshold was checked")
+
+        monkeypatch.setattr(training, "train_stage1_lq", no_training)
         cfg_path = tmp_path / "cfg.txt"
         write_quick_config(cfg_path)
         out = tmp_path / "s"
@@ -375,7 +395,7 @@ class TestNoiseSweep:
                     "--seeds", "0", "--config", str(cfg_path), "--threshold", "nan",
                     "--out", str(out)]) == 2
         assert one_line_error(capsys)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestQualityReport:

@@ -109,10 +109,16 @@ def test_first_out_of_range_sigma_d_sq_row_is_named(tiny_params):
     params.w_dq[0] = 1.0
     mu = np.zeros((6, params.B))
     mu[[2, 4], 0] = (1000.0, -1000.0)
-    with pytest.raises(inference.QualityError, match=r"^sigma_D\^2 of row 2 is inf, not finite and > 0$"):
+    floor = r"not finite and >= 2\.2250738585072014e-308$"
+    with pytest.raises(inference.QualityError, match=r"^sigma_D\^2 of row 2 is inf, " + floor):
         inference.data_quality(params, mu)
     mu[2, 0] = 0.0
-    with pytest.raises(inference.QualityError, match=r"^sigma_D\^2 of row 4 is 0.0, not finite and > 0$"):
+    with pytest.raises(inference.QualityError, match=r"^sigma_D\^2 of row 4 is 0.0, " + floor):
+        inference.data_quality(params, mu)
+    # a subnormal sigma_D^2 is > 0 but too small to divide by
+    params.b_dq[...] = 0.0
+    mu[4, 0] = -736.0
+    with pytest.raises(inference.QualityError, match=r"^sigma_D\^2 of row 4 is 2.287e-320, " + floor):
         inference.data_quality(params, mu)
 
 

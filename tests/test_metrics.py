@@ -38,6 +38,21 @@ def brute_force_roc_sweep(scores, labels):
     return out
 
 
+def brute_force_rates(scores, labels, threshold):
+    """(APCER, BPCER) with each count taken by a Python loop: a spoof
+    score is accepted when score >= threshold, a live score is rejected
+    when not, so a NaN score is never accepted."""
+    accepted_spoof = rejected_live = n_spoof = n_live = 0
+    for score, label in zip(np.asarray(scores).tolist(), np.asarray(labels).tolist()):
+        if label == 0:
+            n_spoof += 1
+            accepted_spoof += score >= threshold
+        else:
+            n_live += 1
+            rejected_live += not score >= threshold
+    return 100.0 * accepted_spoof / n_spoof, 100.0 * rejected_live / n_live
+
+
 def pairwise_auc(scores, labels):
     """O(n^2) oracle: P(live > spoof) + 0.5 P(tie)."""
     live = scores[labels == 1]
@@ -56,22 +71,25 @@ class TestRates:
     def test_counting_example(self):
         scores = np.concatenate([np.full(3, 0.9), np.full(47, 0.1), np.full(10, 0.8)])
         labels = np.concatenate([np.zeros(50, dtype=int), np.ones(10, dtype=int)])
-        assert metrics.apcer(scores, labels, 0.5) == pytest.approx(6.0)
-        assert metrics.bpcer(scores, labels, 0.5) == pytest.approx(0.0)
+        rep = metrics.evaluate(scores, labels, 0.5)
+        assert rep.apcer == pytest.approx(6.0)
+        assert rep.bpcer == pytest.approx(0.0)
 
     def test_nan_live_score_is_rejected_as_the_roc_counts_it(self):
         scores = np.array([0.9, np.nan, 0.5, 0.2, np.nan, 0.7, 0.1])
         labels = np.array([1, 1, 1, 1, 0, 0, 0])
-        tpr = {t: tpr for t, _, tpr in metrics.roc_sweep(scores, labels)}
+        tpr = {t: tpr for t, _, tpr in metrics.roc_sweep(scores, labels).tolist()}
         for threshold in (0.1, 0.5, 0.9):
-            assert 100.0 - metrics.bpcer(scores, labels, threshold) == pytest.approx(100.0 * tpr[threshold])
+            bpcer = metrics.evaluate(scores, labels, threshold).bpcer
+            assert 100.0 - bpcer == pytest.approx(100.0 * tpr[threshold])
 
     def test_perfect_classifier(self):
         scores = np.array([0.9, 0.8, 0.1, 0.2])
         labels = np.array([1, 1, 0, 0])
-        assert metrics.apcer(scores, labels) == 0.0
-        assert metrics.bpcer(scores, labels) == 0.0
-        assert metrics.evaluate(scores, labels).hter == 0.0
+        rep = metrics.evaluate(scores, labels)
+        assert rep.apcer == 0.0
+        assert rep.bpcer == 0.0
+        assert rep.hter == 0.0
 
     def test_acer_identity(self):
         assert metrics.acer(2.29, 0.96) == pytest.approx(1.625, abs=1e-15)
@@ -82,7 +100,7 @@ class TestRates:
         scores = rng.uniform(0, 1, 50)
         labels = rng.integers(0, 2, 50)
         labels[0], labels[1] = 0, 1
-        a = metrics.acer(metrics.apcer(scores, labels, 0.4), metrics.bpcer(scores, labels, 0.4))
+        a = metrics.acer(*brute_force_rates(scores, labels, 0.4))
         assert metrics.evaluate(scores, labels, 0.4).hter == pytest.approx(a, rel=1e-15)
 
     def test_symmetric_errors(self):
@@ -92,17 +110,36 @@ class TestRates:
 
     def test_empty_class_rejected(self):
         with pytest.raises(metrics.MetricError):
-            metrics.apcer(np.array([0.5]), np.array([1]))
+            metrics.evaluate(np.array([0.5]), np.array([1]))
         with pytest.raises(metrics.MetricError):
-            metrics.bpcer(np.array([0.5]), np.array([0]))
+            metrics.evaluate(np.array([0.5]), np.array([0]))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         scores = rng.uniform(0, 1, 40)
         labels = np.array([0, 1] * 20)
         perm = rng.permutation(40)
-        assert metrics.apcer(scores, labels) == metrics.apcer(scores[perm], labels[perm])
+        # == compares every report field but the ROC array
+        assert metrics.evaluate(scores, labels) == metrics.evaluate(scores[perm], labels[perm])
         assert metrics.auc(scores, labels) == pytest.approx(metrics.auc(scores[perm], labels[perm]), rel=1e-12)
+
+    def test_rates_equal_brute_force_counts(self):
+        # ties, NaN and +-inf scores; thresholds at every finite distinct
+        # score, between neighbours and outside the range
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            n = int(rng.integers(2, 120))
+            scores = np.round(rng.uniform(0, 1, n), int(rng.integers(1, 3)))
+            scores[rng.random(n) < 0.1] = np.nan
+            scores[rng.random(n) < 0.05] = np.inf
+            scores[rng.random(n) < 0.05] = -np.inf
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            distinct = np.unique(scores[np.isfinite(scores)])
+            thresholds = np.concatenate([distinct, (distinct[1:] + distinct[:-1]) / 2, [-1.5, 2.5]])
+            for threshold in thresholds.tolist():
+                rep = metrics.evaluate(scores, labels, threshold)
+                assert (rep.apcer, rep.bpcer) == brute_force_rates(scores, labels, threshold), threshold
 
 
 class TestRocSweep:
@@ -142,11 +179,12 @@ class TestRocSweep:
             (rng.uniform(0, 1, 12), np.array([0] + [1] * 11)),  # a single spoof sample
         ]
         for scores, labels in cases:
-            assert metrics.roc_sweep(scores, labels) == brute_force_roc_sweep(scores, labels)
+            oracle = [list(row) for row in brute_force_roc_sweep(scores, labels)]
+            assert metrics.roc_sweep(scores, labels).tolist() == oracle
         # a NaN score is never accepted; NaN thresholds compare equal here only
         scores = np.array([0.3, np.nan, 0.7, 0.3, np.inf, -np.inf, np.nan])
         labels = np.array([0, 1, 1, 0, 0, 1, 0])
-        got = np.array(metrics.roc_sweep(scores, labels))
+        got = metrics.roc_sweep(scores, labels)
         assert np.array_equal(got, np.array(brute_force_roc_sweep(scores, labels)), equal_nan=True)
 
     def test_duplicate_scores_collapse(self):

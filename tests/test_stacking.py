@@ -186,6 +186,19 @@ class TestDivergence:
         assert capsys.readouterr().err == f"training diverged: {self._seed_error(7)}\n"
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_cli_divergence_prints_no_numpy_warning(self, tmp_path):
+        # stage 2's exp() overflows on this cell; numpy's warnings would
+        # print outside the in-process tests' warning filters, so run the CLI
+        # as a user does
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "probfas.cli", "noise-sweep", "--noise-kind", "binary", "--fractions", "0.3",
+             "--seeds", "0", "--arm", "s-lq-dq", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("training diverged: stage 2 ") and proc.stderr.count("\n") == 1, proc.stderr
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stage1_divergence_reports_match_single_runs(self):
         # SGD at lr 1 on these tiny sets: seed 2 diverges at epoch 3, seed
