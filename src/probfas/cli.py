@@ -60,17 +60,27 @@ def _resolve_out(out, command):
         if root is None:
             raise _UsageError("--out is required (or set PROBFAS_OUT_ROOT)")
         out = os.path.join(root, command)
-    os.makedirs(out, exist_ok=True)
     return out
 
 
-def _claim_manifest(out, doc):
-    """Checks out's manifest before any artifact is written, so a rerun with
+@contextlib.contextmanager
+def _claimed(out, doc):
+    """Makes out once the command's inputs have passed their checks, and
+    checks its manifest before any artifact is written, so a rerun with
     conflicting settings fails without touching the first run's outputs.
-    Returns the manifest path; the command writes the manifest last."""
+    Yields the manifest path; the command writes the manifest last. If the
+    block fails (a divergence, say) and leaves out empty, out is removed
+    again, unless it was there before."""
+    made = not os.path.isdir(out)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, MANIFEST_FILENAME)
-    experiments.check_manifest(path, doc)
-    return path
+    try:
+        experiments.check_manifest(path, doc)
+        yield path
+    except Exception:
+        if made and not os.listdir(out):
+            os.rmdir(out)
+        raise
 
 
 def _load_config(path, seed=None):
@@ -165,17 +175,17 @@ def cmd_gen_data(args):
             "severity": args.severity,
         },
     }
-    manifest = _claim_manifest(out, doc)
-    ds = data.generate_synthetic(
-        n_per_class=args.n, D=args.dim, categories={"spoof_type": args.spoof_types},
-        cluster_overlap=args.overlap, seed=args.seed,
-    )
-    ds = data.inject_semantic_label_noise(ds, args.semantic_noise, args.seed)
-    ds = data.inject_binary_label_noise(ds, args.binary_noise, args.seed)
-    ds = data.inject_data_noise(ds, args.data_noise, args.severity, args.seed)
-    path = os.path.join(out, DATASET_FILENAME)
-    data.save_dataset(ds, path)
-    experiments.write_manifest(manifest, doc)
+    with _claimed(out, doc) as manifest:
+        ds = data.generate_synthetic(
+            n_per_class=args.n, D=args.dim, categories={"spoof_type": args.spoof_types},
+            cluster_overlap=args.overlap, seed=args.seed,
+        )
+        ds = data.inject_semantic_label_noise(ds, args.semantic_noise, args.seed)
+        ds = data.inject_binary_label_noise(ds, args.binary_noise, args.seed)
+        ds = data.inject_data_noise(ds, args.data_noise, args.severity, args.seed)
+        path = os.path.join(out, DATASET_FILENAME)
+        data.save_dataset(ds, path)
+        experiments.write_manifest(manifest, doc)
     n_live = int(np.sum(ds.c_labels() == data.LIVE))
     print(f"seed={args.seed} n={len(ds)} live={n_live} spoof={len(ds) - n_live} -> {path}")
     return 0
@@ -193,11 +203,11 @@ def cmd_train(args):
         "dataset_paths": [args.data],
         "flags": {"seed": cfg.seed},
     }
-    manifest = _claim_manifest(out, doc)
-    [(_, _, stack, (log,))] = training.train_arms([ds], [args.arm], [cfg])
-    training.save_checkpoint(os.path.join(out, CHECKPOINT_FILENAME), stack.replica(0), config=cfg)
-    training.save_trainlog(log, os.path.join(out, TRAINLOG_FILENAME))
-    experiments.write_manifest(manifest, doc)
+    with _claimed(out, doc) as manifest:
+        [(_, _, stack, (log,))] = training.train_arms([ds], [args.arm], [cfg])
+        training.save_checkpoint(os.path.join(out, CHECKPOINT_FILENAME), stack.replica(0), config=cfg)
+        training.save_trainlog(log, os.path.join(out, TRAINLOG_FILENAME))
+        experiments.write_manifest(manifest, doc)
     print(f"arm={args.arm} seed={cfg.seed} epochs={len(log)} -> {out}")
     return 0
 
@@ -223,19 +233,19 @@ def cmd_eval(args):
         "checkpoint": args.checkpoint,
         "flags": {"threshold": args.threshold, "modes": modes},
     }
-    manifest = _claim_manifest(out, doc)
     reports = {}
-    with _quality_of(args.checkpoint):
-        for tag in modes:
-            reports[tag] = _eval_mode(params, ds, tag == "corrected", args.threshold, out, tag)
-    if len(reports) == 2:
-        delta = {
-            key: getattr(reports["corrected"], key) - getattr(reports["uncorrected"], key)
-            for key in ("apcer", "bpcer", "acer", "hter")
-        }
-        with open(os.path.join(out, "report_delta.json"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(delta, sort_keys=True, separators=(",", ":")) + "\n")
-    experiments.write_manifest(manifest, doc)
+    with _claimed(out, doc) as manifest:
+        with _quality_of(args.checkpoint):
+            for tag in modes:
+                reports[tag] = _eval_mode(params, ds, tag == "corrected", args.threshold, out, tag)
+        if len(reports) == 2:
+            delta = {
+                key: getattr(reports["corrected"], key) - getattr(reports["uncorrected"], key)
+                for key in ("apcer", "bpcer", "acer", "hter")
+            }
+            with open(os.path.join(out, "report_delta.json"), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(json.dumps(delta, sort_keys=True, separators=(",", ":")) + "\n")
+        experiments.write_manifest(manifest, doc)
     for tag, rep in reports.items():
         print(f"{tag}: apcer={rep.apcer:.4f} bpcer={rep.bpcer:.4f} acer={rep.acer:.4f}")
     return 0
@@ -263,10 +273,10 @@ def cmd_noise_sweep(args):
         "flags": {"kinds": kinds, "arms": arms, "fractions": fractions_by_kind,
                   "threshold": args.threshold},
     }
-    manifest = _claim_manifest(out, doc)
-    rows = experiments.noise_sweep(kinds, fractions_by_kind, arms, args.seeds, cfg, args.threshold)
-    experiments.sweep_rows_to_csv(rows, os.path.join(out, "sweep.csv"))
-    experiments.write_manifest(manifest, doc)
+    with _claimed(out, doc) as manifest:
+        rows = experiments.noise_sweep(kinds, fractions_by_kind, arms, args.seeds, cfg, args.threshold)
+        experiments.sweep_rows_to_csv(rows, os.path.join(out, "sweep.csv"))
+        experiments.write_manifest(manifest, doc)
     print(f"{len(rows)} sweep rows -> {os.path.join(out, 'sweep.csv')}")
     return 0
 
@@ -280,16 +290,16 @@ def cmd_quality_report(args):
         "checkpoint": args.checkpoint,
         "flags": {},
     }
-    manifest = _claim_manifest(out, doc)
-    with _quality_of(args.checkpoint):
-        per_sample, hist, summary = experiments.quality_report(params, ds)
-    with open(os.path.join(out, "quality.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(per_sample)
-    with open(os.path.join(out, "quality_hist.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(hist)
-    with open(os.path.join(out, "quality_summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
-    experiments.write_manifest(manifest, doc)
+    with _claimed(out, doc) as manifest:
+        with _quality_of(args.checkpoint):
+            per_sample, hist, summary = experiments.quality_report(params, ds)
+        with open(os.path.join(out, "quality.csv"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(per_sample)
+        with open(os.path.join(out, "quality_hist.csv"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(hist)
+        with open(os.path.join(out, "quality_summary.json"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
+        experiments.write_manifest(manifest, doc)
     print(f"quality report for {summary['n']} samples -> {out}")
     return 0
 

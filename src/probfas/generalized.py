@@ -39,14 +39,13 @@ def train_tagger(d_suf, category, config):
         B=config.embedding_dim, hidden=config.hidden, seed=config.seed,
     )])
 
-    def step(batch, _):
+    def step(batch, _, grads):
         X, y = batch
         mu, cache = model.embed_with_cache(params, X)
         loss, dz, domega = losses.semantic_ce_with_grads(mu, params.omega_s[category], y)
-        grads = params.zeros_like()
         grads.omega_s[category] += domega
         model.embed_backward(params, cache, dz, grads)
-        return grads, {"total": loss.total}
+        return {"total": loss.total}
 
     columns = [d_suf.X()[spoof][None], labels[None]]
     for _ in training.run_stage(params, columns, 3, config.stage1, [config.seed], step):

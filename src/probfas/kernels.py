@@ -9,19 +9,24 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def softmax_xent(logits, labels):
-    """Per-sample stabilized cross-entropy and softmax probabilities.
+    """Per-sample stabilized cross-entropy, softmax probabilities and the
+    one-hot of the labels.
 
     logits: (..., N, A) float64; labels: (..., N) int64 in [0, A).
-    Returns (loss (..., N), probs (..., N, A)).
+    Returns (loss (..., N), probs (..., N, A), one-hot (..., N, A) bool).
+    A label outside [0, A) picks no logit and raises ValueError.
     """
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
+    onehot = labels[..., None] == np.arange(logits.shape[-1])
     shifted = logits - logits.max(axis=-1, keepdims=True)
+    picked = shifted[onehot]
+    if picked.size != labels.size:
+        raise ValueError(f"labels out of range [0, {logits.shape[-1]})")
     expv = np.exp(shifted)
     denom = expv.sum(axis=-1)
     probs = expv / denom[..., None]
-    picked = shifted[labels[..., None] == np.arange(logits.shape[-1])].reshape(labels.shape)
-    return np.log(denom) - picked, probs
+    return np.log(denom) - picked.reshape(labels.shape), probs, onehot
 
 
 def gaussian_nll(d2, s2):
@@ -46,14 +51,25 @@ def smooth_rows(X, window):
     return out
 
 
-def adam_step(p, g, m, v, lr, t):
+def adam_step(p, g, m, v, lr, t, scratch):
     """In-place Adam update (step t >= 1) on flat float64 arrays of one
-    shape, with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
+    shape, with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8. ``scratch`` is a
+    pair of arrays of p's shape that the update overwrites, so a step
+    allocates nothing; each value rounds as in
+    p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    a, b = scratch
+    np.multiply(g, 1.0 - beta1, out=a)
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += a
+    np.multiply(g, 1.0 - beta2, out=a)
+    a *= g
     v *= beta2
-    v += (1.0 - beta2) * g * g
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    p -= lr * mhat / (np.sqrt(vhat) + eps)
+    v += a
+    np.divide(m, 1.0 - beta1 ** t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - beta2 ** t, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    p -= a

@@ -52,16 +52,11 @@ def _check_labels(labels, n_classes):
 # cross-entropy losses
 # ---------------------------------------------------------------------------
 
-def _xent_grad(probs, labels):
-    """d(per-sample CE)/dlogits: probs minus the one-hot label."""
-    return probs - (labels[..., None] == np.arange(probs.shape[-1]))
-
-
 def softmax_ce_with_grads(logits, labels):
-    """Returns (LossValue, dlogits_of_mean_loss)."""
-    labels = _check_labels(labels, logits.shape[-1])
-    per, probs = kernels.softmax_xent(logits, labels)
-    dlogits = _xent_grad(probs, labels)
+    """Returns (LossValue, dlogits_of_mean_loss); an out-of-range label
+    raises ValueError (kernels.softmax_xent)."""
+    per, dlogits, onehot = kernels.softmax_xent(logits, labels)
+    dlogits -= onehot  # d(per-sample CE)/dlogits: probs minus the one-hot label
     dlogits /= logits.shape[-2]
     return _make_loss(per), dlogits
 
@@ -93,7 +88,8 @@ def _checked_sigma_sq(sigma_d_sq):
 def dq_gaussian_nll_with_grads(mu, omega_c, labels_c, sigma_d_sq):
     """Per-sample 0.5*(ln s2 + ||omega_c[c]-mu||^2 / s2) + 0.5*ln(2*pi).
 
-    Returns (LossValue, grads) with grads = (dmu, domega_c, dsigma_d_sq)."""
+    Returns (LossValue, grads, d2) with grads = (dmu, domega_c,
+    dsigma_d_sq) and d2 each row's squared distance ||omega_c[c]-mu||^2."""
     labels_c = _check_labels(labels_c, omega_c.shape[-2])
     s2 = _checked_sigma_sq(sigma_d_sq)
     rows = _class_rows(labels_c)
@@ -109,7 +105,7 @@ def dq_gaussian_nll_with_grads(mu, omega_c, labels_c, sigma_d_sq):
     np.add.at(domega, rows, ddiff)
     ds2 = 0.5 * (1.0 / s2 - d2 / (s2 * s2)) / n
     ds2 = np.where(np.asarray(sigma_d_sq) < SIGMA_SQ_FLOOR, 0.0, ds2)
-    return _make_loss(per), (dmu, domega, ds2)
+    return _make_loss(per), (dmu, domega, ds2), d2
 
 
 def _class_rows(labels):
@@ -154,19 +150,18 @@ def _lone_rows(spoof, n_sp):
     return [(r, np.flatnonzero(spoof[r])[0]) for r in np.ndindex(n_sp.shape) if n_sp[r] == 1]
 
 
-def stage1_objective(params, X, c, s_by_category, epsilon, lambda_s=1.0, enable_lq=True):
+def stage1_objective(params, X, c, s_by_category, epsilon, grads, lambda_s=1.0, enable_lq=True):
     """Live/spoof CE plus lambda_s * semantic CE per category, the latter at
     the sampled z when enable_lq else at mu, restricted to spoof samples.
+    Adds the parameter gradients into ``grads``, a ModelParams-shaped
+    struct; an out-of-range label raises ValueError (kernels.softmax_xent).
 
-    Returns (LossValue, grads: ModelParams-shaped, aux dict). aux["loss_c"]
-    is the live/spoof CE total, and aux["loss_s"] is a function of a
-    replica index (``()`` for one model) that gives that replica's
-    {category: lambda_s * semantic CE}.
+    Returns (LossValue, aux dict). aux["loss_c"] is the live/spoof CE
+    total, and aux["loss_s"] is a function of a replica index (``()`` for
+    one model) that gives that replica's {category: lambda_s * semantic CE}.
     """
-    c = _check_labels(c, 2)
     mu, cache = model.embed_with_cache(params, X)
     n = mu.shape[-2]
-    grads = params.zeros_like()
 
     loss_c, dlogits_c = softmax_ce_with_grads(model.live_spoof_logits(params, mu), c)
     per_sample = loss_c.per_sample.copy()
@@ -197,12 +192,12 @@ def stage1_objective(params, X, c, s_by_category, epsilon, lambda_s=1.0, enable_
         lone = _lone_rows(spoof, n_sp)
         for cat, labels in s_by_category.items():
             omega = params.omega_s[cat]
-            labels = _check_labels(np.where(spoof, labels, 0), omega.shape[-2])
             logits = model.semantic_logits(params, cat, z)
             for r, i in lone:
                 logits[r][i] = z[r][i : i + 1] @ model._t(omega[r])
-            per, probs = kernels.softmax_xent(logits, labels)
-            dlogits = np.where(keep, _xent_grad(probs, labels), 0.0) / n_div[..., None, None]
+            per, probs, onehot = kernels.softmax_xent(logits, np.where(spoof, labels, 0))
+            probs -= onehot
+            dlogits = np.where(keep, probs, 0.0) / n_div[..., None, None]
             grads.omega_s[cat] += lambda_s * (model._t(dlogits) @ z)
             dz_cat = dlogits @ omega
             for r, i in lone:
@@ -227,32 +222,29 @@ def stage1_objective(params, X, c, s_by_category, epsilon, lambda_s=1.0, enable_
             return {}
         return {cat: lambda_s * float(per[r][rows].mean()) for cat, per in per_sem.items()}
 
-    return _make_loss(per_sample), grads, {"loss_c": loss_c.total, "loss_s": loss_s}
+    return _make_loss(per_sample), {"loss_c": loss_c.total, "loss_s": loss_s}
 
 
-def stage2_objective(params, mu, c):
+def stage2_objective(params, mu, c, grads):
     """Gaussian NLL on row-normalized mu and omega_c with the scalar
     data-quality variance. The backbone is frozen, so it takes the batch's
     embedding ``mu`` (model.embed) rather than its features: gradients are
-    produced only for omega_c and the data-quality head.
+    added into ``grads`` (ModelParams-shaped) only for omega_c and the
+    data-quality head.
 
-    Returns (LossValue, grads: ModelParams-shaped, aux dict); aux["d2"]
-    holds each row's squared distance ||w_n[c] - mu_n||^2.
+    Returns (LossValue, aux dict); aux["d2"] holds each row's squared
+    distance ||w_n[c] - mu_n||^2.
     """
-    c = _check_labels(c, 2)
     mu_n = l2_normalize_rows(mu)
     w_n = l2_normalize_rows(params.omega_c)
     s2_raw = model.dq_variance(params, mu)
     # an exp() that underflows to 0 is floored like any tiny variance, with
     # zero gradient, rather than rejected as non-positive
     s2 = np.maximum(s2_raw, np.finfo(float).tiny)
-    loss, (_, dw_n, ds2) = dq_gaussian_nll_with_grads(mu_n, w_n, c, s2)
+    loss, (_, dw_n, ds2), d2 = dq_gaussian_nll_with_grads(mu_n, w_n, c, s2)
 
-    grads = params.zeros_like()
     grads.omega_c += l2_normalize_rows_backward(params.omega_c, w_n, dw_n)
     dw_dq, db_dq, _ = model.dq_variance_backward(params, mu, s2_raw, ds2)
     grads.w_dq += dw_dq
     grads.b_dq += db_dq
-
-    diff = w_n[_class_rows(c)] - mu_n
-    return loss, grads, {"d2": _row_dots(diff, diff)}
+    return loss, {"d2": d2}

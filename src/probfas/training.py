@@ -193,24 +193,29 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
     Replica r shuffles its n rows with, and draws its (n, noise_dim) noise
     of each epoch from, streams (seeds[r], stage, epoch, 0) and (..., 1), so
     it trains as it would alone; with noise_dim 0 no noise stream is built.
-    ``step(batch, eps) -> (grads, figures)`` gets the columns' rows of one
-    batch, (S, bs, ...) each, and their noise rows (S, bs, noise_dim), or
-    None without noise. ``figures`` maps names to (S,) arrays,
-    ``figures["total"]`` being the batch losses, or to functions of a
-    replica index, evaluated only to report a divergence.
+    ``step(batch, eps, grads) -> figures`` gets the columns' rows of one
+    batch, (S, bs, ...) each, their noise rows (S, bs, noise_dim), or None
+    without noise, and the stage's one gradient struct (shaped as params),
+    zeroed before each step, to add the batch's gradients into.
+    ``figures`` maps names to (S,) arrays, ``figures["total"]`` being the
+    batch losses, or to functions of a replica index, evaluated only to
+    report a divergence.
 
     The stage steps stage_cfg's optimizer; Adam's (S, P) moments start at
-    zero. Before each step, the first replica whose total is non-finite or
-    beyond DIVERGENCE_CAP raises its TrainingDiverged with all its figures:
-    in a stack of one, the error the run meets alone. Which run of a larger
-    stack to report is the caller's choice (see train_arms). Yields
-    (epoch, means) after each epoch, means holding the (S,) epoch means of
-    every array figure.
+    zero, and its scratch is the stage's too, so an update allocates no
+    (S, P) array. Before each step, the first replica whose total is
+    non-finite or beyond DIVERGENCE_CAP raises its TrainingDiverged with all
+    its figures: in a stack of one, the error the run meets alone. Which run
+    of a larger stack to report is the caller's choice (see train_arms).
+    Yields (epoch, means) after each epoch, means holding the (S,) epoch
+    means of every array figure.
     """
     S, n = len(seeds), columns[0].shape[1]
     flat, adam = params.flat, stage_cfg.optimizer == "adam"
+    grads = params.zeros_like()
     if adam:
         m, v = np.zeros_like(flat), np.zeros_like(flat)
+        scratch = np.empty((2, *flat.shape))
     t, bs = 0, stage_cfg.batch_size
     replica = np.arange(S)[:, None]
     for epoch in range(stage_cfg.epochs):
@@ -222,8 +227,9 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
         # silenced: a step's non-finite values reach a total, which the divergence check reports
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for j, lo in enumerate(range(0, n, bs)):
-                grads, figures = step([col[:, lo : lo + bs] for col in shuffled],
-                                      noise[:, lo : lo + bs] if noise_dim else None)
+                grads.flat.fill(0.0)
+                figures = step([col[:, lo : lo + bs] for col in shuffled],
+                               noise[:, lo : lo + bs] if noise_dim else None, grads)
                 diverged = np.flatnonzero(~(np.abs(figures["total"]) <= DIVERGENCE_CAP))
                 if diverged.size:
                     r = diverged[0]
@@ -232,9 +238,10 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
                     })
                 t += 1
                 if adam:
-                    kernels.adam_step(flat, grads.flat, m, v, stage_cfg.lr, t)
+                    kernels.adam_step(flat, grads.flat, m, v, stage_cfg.lr, t, scratch)
                 else:
-                    flat -= stage_cfg.lr * grads.flat
+                    grads.flat *= stage_cfg.lr  # the struct is zeroed before the next step
+                    flat -= grads.flat
                 if not history:
                     history = {key: np.empty((S, -(-n // bs))) for key, value in figures.items()
                                if not callable(value)}
@@ -297,12 +304,11 @@ def train_stage1_lq(datasets, configs, keep_logs=True):
     categories = list(datasets[0].categories)
     labels = [np.stack([d.s[cat] for d in datasets]) for cat in categories]
 
-    def step(batch, eps):
+    def step(batch, eps, grads):
         X_b, c_b, *s_b = batch
-        loss, grads, aux = losses.stage1_objective(
-            params, X_b, c_b, dict(zip(categories, s_b)), eps, lambda_s=cfg.lambda_s, enable_lq=cfg.enable_lq,
-        )
-        return grads, {"total": loss.total, "loss_c": aux["loss_c"], "loss_s": aux["loss_s"]}
+        loss, aux = losses.stage1_objective(params, X_b, c_b, dict(zip(categories, s_b)), eps, grads,
+                                            lambda_s=cfg.lambda_s, enable_lq=cfg.enable_lq)
+        return {"total": loss.total, "loss_c": aux["loss_c"], "loss_s": aux["loss_s"]}
 
     logs = [[] for _ in range(S)]
     seeds = [run.seed for run in configs]
@@ -353,10 +359,11 @@ def train_stage2_dq(params, datasets, configs, keep_logs=True):
     X = np.stack([d.x for d in datasets])
     c = np.stack([d.c for d in datasets])
 
-    def step(batch, _):
+    def step(batch, _, grads):
         X_b, c_b = batch
-        loss, grads, aux = losses.stage2_objective(params, model.embed(params, X_b), c_b)
-        return grads, {"total": loss.total, "mean_d2": aux["d2"].mean(axis=-1)}
+        loss, aux = losses.stage2_objective(params, model.embed(params, X_b), c_b, grads)
+        # only a divergence report reads the mean distance
+        return {"total": loss.total, "mean_d2": lambda r: float(aux["d2"][r].mean())}
 
     logs = [[] for _ in range(S)]
     seeds = [run.seed for run in configs]

@@ -76,6 +76,14 @@ def check_replica_gradients(params, loss_and_grads, mask=None, tol=FD_TOL):
         check_param_gradients(params.replica(r).copy(), replica_loss_and_grads, mask=mask, tol=tol)
 
 
+def with_grads(objective, params, *args, **kwargs):
+    """A stage objective called as run_stage's step calls it, with a zeroed
+    gradient struct after its positional arguments: (loss, grads, aux)."""
+    grads = params.zeros_like()
+    loss, aux = objective(params, *args, grads, **kwargs)
+    return loss, grads, aux
+
+
 def selection_mask(params, tensor_names):
     """ModelParams whose listed tensors are ones and the rest zeros."""
     mask = params.zeros_like()

@@ -14,7 +14,7 @@ import pytest
 from probfas import cli, data, experiments, inference, kernels, losses, metrics, model, training
 from conftest import (
     fd_gradient, ref_dq_gaussian_nll, ref_live_spoof_ce, ref_semantic_ce, ref_semantic_ce_probabilistic, rel_err,
-    train_one,
+    train_one, with_grads,
 )
 
 GRAD_TOL = 1e-4
@@ -59,7 +59,7 @@ def test_criterion_1_gradient_oracle_suite():
         assert rel_err(domega_c.ravel(), fd_gradient(f_oc, omega_c.ravel())) < GRAD_TOL
 
         # data-quality Gaussian NLL: d/dmu, d/domega, d/dsigma^2
-        _, (g_mu, g_om, g_s2) = losses.dq_gaussian_nll_with_grads(mu, omega_c, c, s2)
+        _, (g_mu, g_om, g_s2), _ = losses.dq_gaussian_nll_with_grads(mu, omega_c, c, s2)
         f1 = lambda v: ref_dq_gaussian_nll(v.reshape(mu.shape), omega_c, c, s2)
         f2 = lambda v: ref_dq_gaussian_nll(mu, v.reshape(omega_c.shape), c, s2)
         f3 = lambda v: ref_dq_gaussian_nll(mu, omega_c, c, v)
@@ -96,7 +96,7 @@ def test_criterion_1_gradient_oracle_suite():
 
         # normalized stage-2 objective over its trainable tensors
         X = rng.standard_normal((n, 4))
-        _, grads, _ = losses.stage2_objective(params, model.embed(params, X), c)
+        _, grads, _ = with_grads(losses.stage2_objective, params, model.embed(params, X), c)
 
         def f_s2obj(v):
             q = params.copy()
@@ -104,7 +104,7 @@ def test_criterion_1_gradient_oracle_suite():
             q.omega_c[...] = v[:k].reshape(q.omega_c.shape)
             q.w_dq[...] = v[k : k + q.w_dq.size]
             q.b_dq[...] = v[-1]
-            return losses.stage2_objective(q, model.embed(q, X), c)[0].total
+            return with_grads(losses.stage2_objective, q, model.embed(q, X), c)[0].total
 
         v0 = np.concatenate([params.omega_c.ravel(), params.w_dq, [float(params.b_dq)]])
         analytic = np.concatenate([grads.omega_c.ravel(), grads.w_dq, [float(grads.b_dq)]])
@@ -170,7 +170,7 @@ def test_criterion_4_monte_carlo_matches_quadrature():
     rng = np.random.default_rng(7)
     eps = rng.standard_normal((n_draws, 2))
     z = mu + eps * sigma
-    per, _ = kernels.softmax_xent(z @ omega.T, np.zeros(n_draws, dtype=np.int64))
+    per, _, _ = kernels.softmax_xent(z @ omega.T, np.zeros(n_draws, dtype=np.int64))
     mc_mean = per.mean()
     mc_se = per.std(ddof=1) / math.sqrt(n_draws)
 
@@ -181,7 +181,7 @@ def test_criterion_4_monte_carlo_matches_quadrature():
     E1, E2 = np.meshgrid(e1, e1, indexing="ij")
     W = np.outer(w, w).ravel()
     zs = mu + np.stack([E1.ravel(), E2.ravel()], axis=1) * sigma
-    per_q, _ = kernels.softmax_xent(zs @ omega.T, np.zeros(len(zs), dtype=np.int64))
+    per_q, _, _ = kernels.softmax_xent(zs @ omega.T, np.zeros(len(zs), dtype=np.int64))
     quad = float((per_q * W).sum())
 
     assert abs(mc_mean - quad) <= 3.0 * mc_se

@@ -169,6 +169,12 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == f"training diverged: {alone.value}\n"
         assert err.startswith("training diverged: stage 1 diverged at epoch ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+        # a directory the command did not make stays
+        (tmp_path / "o").mkdir()
+        assert run(["train", "--data", str(dataset_dir / "dataset.txt"),
+                    "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        assert (tmp_path / "o").is_dir()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_is_data_error(self, dataset_dir, tmp_path, capsys, value):
@@ -298,7 +304,7 @@ def test_non_finite_checkpoint_is_data_error(dataset_dir, trained, tmp_path, cap
                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {ckpt}: non-finite values in parameter omega_c\n"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("b_dq, value", [(800.0, "inf"), (-800.0, "0.0"), (-736.0, "2.287e-320")])
@@ -320,7 +326,7 @@ def test_out_of_range_sigma_d_sq_is_data_error(dataset_dir, trained, tmp_path, c
                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {ckpt}: sigma_D^2 of row 0 is {value}, not finite and >= 2.2250738585072014e-308\n"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "quality-report"])
@@ -333,7 +339,7 @@ def test_feature_width_mismatch_is_data_error(dataset_dir, trained, tmp_path, ca
     assert run([command, "--data", str(dataset), "--checkpoint", str(trained), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {dataset} has 5 features, but {trained} was trained on 4\n"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 class TestNoiseSweep:
@@ -473,7 +479,7 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ("missing" in err) if "data-dir" not in case else (str(dataset_dir) in err)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("which", ["data", "config"])
@@ -490,7 +496,7 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(dataset if which == "data" else cfg) in err and "not UTF-8" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("case", [
@@ -517,7 +523,7 @@ def test_bad_setting_is_exit_two_naming_key(dataset_dir, tmp_path, capsys, case)
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 class TestOutputRoot:

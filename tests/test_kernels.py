@@ -18,14 +18,14 @@ class TestSoftmaxXent:
     def test_uniform_logits_give_log_cardinality(self):
         logits = np.zeros((4, 3))
         labels = np.array([0, 1, 2, 0])
-        loss, probs = kernels.softmax_xent(logits, labels)
+        loss, probs, _ = kernels.softmax_xent(logits, labels)
         assert np.allclose(loss, LOG_3, rtol=0, atol=1e-15)
         assert np.allclose(probs, 1.0 / 3.0, rtol=0, atol=1e-15)
 
     def test_confident_pair_matches_frozen_sigmoid_value(self):
         logits = np.array([[10.0, -10.0]])
         labels = np.array([0])
-        loss, probs = kernels.softmax_xent(logits, labels)
+        loss, probs, _ = kernels.softmax_xent(logits, labels)
         assert loss[0] == pytest.approx(NEG_LOG_SIGMOID_20, rel=1e-12)
         assert probs[0, 1] == pytest.approx(NEG_LOG_SIGMOID_20, rel=1e-8)
 
@@ -33,18 +33,32 @@ class TestSoftmaxXent:
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((10, 5)) * 3
         labels = rng.integers(0, 5, 10)
-        loss, probs = kernels.softmax_xent(logits, labels)
+        loss, probs, _ = kernels.softmax_xent(logits, labels)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(loss >= 0)
 
     def test_stable_at_extreme_logits(self):
         logits = np.array([[1e3, -1e3], [-1e3, 1e3], [1e3, 1e3]])
         labels = np.array([0, 0, 1])
-        loss, probs = kernels.softmax_xent(logits, labels)
+        loss, probs, _ = kernels.softmax_xent(logits, labels)
         assert np.all(np.isfinite(loss))
         assert np.all(np.isfinite(probs))
         assert loss[0] == 0.0
         assert loss[1] == pytest.approx(2e3)
+
+    def test_one_hot_of_the_labels(self):
+        labels = np.array([[2, 0], [1, 1]])
+        _, _, onehot = kernels.softmax_xent(np.zeros((2, 2, 3)), labels)
+        assert onehot.dtype == bool
+        assert np.array_equal(onehot, np.eye(3, dtype=bool)[labels])
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("shape", [(4,), (2, 4)])
+    def test_out_of_range_label_rejected(self, bad, shape):
+        labels = np.zeros(shape, dtype=np.int64)
+        labels.flat[-1] = bad
+        with pytest.raises(ValueError, match=r"labels out of range \[0, 3\)"):
+            kernels.softmax_xent(np.zeros((*shape, 3)), labels)
 
 
 class TestGaussianNll:
@@ -89,7 +103,7 @@ class TestAdamStep:
         g = np.array([2.0])
         m = np.zeros(1)
         v = np.zeros(1)
-        kernels.adam_step(p, g, m, v, 0.1, 1)
+        kernels.adam_step(p, g, m, v, 0.1, 1, np.empty((2, 1)))
         # bias correction makes mhat = g and vhat = g^2 at t=1
         expected = -0.1 * 2.0 / (2.0 + 1e-8)
         assert p[0] == pytest.approx(expected, rel=1e-12)
@@ -104,10 +118,27 @@ class TestAdamStep:
         ref_v = np.zeros(7)
         for t in range(1, 6):
             g = rng.standard_normal(7)
-            kernels.adam_step(p, g, m, v, 0.05, t)
+            kernels.adam_step(p, g, m, v, 0.05, t, np.empty((2, 7)))
             ref_m = 0.9 * ref_m + 0.1 * g
             ref_v = 0.999 * ref_v + 0.001 * g * g
             mhat = ref_m / (1 - 0.9**t)
             vhat = ref_v / (1 - 0.999**t)
             ref_p = ref_p - 0.05 * mhat / (np.sqrt(vhat) + 1e-8)
         assert np.allclose(p, ref_p, rtol=1e-12)
+
+    @pytest.mark.parametrize("S", [1, 5])
+    def test_equals_the_textbook_expression_bit_for_bit(self, S):
+        rng = np.random.default_rng(S)
+        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
+        p = rng.standard_normal((S, 11))
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+        scratch = np.full((2, *p.shape), np.nan)  # stale scratch must not leak in
+        for t in range(1, 21):
+            g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+            kernels.adam_step(p, g, m, v, lr, t, scratch)
+            ref_m = beta1 * ref_m + (1 - beta1) * g
+            ref_v = beta2 * ref_v + (1 - beta2) * g * g
+            ref_p -= lr * (ref_m / (1 - beta1 ** t)) / (np.sqrt(ref_v / (1 - beta2 ** t)) + eps)
+            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+            assert np.array_equal(p, ref_p), f"step {t}"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from probfas import data, losses, model
-from conftest import check_param_gradients, ref_dq_gaussian_nll, selection_mask, rel_err
+from conftest import check_param_gradients, ref_dq_gaussian_nll, selection_mask, rel_err, with_grads
 
 LOG_3 = 1.0986122886681098
 NEG_LOG_SIGMOID_20 = 2.0611536203143807e-09
@@ -54,6 +54,13 @@ class TestSemanticCe:
         _, mu, omega, _ = random_case(2)
         with pytest.raises(ValueError):
             semantic_ce(mu, omega, np.array([0, 1, 3, 0, 0, 0]))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_softmax_ce_rejects_a_label_outside_the_classes(self, bad):
+        _, mu, omega, labels = random_case(3)
+        labels[2] = bad
+        with pytest.raises(ValueError, match=r"labels out of range \[0, 3\)"):
+            losses.softmax_ce_with_grads(mu @ omega.T, labels)
 
     def test_nonnegative_and_stable_at_1e3(self):
         mu = np.array([[1e3, -1e3], [-1e3, 1e3]])
@@ -158,7 +165,7 @@ class TestGaussianNll:
         omega = rng.standard_normal((2, 3))
         labels = rng.integers(0, 2, 4)
         s2 = rng.uniform(0.3, 2.0, 4)
-        _, (dmu, domega, ds2) = losses.dq_gaussian_nll_with_grads(mu, omega, labels, s2)
+        _, (dmu, domega, ds2), _ = losses.dq_gaussian_nll_with_grads(mu, omega, labels, s2)
 
         from conftest import fd_gradient, FD_TOL
 
@@ -229,27 +236,43 @@ class TestStage1Objective:
         enable_lq = seed % 2 == 0
 
         def lg(p):
-            loss, grads, _ = losses.stage1_objective(p, X, c, s, eps, lambda_s=lam, enable_lq=enable_lq)
+            loss, grads, _ = with_grads(losses.stage1_objective, p, X, c, s, eps, lambda_s=lam, enable_lq=enable_lq)
             return loss.total, grads
 
         check_param_gradients(params, lg)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_live_spoof_label_rejected(self, bad):
+        params, X, c, s, eps = make_stage_case(106)
+        c[3] = bad
+        with pytest.raises(ValueError, match=r"labels out of range \[0, 2\)"):
+            with_grads(losses.stage1_objective, params, X, c, s, eps)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("enable_lq", [True, False])
+    def test_out_of_range_semantic_label_of_a_spoof_row_rejected(self, bad, enable_lq):
+        params, X, c, s, eps = make_stage_case(107)
+        s["spoof_type"][np.flatnonzero(c == data.SPOOF)[-1]] = bad
+        with pytest.raises(ValueError, match=r"labels out of range \[0, 3\)"):
+            with_grads(losses.stage1_objective, params, X, c, s, eps, enable_lq=enable_lq)
 
     def test_lambda_zero_equals_live_spoof_ce(self):
         params, X, c, s, eps = make_stage_case(100)
         mu = model.embed(params, X)
         expected = semantic_ce(mu, params.omega_c, c)  # the two-way CE of the live/spoof label
-        loss, _, _ = losses.stage1_objective(params, X, c, s, eps, lambda_s=0.0)
+        loss, _, _ = with_grads(losses.stage1_objective, params, X, c, s, eps, lambda_s=0.0)
         assert np.array_equal(loss.per_sample, expected.per_sample)
 
     def test_deterministic_arm_uses_mu(self):
         params, X, c, s, eps = make_stage_case(101)
-        loss_det, _, _ = losses.stage1_objective(params, X, c, s, eps, lambda_s=1.0, enable_lq=False)
-        loss_eps0, _, _ = losses.stage1_objective(params, X, c, s, np.zeros_like(eps), lambda_s=1.0, enable_lq=True)
+        loss_det, _, _ = with_grads(losses.stage1_objective, params, X, c, s, eps, lambda_s=1.0, enable_lq=False)
+        loss_eps0, _, _ = with_grads(losses.stage1_objective, params, X, c, s, np.zeros_like(eps),
+                                     lambda_s=1.0, enable_lq=True)
         assert loss_det.total == pytest.approx(loss_eps0.total, rel=1e-12)
 
     def test_total_is_mean_of_per_sample(self):
         params, X, c, s, eps = make_stage_case(102)
-        loss, _, _ = losses.stage1_objective(params, X, c, s, eps, lambda_s=1.7)
+        loss, _, _ = with_grads(losses.stage1_objective, params, X, c, s, eps, lambda_s=1.7)
         assert loss.total == pytest.approx(loss.per_sample.mean(), rel=1e-12)
 
     def test_sigma_l_gradient_is_label_free_over_paired_draws(self):
@@ -261,7 +284,7 @@ class TestStage1Objective:
         other = {"spoof_type": np.where(spoof, (s["spoof_type"] + 1) % card, s["spoof_type"])}
 
         def lq_grads(labels, draw):
-            _, grads, _ = losses.stage1_objective(params, X, c, labels, draw, lambda_s=1.0)
+            _, grads, _ = with_grads(losses.stage1_objective, params, X, c, labels, draw, lambda_s=1.0)
             return np.concatenate([grads.w_lq.ravel(), grads.b_lq.ravel()])
 
         paired_a = lq_grads(s, eps) + lq_grads(s, -eps)
@@ -279,7 +302,7 @@ class TestStage1Objective:
         c[:] = data.LIVE
         c[:n_spoof] = data.SPOOF
         lam = 1.5
-        loss, grads, aux = losses.stage1_objective(params, X, c, s, eps, lambda_s=lam)
+        loss, grads, aux = with_grads(losses.stage1_objective, params, X, c, s, eps, lambda_s=lam)
 
         mu, cache = model.embed_with_cache(params, X)
         expected = params.zeros_like()
@@ -309,8 +332,8 @@ class TestStage1Objective:
     def test_permutation_invariance(self):
         params, X, c, s, eps = make_stage_case(103)
         perm = np.random.default_rng(0).permutation(len(c))
-        a, _, _ = losses.stage1_objective(params, X, c, s, eps, lambda_s=1.0)
-        b, _, _ = losses.stage1_objective(
+        a, _, _ = with_grads(losses.stage1_objective, params, X, c, s, eps, lambda_s=1.0)
+        b, _, _ = with_grads(losses.stage1_objective,
             params, X[perm], c[perm], {k: v[perm] for k, v in s.items()}, eps[perm], lambda_s=1.0
         )
         assert a.total == pytest.approx(b.total, rel=1e-12)
@@ -323,14 +346,14 @@ class TestStage2Objective:
         mask = selection_mask(params, {"omega_c", "w_dq", "b_dq"})
 
         def lg(p):
-            loss, grads, _ = losses.stage2_objective(p, model.embed(p, X), c)
+            loss, grads, _ = with_grads(losses.stage2_objective, p, model.embed(p, X), c)
             return loss.total, grads
 
         check_param_gradients(params, lg, mask=mask)
 
     def test_frozen_parameters_have_zero_gradients(self):
         params, X, c, _, _ = make_stage_case(300)
-        _, grads, _ = losses.stage2_objective(params, model.embed(params, X), c)
+        _, grads, _ = with_grads(losses.stage2_objective, params, model.embed(params, X), c)
         live = {"omega_c", "w_dq", "b_dq"}
         for name, t in grads.named_tensors():
             if name not in live:
@@ -340,7 +363,7 @@ class TestStage2Objective:
         params, X, c, _, _ = make_stage_case(302)
         params.b_dq[...] = -1e4  # exp() underflows to exactly 0
         mu = model.embed(params, X)
-        loss, grads, _ = losses.stage2_objective(params, mu, c)
+        loss, grads, _ = with_grads(losses.stage2_objective, params, mu, c)
         assert np.all(model.dq_variance(params, mu) == 0.0)
         floored = dq_nll(
             losses.l2_normalize_rows(mu), losses.l2_normalize_rows(params.omega_c),
@@ -357,7 +380,7 @@ class TestStage2Objective:
         params.omega_c[0] = mu[0] / np.linalg.norm(mu[0]) * 3.0
         c0 = np.zeros(len(c), dtype=np.int64)
         X0 = np.repeat(X[:1], len(c), axis=0)
-        _, _, aux = losses.stage2_objective(params, model.embed(params, X0), c0)
+        _, _, aux = with_grads(losses.stage2_objective, params, model.embed(params, X0), c0)
         assert aux["d2"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_antiparallel_rows_distance_four(self):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from probfas import losses, model, training
-from conftest import fd_gradient, rel_err, FD_TOL
+from conftest import fd_gradient, rel_err, with_grads, FD_TOL
 
 
 class TestInit:
@@ -112,8 +112,8 @@ class TestFlatten:
         X, c = tiny_dataset.X(), tiny_dataset.c_labels()
         s = {"spoof_type": tiny_dataset.s_labels("spoof_type")}
         eps = np.random.default_rng(0).standard_normal((len(c), tiny_params.B))
-        _, g1, _ = losses.stage1_objective(tiny_params, X, c, s, eps)
-        _, g2, _ = losses.stage2_objective(tiny_params, model.embed(tiny_params, X), c)
+        _, g1, _ = with_grads(losses.stage1_objective, tiny_params, X, c, s, eps)
+        _, g2, _ = with_grads(losses.stage2_objective, tiny_params, model.embed(tiny_params, X), c)
         for grads in (g1, g2):
             assert not np.shares_memory(grads.flat, tiny_params.flat)
             for name, t in grads.named_tensors():

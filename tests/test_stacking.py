@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probfas import cli, data, experiments, inference, losses, metrics, model, training
-from conftest import check_replica_gradients, selection_mask, train_one
+from probfas import cli, data, experiments, generalized, inference, losses, metrics, model, training
+from conftest import check_replica_gradients, selection_mask, train_one, with_grads
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -198,6 +198,7 @@ class TestDivergence:
         )
         assert proc.returncode == 3
         assert proc.stderr.startswith("training diverged: stage 2 ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stage1_divergence_reports_match_single_runs(self):
@@ -376,7 +377,8 @@ class TestStackedGradientOracles:
         params, X, c, s, eps = stacked_stage_case(range(10, 10 + S))
 
         def lg(p):
-            loss, grads, _ = losses.stage1_objective(p, X, c, s, eps, lambda_s=lambda_s, enable_lq=enable_lq)
+            loss, grads, _ = with_grads(losses.stage1_objective, p, X, c, s, eps,
+                                        lambda_s=lambda_s, enable_lq=enable_lq)
             return loss.total, grads
 
         check_replica_gradients(params, lg)
@@ -387,16 +389,16 @@ class TestStackedGradientOracles:
         c = np.broadcast_to(np.where(np.arange(c.shape[1]) % 3 == 0, data.SPOOF, data.LIVE), c.shape).copy()
 
         def lg(p):
-            loss, grads, _ = losses.stage2_objective(p, model.embed(p, X), c)
+            loss, grads, _ = with_grads(losses.stage2_objective, p, model.embed(p, X), c)
             return loss.total, grads
 
         check_replica_gradients(params, lg, mask=selection_mask(params.replica(0), {"omega_c", "w_dq", "b_dq"}))
 
     def test_stacked_objectives_equal_one_model_calls(self):
         params, X, c, s, eps = stacked_stage_case([30, 31, 32])
-        loss, grads, aux = losses.stage1_objective(params, X, c, s, eps)
+        loss, grads, aux = with_grads(losses.stage1_objective, params, X, c, s, eps)
         for r in range(3):
-            one, one_grads, one_aux = losses.stage1_objective(
+            one, one_grads, one_aux = with_grads(losses.stage1_objective,
                 params.replica(r), X[r], c[r], {"spoof_type": s["spoof_type"][r]}, eps[r])
             assert loss.total[r] == one.total and loss.per_sample[r].tobytes() == one.per_sample.tobytes()
             assert grads.flat[r].tobytes() == one_grads.flat.tobytes()
@@ -412,10 +414,10 @@ class TestRunStage:
         totals = np.random.default_rng(0).standard_normal((2, 50, 3)) * 1e3
         calls = []
 
-        def step(batch, eps):
+        def step(batch, eps, grads):
             epoch, j = divmod(len(calls), 50)
             calls.append(batch[0].shape)
-            return params.zeros_like(), {"total": totals[epoch, j]}
+            return {"total": totals[epoch, j]}
 
         cfg = training.StageConfig("sgd", 0.1, 2, 1)
         columns = [np.zeros((3, 50, tiny_params.D))]
@@ -435,10 +437,11 @@ class TestRunStage:
         totals[3, 1:] = [np.inf, np.nan]
         seen = []
 
-        def step(batch, eps):
+        def step(batch, eps, grads):
             j = len(seen)
             seen.append(params.flat.copy())
-            return params.with_flat(np.ones_like(params.flat)), {
+            grads.flat += 1.0
+            return {
                 "total": totals[j], "rank": np.arange(3) + 10.0 * j, "per_replica": lambda r: {"j": j, "r": r},
             }
 
@@ -449,6 +452,34 @@ class TestRunStage:
         assert exc.value.components == {"total": np.inf, "rank": 31.0, "per_replica": {"j": 3, "r": 1}}
         assert len(seen) == 4 and not np.array_equal(seen[2], seen[3])
         assert params.flat.tobytes() == seen[3].tobytes()
+
+
+    @pytest.mark.parametrize("stage", ["stage1", "stage2", "tagger"])
+    def test_a_stage_allocates_one_gradient_struct_whatever_its_steps(self, monkeypatch, tiny_dataset, stage):
+        # one step (one epoch of one batch) against 64 (four epochs of
+        # 16 three-row batches): the struct is the stage's, not the step's
+        one_model = model.init_params(tiny_dataset.feature_dim, tiny_dataset.categories, B=6, hidden=(8,))
+        stack = model.ModelParams.stack([one_model])
+        calls = []
+        for name in ("zeros_like", "with_flat"):
+            def counted(self, *args, _original=getattr(model.ModelParams, name), _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(model.ModelParams, name, counted)
+        counts = []
+        for epochs, batch_size in [(1, len(tiny_dataset)), (4, 3)]:
+            cfg = tiny_config(0, epochs=epochs, batch_size=batch_size)
+            calls.clear()
+            if stage == "stage1":
+                training.train_stage1_lq([tiny_dataset], [cfg], keep_logs=False)
+            elif stage == "stage2":
+                training.train_stage2_dq(stack, [tiny_dataset], [cfg], keep_logs=False)
+            else:
+                generalized.train_tagger(tiny_dataset, "spoof_type", cfg)
+            counts.append({name: calls.count(name) for name in ("zeros_like", "with_flat")})
+        assert counts[0] == counts[1]
+        assert counts[0]["zeros_like"] == 1
 
 
 class TestStackChecks:

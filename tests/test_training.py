@@ -2,6 +2,7 @@
 checkpointing and resume, divergence handling, and the measured
 sigma-statistics of the label-quality head."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -112,6 +113,41 @@ class TestDeterminism:
         p1, _ = train_one(tiny_dataset, small_config(seed=0), "s-lq-dq")
         p2, _ = train_one(tiny_dataset, small_config(seed=1), "s-lq-dq")
         assert not np.array_equal(p1.flat, p2.flat)
+
+
+# SHA-256 of each arm's stacked params.flat after one short sweep cell at the
+# benchmark widths, seeds 0 and 1: a change to training, the model, the
+# losses or the kernels that moves any trained byte fails here, even where
+# the cell's rates (all the sweep's reference digests see) stay equal
+TRAINED_DIGESTS = {
+    ("semantic", 0.5): {
+        "baseline": "321d1f7676c194b265100423e227e06f8efdea3f1e7b0b6b5f3dc9208a91d4b5",
+        "s": "d29194a31d668ce33d9c226ec657ffb8d9516dc38db5a22df511399e08f7dad3",
+        "s-lq": "e005b23ce8b2d064bad62b32cc44544f58dc52b3eca4e684855c8a8f0bdfd1de",
+        "s-lq-dq": "3231bb9542e61008894c41f653b66e10db4e17f7751836ef862af77f901e4ddf",
+    },
+    ("data", 0.3): {
+        "baseline": "51a20c9c8db4956a07104ab7666e16dd4b33d092a415e38b724ed6bc08ad2e39",
+        "s": "233a4193785edb3e3b655fa62fa6507585b5674cd3c0ed5dca164d43e4952c77",
+        "s-lq": "c5f75237824f24a8851ef042b01e3ec73648b833c4a16d52972df2a995d94dca",
+        "s-lq-dq": "cd63ce37491ff776da21fa3a010b65888eb24c96193393f7ef62e9d704034f97",
+    },
+}
+
+
+@pytest.mark.parametrize("kind, fraction", list(TRAINED_DIGESTS))
+def test_sweep_cell_trains_the_pinned_parameter_bytes(kind, fraction):
+    seeds = [0, 1]
+    configs = []
+    for seed in seeds:
+        cfg = training.TrainConfig(seed=seed)
+        cfg.stage1.epochs, cfg.stage2.epochs = 20, 10
+        configs.append(cfg)
+    splits = [experiments.apply_noise_kind(*experiments.make_benchmark_data(seed), kind, fraction, seed)
+              for seed in seeds]
+    digests = {arm: hashlib.sha256(params.flat.tobytes()).hexdigest()
+               for arm, _, params, _ in experiments.run_arms(splits, training.ARMS, configs)}
+    assert digests == TRAINED_DIGESTS[kind, fraction]
 
 
 class TestStage1:
