@@ -11,6 +11,7 @@ import contextlib
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -64,23 +65,38 @@ def _resolve_out(out, command):
 
 
 @contextlib.contextmanager
-def _claimed(out, doc):
-    """Makes out once the command's inputs have passed their checks, and
-    checks its manifest before any artifact is written, so a rerun with
-    conflicting settings fails without touching the first run's outputs.
-    Yields the manifest path; the command writes the manifest last. If the
-    block fails (a divergence, say) and leaves out empty, out is removed
-    again, unless it was there before."""
-    made = not os.path.isdir(out)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, MANIFEST_FILENAME)
+def _published(out, doc):
+    """The one path into out, entered once the command's inputs have passed
+    their checks. Makes out, checks its manifest, so a conflicting rerun
+    fails with the first run's outputs untouched, and yields a staging
+    directory inside out. When the block ends, every staged file and then
+    the manifest is renamed into out. On any failure the staging directory
+    and every directory the command made are removed, deepest first, each
+    only while empty; an OSError becomes a DataError naming out."""
+    made, path = [], os.path.abspath(out)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
-        experiments.check_manifest(path, doc)
-        yield path
-    except Exception:
-        if made and not os.listdir(out):
-            os.rmdir(out)
+        os.makedirs(out, exist_ok=True)
+        experiments.check_manifest(os.path.join(out, MANIFEST_FILENAME), doc)
+        with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as stage:
+            yield stage
+            _write_text(os.path.join(stage, MANIFEST_FILENAME), experiments.manifest_text(doc))
+            for name in sorted(os.listdir(stage), key=MANIFEST_FILENAME.__eq__):
+                os.replace(os.path.join(stage, name), os.path.join(out, name))
+    except BaseException as exc:
+        for made_dir in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(made_dir)
+        if isinstance(exc, OSError):
+            raise data.DataError(f"cannot write {out}: {exc.strerror or exc}") from exc
         raise
+
+
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _load_config(path, seed=None):
@@ -175,7 +191,7 @@ def cmd_gen_data(args):
             "severity": args.severity,
         },
     }
-    with _claimed(out, doc) as manifest:
+    with _published(out, doc) as stage:
         ds = data.generate_synthetic(
             n_per_class=args.n, D=args.dim, categories={"spoof_type": args.spoof_types},
             cluster_overlap=args.overlap, seed=args.seed,
@@ -183,10 +199,9 @@ def cmd_gen_data(args):
         ds = data.inject_semantic_label_noise(ds, args.semantic_noise, args.seed)
         ds = data.inject_binary_label_noise(ds, args.binary_noise, args.seed)
         ds = data.inject_data_noise(ds, args.data_noise, args.severity, args.seed)
-        path = os.path.join(out, DATASET_FILENAME)
-        data.save_dataset(ds, path)
-        experiments.write_manifest(manifest, doc)
+        data.save_dataset(ds, os.path.join(stage, DATASET_FILENAME))
     n_live = int(np.sum(ds.c_labels() == data.LIVE))
+    path = os.path.join(out, DATASET_FILENAME)
     print(f"seed={args.seed} n={len(ds)} live={n_live} spoof={len(ds) - n_live} -> {path}")
     return 0
 
@@ -203,21 +218,19 @@ def cmd_train(args):
         "dataset_paths": [args.data],
         "flags": {"seed": cfg.seed},
     }
-    with _claimed(out, doc) as manifest:
+    with _published(out, doc) as stage:
         [(_, _, stack, (log,))] = training.train_arms([ds], [args.arm], [cfg])
-        training.save_checkpoint(os.path.join(out, CHECKPOINT_FILENAME), stack.replica(0), config=cfg)
-        training.save_trainlog(log, os.path.join(out, TRAINLOG_FILENAME))
-        experiments.write_manifest(manifest, doc)
+        training.save_checkpoint(os.path.join(stage, CHECKPOINT_FILENAME), stack.replica(0), config=cfg)
+        training.save_trainlog(log, os.path.join(stage, TRAINLOG_FILENAME))
     print(f"arm={args.arm} seed={cfg.seed} epochs={len(log)} -> {out}")
     return 0
 
 
-def _eval_mode(params, ds, corrected, threshold, out, tag):
+def _eval_mode(params, ds, corrected, threshold, stage, tag):
     probs, s2 = inference.predict_batch(params, ds.X(), corrected=corrected)
     report = metrics.evaluate(probs[:, 1], ds.c_labels(), threshold)
-    inference.save_predictions(probs, s2, corrected, os.path.join(out, f"predictions_{tag}.csv"))
-    with open(os.path.join(out, f"report_{tag}.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json() + "\n")
+    inference.save_predictions(probs, s2, corrected, os.path.join(stage, f"predictions_{tag}.csv"))
+    _write_text(os.path.join(stage, f"report_{tag}.json"), report.to_json() + "\n")
     return report
 
 
@@ -234,18 +247,17 @@ def cmd_eval(args):
         "flags": {"threshold": args.threshold, "modes": modes},
     }
     reports = {}
-    with _claimed(out, doc) as manifest:
+    with _published(out, doc) as stage:
         with _quality_of(args.checkpoint):
             for tag in modes:
-                reports[tag] = _eval_mode(params, ds, tag == "corrected", args.threshold, out, tag)
+                reports[tag] = _eval_mode(params, ds, tag == "corrected", args.threshold, stage, tag)
         if len(reports) == 2:
             delta = {
                 key: getattr(reports["corrected"], key) - getattr(reports["uncorrected"], key)
                 for key in ("apcer", "bpcer", "acer", "hter")
             }
-            with open(os.path.join(out, "report_delta.json"), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps(delta, sort_keys=True, separators=(",", ":")) + "\n")
-        experiments.write_manifest(manifest, doc)
+            _write_text(os.path.join(stage, "report_delta.json"),
+                        json.dumps(delta, sort_keys=True, separators=(",", ":")) + "\n")
     for tag, rep in reports.items():
         print(f"{tag}: apcer={rep.apcer:.4f} bpcer={rep.bpcer:.4f} acer={rep.acer:.4f}")
     return 0
@@ -273,10 +285,9 @@ def cmd_noise_sweep(args):
         "flags": {"kinds": kinds, "arms": arms, "fractions": fractions_by_kind,
                   "threshold": args.threshold},
     }
-    with _claimed(out, doc) as manifest:
+    with _published(out, doc) as stage:
         rows = experiments.noise_sweep(kinds, fractions_by_kind, arms, args.seeds, cfg, args.threshold)
-        experiments.sweep_rows_to_csv(rows, os.path.join(out, "sweep.csv"))
-        experiments.write_manifest(manifest, doc)
+        experiments.sweep_rows_to_csv(rows, os.path.join(stage, "sweep.csv"))
     print(f"{len(rows)} sweep rows -> {os.path.join(out, 'sweep.csv')}")
     return 0
 
@@ -290,16 +301,13 @@ def cmd_quality_report(args):
         "checkpoint": args.checkpoint,
         "flags": {},
     }
-    with _claimed(out, doc) as manifest:
+    with _published(out, doc) as stage:
         with _quality_of(args.checkpoint):
             per_sample, hist, summary = experiments.quality_report(params, ds)
-        with open(os.path.join(out, "quality.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(per_sample)
-        with open(os.path.join(out, "quality_hist.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(hist)
-        with open(os.path.join(out, "quality_summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
-        experiments.write_manifest(manifest, doc)
+        _write_text(os.path.join(stage, "quality.csv"), per_sample)
+        _write_text(os.path.join(stage, "quality_hist.csv"), hist)
+        _write_text(os.path.join(stage, "quality_summary.json"),
+                    json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
     print(f"quality report for {summary['n']} samples -> {out}")
     return 0
 

@@ -162,9 +162,9 @@ class ManifestError(Exception):
 
 def check_manifest(path, doc):
     """Manifests are immutable: raises ManifestError if path holds a
-    manifest other than doc. Returns whether it holds doc."""
+    manifest other than doc."""
     if not os.path.exists(path):
-        return False
+        return
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -172,17 +172,9 @@ def check_manifest(path, doc):
         raise ManifestError(f"{path}: cannot read manifest: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: manifest is not UTF-8 text ({exc.reason})") from exc
-    if text == _manifest_text(doc):
-        return True
-    raise ManifestError(f"{path}: manifest exists with different content")
+    if text != manifest_text(doc):
+        raise ManifestError(f"{path}: manifest exists with different content")
 
 
-def write_manifest(path, doc):
-    """Rewriting identical content is a no-op, any other overwrite is an error."""
-    if not check_manifest(path, doc):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_manifest_text(doc))
-
-
-def _manifest_text(doc):
+def manifest_text(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

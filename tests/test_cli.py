@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, produced files, determinism, and
 manifest immutability."""
 
+import errno
 import json
 import os
 
@@ -52,10 +53,13 @@ def with_feature(src, dst, value, field=1):
 
 
 class TestGenData:
-    def test_contract_example(self, tmp_path):
+    def test_contract_example(self, tmp_path, capsys):
         out = tmp_path / "d"
+        capsys.readouterr()
         assert run(["gen-data", "--n", "200", "--spoof-types", "3",
                     "--overlap", "1.0", "--seed", "7", "--out", str(out)]) == 0
+        # stdout names the published file, not the staged one
+        assert capsys.readouterr().out.endswith(f" -> {out / 'dataset.txt'}\n")
         ds = data.load_dataset(out / "dataset.txt")
         assert len(ds) == 800
         assert (out / "manifest.json").exists()
@@ -186,6 +190,42 @@ class TestTrain:
                     "--out", str(tmp_path / "o")]) == 2
         assert one_line_error(capsys)
         assert not (tmp_path / "o" / "checkpoint.ckpt").exists()
+
+    # overflow warnings on the way to the divergence exit are expected
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_removes_every_directory_it_made(self, tmp_path):
+        dataset = tmp_path / "d" / "dataset.txt"
+        assert run(["gen-data", "--n", "12", "--dim", "4", "--out", str(dataset.parent)]) == 0
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("stage1.optimizer = sgd\nstage1.lr = 1e12\n")
+        argv = ["train", "--data", str(dataset), "--config", str(cfg_path), "--out", str(tmp_path / "a" / "b" / "c")]
+        assert run(argv) == 3
+        assert not (tmp_path / "a").exists()
+        # a parent that was there before stays, even when empty
+        (tmp_path / "a").mkdir()
+        assert run(argv) == 3
+        assert os.listdir(tmp_path / "a") == []
+
+    def test_write_failure_after_first_artifact_leaves_out_as_it_was(self, dataset_dir, tmp_path, capsys,
+                                                                     monkeypatch):
+        cfg_path = tmp_path / "cfg.txt"
+        write_quick_config(cfg_path)
+        argv = ["train", "--data", str(dataset_dir / "dataset.txt"), "--config", str(cfg_path), "--out"]
+        earlier = tmp_path / "earlier"
+        assert run(argv + [str(earlier)]) == 0
+        before = {name: (earlier / name).read_bytes() for name in os.listdir(earlier)}
+
+        def disk_full(log, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        monkeypatch.setattr(training, "save_trainlog", disk_full)
+        for out in (tmp_path / "fresh", earlier):
+            capsys.readouterr()
+            assert run(argv + [str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write {out}: No space left on device\n"
+        assert not (tmp_path / "fresh").exists()
+        assert {name: (earlier / name).read_bytes() for name in os.listdir(earlier)} == before
 
     def test_seed_flag_overrides_config(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
@@ -536,6 +576,17 @@ class TestOutputRoot:
         monkeypatch.delenv("PROBFAS_OUT_ROOT", raising=False)
         assert run(["gen-data", "--n", "5", "--dim", "4", "--seed", "0"]) == 1
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "file-sub"])
+    def test_out_that_cannot_be_made_is_data_error(self, tmp_path, capsys, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / below if below else blocker
+        capsys.readouterr()
+        assert run(["gen-data", "--n", "5", "--dim", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
+        assert os.listdir(tmp_path) == ["blocker"] and blocker.read_text() == "kept\n"
+
 
 class TestManifest:
     def test_identical_rewrite_is_noop(self, tmp_path):
@@ -588,15 +639,41 @@ class TestManifest:
             "quality-report": (["quality-report", "--data", dataset, "--checkpoint", checkpoints[0]],
                                ["quality-report", "--data", dataset, "--checkpoint", checkpoints[1]]),
         }[command]
+        files = ["manifest.json"] + {
+            "gen-data": ["dataset.txt"],
+            "train": ["checkpoint.ckpt", "trainlog.jsonl"],
+            "eval": [f"{kind}_{mode}.{ext}" for kind, ext in (("predictions", "csv"), ("report", "json"))
+                     for mode in ("corrected", "uncorrected")] + ["report_delta.json"],
+            "noise-sweep": ["sweep.csv"],
+            "quality-report": ["quality.csv", "quality_hist.csv", "quality_summary.json"],
+        }[command]
         out = tmp_path / "out"
         assert run(first + ["--out", str(out)]) == 0
+        # exactly the command's files: no staging directory is left behind
+        assert sorted(os.listdir(out)) == sorted(files)
         before = {f.name: f.read_bytes() for f in out.iterdir()}
         assert run(conflicting + ["--out", str(out)]) == 2
         assert {f.name: f.read_bytes() for f in out.iterdir()} == before
         # the conflicting settings do produce other bytes when given their own directory
         assert run(conflicting + ["--out", str(tmp_path / "other")]) == 0
+        assert sorted(os.listdir(tmp_path / "other")) == sorted(files)
         other = {f.name: f.read_bytes() for f in (tmp_path / "other").iterdir()}
         assert any(other[name] != data for name, data in before.items() if name != "manifest.json")
+
+    def test_manifest_is_renamed_into_place_last(self, tmp_path, monkeypatch):
+        out = tmp_path / "d"
+        renamed, replace = [], os.replace
+
+        def recording_replace(src, dst):
+            renamed.append((os.path.basename(dst), sorted(os.listdir(out))))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        assert run(["gen-data", "--n", "5", "--dim", "4", "--seed", "0", "--out", str(out)]) == 0
+        # each artifact appears whole, by a rename, before the manifest that vouches for it
+        [(first, _), (last, listing)] = renamed
+        assert (first, last) == ("dataset.txt", "manifest.json")
+        assert [name for name in listing if not name.startswith(".partial-")] == ["dataset.txt"]
 
     def test_commands_do_not_mutate_inputs(self, dataset_dir, tmp_path):
         before = (dataset_dir / "dataset.txt").read_bytes()

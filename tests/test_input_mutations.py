@@ -5,11 +5,13 @@ Each command reads some of a dataset, a config, a checkpoint and the
 files (a bit flip, a truncation, an inserted ``nan``/``inf``/``1e308``/CR/
 ``#``/newline, or one field spliced over another) must end in exit 0, 2 or
 3; a non-zero exit prints exactly one line, ``error: ...`` or ``training
-diverged: ...``, and writes no manifest; no mutant ends in a traceback.
+diverged: ...``, and leaves the output directory as it found it (holding
+the mutant manifest, or not there at all); no mutant ends in a traceback.
 Each pair's mutants come from ``random.Random(f"{SEED}:{command}:{input}")``,
 so a failure names a reproducible mutant.
 """
 
+import os
 import random
 import re
 import shutil
@@ -41,6 +43,13 @@ def mutate(blob, rng):
     dst, src = rng.randrange(0, len(fields), 2), rng.randrange(0, len(fields), 2)
     fields[dst] = fields[src]
     return b"".join(fields), f"splice field {src} over field {dst}"
+
+
+def contents(out):
+    """Every entry of out with its bytes, or None when out does not exist."""
+    if not out.exists():
+        return None
+    return {name: (out / name).read_bytes() for name in os.listdir(out)}
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +95,15 @@ def test_mutated_input_gives_a_documented_exit(clean, tmp_path, capsys, command,
     for k in range(MUTANTS_PER_INPUT):
         mutant, how = mutate(blob, rng)
         inputs, out = dict(paths), tmp_path / f"out{k}"
-        out.mkdir()
         if target == "manifest":
+            out.mkdir()
             (out / cli.MANIFEST_FILENAME).write_bytes(mutant)
         else:
             inputs[target] = tmp_path / f"{target}{k}"
             inputs[target].write_bytes(mutant)
         argv = [arg.format(**inputs) for arg in commands[command]] + ["--out", str(out)]
         label = f"{command} with {target} mutant {k} ({how})"
+        before = contents(out)
         try:
             code = cli.main(argv)
         except Exception as exc:  # the traceback a user would see
@@ -104,7 +114,6 @@ def test_mutated_input_gives_a_documented_exit(clean, tmp_path, capsys, command,
         if code:
             prefix = "training diverged: " if code == 3 else "error: "
             assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), f"{label}: {err!r}"
-            # a failed run writes no manifest, so none vouches for what it left
-            manifest = out / cli.MANIFEST_FILENAME
-            assert manifest.read_bytes() == mutant if target == "manifest" else not manifest.exists(), label
-        shutil.rmtree(out)
+            # a failed run leaves no artifact, staging directory or new directory
+            assert contents(out) == before, label
+        shutil.rmtree(out, ignore_errors=True)
