@@ -69,7 +69,8 @@ def _published(out, doc):
     """The one path into out, entered once the command's inputs have passed
     their checks. Makes out, checks its manifest, so a conflicting rerun
     fails with the first run's outputs untouched, and yields a staging
-    directory inside out. When the block ends, every staged file and then
+    directory inside out. When the block ends, unless a directory in out
+    bears a staged name (a DataError naming it), every staged file and then
     the manifest is renamed into out. On any failure the staging directory
     and every directory the command made are removed, deepest first, each
     only while empty; an OSError becomes a DataError naming out."""
@@ -83,7 +84,12 @@ def _published(out, doc):
         with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as stage:
             yield stage
             _write_text(os.path.join(stage, MANIFEST_FILENAME), experiments.manifest_text(doc))
-            for name in sorted(os.listdir(stage), key=MANIFEST_FILENAME.__eq__):
+            names = sorted(os.listdir(stage), key=MANIFEST_FILENAME.__eq__)
+            for name in names:  # checked first: a rename that fails part way leaves the others in out
+                target = os.path.join(out, name)
+                if os.path.isdir(target) and not os.path.islink(target):
+                    raise data.DataError(f"cannot write {target}: Is a directory")
+            for name in names:
                 os.replace(os.path.join(stage, name), os.path.join(out, name))
     except BaseException as exc:
         for made_dir in made:
@@ -303,8 +309,9 @@ def cmd_quality_report(args):
     }
     with _published(out, doc) as stage:
         with _quality_of(args.checkpoint):
-            per_sample, hist, summary = experiments.quality_report(params, ds)
-        _write_text(os.path.join(stage, "quality.csv"), per_sample)
+            cells, hist, summary = experiments.quality_report(params, ds)
+        data.write_table(os.path.join(stage, "quality.csv"), experiments.QUALITY_COLUMNS,
+                         experiments.QUALITY_ROW, cells)
         _write_text(os.path.join(stage, "quality_hist.csv"), hist)
         _write_text(os.path.join(stage, "quality_summary.json"),
                     json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")

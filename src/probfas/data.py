@@ -288,6 +288,7 @@ def inject_data_noise(ds, fraction, severity, seed):
 # label_flipped, semantic_reassigned, data_corrupted
 
 _MAGIC = "#probfas-dataset v1"
+_BLOCK_ROWS = 4096  # rows per %-format call in write_table: writing holds one block's text
 
 
 def _column_line(D, names):
@@ -295,19 +296,27 @@ def _column_line(D, names):
     return ",".join(["id", *(f"x{i}" for i in range(D)), "c", *(f"s:{n}" for n in names), "flags", "severity"])
 
 
+def write_table(path, head, row_fmt, cells):
+    """Write head, then row_fmt % row for each row of the (N, K) float64 cells, one block
+    of _BLOCK_ROWS rows per %-format call: integer columns ride as exact floats."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        for start in range(0, len(cells), _BLOCK_ROWS):
+            block = cells[start : start + _BLOCK_ROWS]
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+
+
 def save_dataset(ds, path):
     names = list(ds.categories)
     cats = ",".join(f"{n}:{ds.categories[n]}" for n in names)
     D = ds.feature_dim
-    # every cell goes through one %-format per row; integers ride as exact floats
     row_fmt = "%d" + ",%.17g" * D + ",%d" * (1 + len(names)) + ",%03d,%.17g\n"
     bits = 100 * ds.label_flipped + 10 * ds.semantic_reassigned + 1 * ds.data_corrupted
     cells = np.column_stack(
         [np.arange(len(ds)), ds.x, ds.c, *(ds.s[n] for n in names), bits, ds.corruption_severity]
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{_MAGIC}\n#D={D} seed={ds.seed_provenance} categories={cats}\n{_column_line(D, names)}\n")
-        fh.write(row_fmt * len(ds) % tuple(cells.ravel().tolist()))
+    head = f"{_MAGIC}\n#D={D} seed={ds.seed_provenance} categories={cats}\n{_column_line(D, names)}\n"
+    write_table(path, head, row_fmt, cells)
 
 
 def _read_header(fh, path):

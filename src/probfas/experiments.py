@@ -116,11 +116,14 @@ def sweep_rows_to_csv(rows, path):
 # ---------------------------------------------------------------------------
 
 QUALITY_BINS = 20
+QUALITY_COLUMNS = "id,sigma_d_sq,data_corrupted,corruption_severity\n"
+QUALITY_ROW = "%d,%.17g,%d,%.17g\n"
 
 
 def quality_report(params, ds):
-    """Per-sample data-quality values with corruption provenance plus a
-    QUALITY_BINS-bin histogram comparing corrupted vs clean distributions."""
+    """(cells, hist, summary): the (N, 4) float64 rows of quality.csv (id, sigma_D^2
+    and corruption provenance, one QUALITY_ROW each), the text of a QUALITY_BINS-bin
+    histogram comparing corrupted vs clean distributions, and a summary dict."""
     if len(ds) == 0:
         raise data.DataError("cannot build a quality report for an empty dataset")
     s2 = inference.data_quality(params, model.embed(params, ds.X()))
@@ -133,10 +136,7 @@ def quality_report(params, ds):
     hist_corrupt, _ = np.histogram(s2[corrupted], bins=edges)
     hist_clean, _ = np.histogram(s2[~corrupted], bins=edges)
 
-    # one %-format for all rows; the integer columns ride as exact floats
     cells = np.column_stack([np.arange(len(ds)), s2, corrupted, ds.corruption_severity])
-    per_sample = "id,sigma_d_sq,data_corrupted,corruption_severity\n" + (
-        "%d,%.17g,%d,%.17g\n" * len(ds) % tuple(cells.ravel().tolist()))
     hist_lines = ["bin_lo,bin_hi,count_clean,count_corrupted"]
     for b in range(QUALITY_BINS):
         hist_lines.append(
@@ -149,7 +149,7 @@ def quality_report(params, ds):
         "mean_quality_clean": float(s2[~corrupted].mean()) if (~corrupted).any() else None,
         "mean_quality_corrupted": float(s2[corrupted].mean()) if corrupted.any() else None,
     }
-    return per_sample, "\n".join(hist_lines) + "\n", summary
+    return cells, "\n".join(hist_lines) + "\n", summary
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ probabilities out.
 
 import numpy as np
 
-from . import model
+from . import data, model
 from .losses import l2_normalize_rows
 
 
@@ -81,10 +81,8 @@ _HEADER = "id,p_live,predicted,quality,corrected"
 
 def save_predictions(probs, sigma_d_sq, corrected, path):
     n = len(probs)
-    # one %-format for all rows; the integer columns ride as exact floats
     cells = np.column_stack(
         [np.arange(n), probs[:, 1], np.argmax(probs, axis=1), sigma_d_sq, np.full(n, int(corrected))]
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_HEADER + "\n" + "%d,%.17g,%d,%.17g,%d\n" * n % tuple(cells.ravel().tolist()))
+    data.write_table(path, _HEADER + "\n", "%d,%.17g,%d,%.17g,%d\n", cells)
 

@@ -227,6 +227,19 @@ class TestTrain:
         assert not (tmp_path / "fresh").exists()
         assert {name: (earlier / name).read_bytes() for name in os.listdir(earlier)} == before
 
+    def test_directory_named_like_an_artifact_stops_every_rename(self, dataset_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        write_quick_config(cfg_path)
+        out = tmp_path / "o2"
+        (out / "checkpoint.ckpt").mkdir(parents=True)
+        capsys.readouterr()
+        assert run(["train", "--data", str(dataset_dir / "dataset.txt"), "--config", str(cfg_path),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out / 'checkpoint.ckpt'}: Is a directory\n"
+        # no trainlog renamed in ahead of the blocked checkpoint, no manifest, no staging directory
+        assert os.listdir(out) == ["checkpoint.ckpt"]
+        assert os.listdir(out / "checkpoint.ckpt") == []
+
     def test_seed_flag_overrides_config(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
         write_quick_config(cfg_path)
