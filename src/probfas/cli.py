@@ -309,9 +309,9 @@ def cmd_quality_report(args):
     }
     with _published(out, doc) as stage:
         with _quality_of(args.checkpoint):
-            cells, hist, summary = experiments.quality_report(params, ds)
+            columns, hist, summary = experiments.quality_report(params, ds)
         data.write_table(os.path.join(stage, "quality.csv"), experiments.QUALITY_COLUMNS,
-                         experiments.QUALITY_ROW, cells)
+                         experiments.QUALITY_ROW, columns)
         _write_text(os.path.join(stage, "quality_hist.csv"), hist)
         _write_text(os.path.join(stage, "quality_summary.json"),
                     json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")

@@ -7,6 +7,7 @@ for it and are excluded from semantic supervision. All operations are
 pure functions of (input, seed).
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -205,9 +206,10 @@ def generate_synthetic(n_per_class, D, categories, cluster_overlap, seed):
                 s[name][i] = rng.integers(0, categories[name])
     else:  # the stream is sequential: the same draws as row by row
         noise = rng.standard_normal((n, D))
-    x = centers[cluster] + _CLUSTER_STD * noise
+    x = np.multiply(noise, _CLUSTER_STD, out=noise)  # in place: no second (N, D) array
+    x.reshape(-1, n_per_class, D)[...] += centers[:, None]  # the rows come grouped by cluster
     for name in extra:
-        x = x + extra_offsets[name][s[name]]
+        x += extra_offsets[name][s[name]]
     s[primary] = np.maximum(cluster - 1, 0)  # live rows carry spoof type 0
     return Dataset(
         x=x, c=np.where(cluster == 0, LIVE, SPOOF), s={name: s[name] for name in names},
@@ -288,7 +290,7 @@ def inject_data_noise(ds, fraction, severity, seed):
 # label_flipped, semantic_reassigned, data_corrupted
 
 _MAGIC = "#probfas-dataset v1"
-_BLOCK_ROWS = 4096  # rows per %-format call in write_table: writing holds one block's text
+_BLOCK_ROWS = 4096  # rows per formatted block in write_table: writing holds one block's bytes
 
 
 def _column_line(D, names):
@@ -296,14 +298,117 @@ def _column_line(D, names):
     return ",".join(["id", *(f"x{i}" for i in range(D)), "c", *(f"s:{n}" for n in names), "flags", "severity"])
 
 
-def write_table(path, head, row_fmt, cells):
-    """Write head, then row_fmt % row for each row of the (N, K) float64 cells, one block
-    of _BLOCK_ROWS rows per %-format call: integer columns ride as exact floats."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
-        for start in range(0, len(cells), _BLOCK_ROWS):
-            block = cells[start : start + _BLOCK_ROWS]
-            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+_SLOT = 24  # bytes per value in write_table's block buffer: three text words
+_FIELDS = {"%.17g": None, "%d": 1, "%03d": 3}  # write_table's fields; for %d, the fewest digits
+_LE8 = np.dtype("<u8")  # a text word: 8 bytes, the first in the low byte
+_P10 = np.array([float(10**p) for p in range(23)])  # every power of ten that is an exact double
+
+
+@functools.cache
+def _tables():
+    """write_table's tables, built on first use: the words of 0000..9999; %.17g masks over 24
+    digit bytes (7 zeros, 17 significant digits), 9 words per exponent k = -4..16 and last nonzero
+    byte b (column 24 * (k + 4) + b): the integer part (0 and leading fraction zeros for k < 0),
+    the fraction up to b and the point; %d masks over 16 digit bytes, by the first digit kept."""
+    k, last, b = np.arange(-4, 17)[:, None, None], np.arange(24)[:, None], np.arange(24)
+    g = np.concatenate([
+        np.broadcast_to(((b >= 7 + np.minimum(k, 0)) & (b < 8 + k)) * np.uint8(255), (21, 24, 24)),
+        ((b >= 8 + k) & (b <= last)) * np.uint8(255), ((b == 7 + k) & (last >= 8 + k)) * np.uint8(46),
+    ], axis=2).view(_LE8).reshape(-1, 9).T.copy()
+    d = ((b[:16] >= np.arange(17)[:, None]) * np.uint8(255)).view(_LE8).T.copy()
+    return sum((np.arange(10000) // 10 ** (3 - i) % 10 + 48) << 8 * i for i in range(4)).astype(_LE8), g, d
+
+
+def _scaled(a, k):
+    """(hi, lo) with hi + lo == a * 10**(16 - k) exactly: Dekker's two-product, over
+    Veltkamp splits of both factors into 26-bit halves (134217729 is 2**27 + 1)."""
+    b = _P10[16 - k]
+    ah, bh = (t := a * 134217729.0) - (t - a), (t := b * 134217729.0) - (t - b)
+    al, bl, hi = a - ah, b - bh, a * b
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _ascii(u, words):
+    """The digits of the int64s 0 <= u < 10**(8 * words), zero-padded, as (words, N) text
+    words: uint32 arithmetic on 8-digit pieces, one table lookup per 4 digits."""
+    out = np.empty((words, len(u)), _LE8)
+    for j in range(words - 1, -1, -1):
+        u, piece = u // 10**8, (u % 10**8).astype(np.uint32)
+        high = piece // 10000
+        out[j] = _tables()[0].take(high) | _tables()[0].take(piece - high * 10000) << 32
+    return out
+
+
+def _format_g(v):
+    """%.17g of the values 1e-4 <= |v| < 1e16 and of ±0 as (3, N) text words: the sign in
+    the first byte, then the number's digits and point, NUL-padded."""
+    zero = v == 0
+    a = np.where(zero, 1.0, np.abs(v))  # 0 is formatted as 1, then the digit made 0
+    k = np.floor(np.log10(a)).astype(np.intp)  # the exponent, or one off next to a power of ten
+    hi, lo = _scaled(a, k)
+    # the exponent is right when the exact product is in [10**16, 10**17)
+    fix = np.flatnonzero((hi < 1e16) | ((hi == 1e16) & (lo < 0)) | (hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
+    k[fix] += np.where(hi[fix] < 5e16, -1, 1)
+    hi[fix], lo[fix] = _scaled(a[fix], k[fix])
+    # half to even (hi is an even integer); no double in range rounds up to 10**17
+    words = _ascii(hi.astype(np.int64) + np.rint(lo).astype(np.int64), 3)
+    # each word's top nonzero digit byte by the float exponent (a word of zeros: negative)
+    top = ((words ^ np.uint64(0x3030303030303030)).astype(np.float64).view(np.int64) >> 52) - 1023 >> 3
+    masks = np.take(_tables()[1], 24 * (k + 4) + (top + [[0], [8], [16]]).max(axis=0), axis=1)
+    out = masks[6:]  # starts as the point byte
+    whole = words & masks[:3]
+    out |= whole >> 8
+    out[:2] |= whole[1:] << 56
+    out |= words & masks[3:6]
+    out[0, zero] = 48 << 48
+    out[0] |= np.signbit(v) * np.uint64(45)
+    return out
+
+
+def _format_d(v, fewest):
+    """%d (fewest 1) or %03d (fewest 3) of the integral values |v| < 2**53 as (3, N) text
+    words: the sign in the first byte, then 16 digits with the leading zeros made NUL."""
+    u = np.abs(v).astype(np.int64)
+    first = 16 - np.maximum(np.searchsorted(_P10[:16], u, side="right"), fewest - (v < 0))
+    return np.vstack([(v < 0) * np.uint64(45), _ascii(u, 2) & np.take(_tables()[2], first, axis=1)])
+
+
+def write_table(path, head, row_fmt, columns):
+    """Write head, then the bytes of row_fmt % row for each row of the columns ((N,) or (N, k)
+    arrays, as float64); row_fmt is comma-separated %.17g, %d and %03d fields and a newline.
+    Each block of _BLOCK_ROWS rows is formatted exactly by numpy, column by column, into the
+    NUL-padded slots of one buffer, written without the NULs. Values outside the fast paths
+    (|x| in [1e-4, 1e16) or 0 for %.17g, integral |x| < 2**53 for %d) go through %."""
+    fields = row_fmt.removesuffix("\n").split(",")
+    for field in fields if row_fmt.endswith("\n") else [row_fmt + " (no newline)"]:
+        if field not in _FIELDS:
+            raise ValueError(f"write_table cannot format {field!r}: fields are %.17g, %d and %03d, then a newline")
+    n = len(columns[0])
+    buf = None
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
+        for start in range(0, n, _BLOCK_ROWS):
+            cells = np.column_stack([col[start : start + _BLOCK_ROWS] for col in columns]).astype(np.float64).T
+            if len(cells) != len(fields):
+                raise ValueError(f"write_table needs {len(fields)} columns of {n} values, got {len(cells)}")
+            rows = cells.shape[1]
+            fast = [((np.abs(v) >= 1e-4) & (np.abs(v) < 1e16)) | (v == 0) if _FIELDS[field] is None
+                    else (np.abs(v) < 2.0**53) & (v == np.trunc(v)) for field, v in zip(fields, cells)]
+            slow = [(i, j, (fields[j] % v[i]).encode()) for j, v in enumerate(cells) for i in np.flatnonzero(~fast[j])]
+            width = max([_SLOT, *(len(text) for *_, text in slow)])
+            if buf is None or width >= buf.shape[2]:  # the first block, or a %d of a huge value
+                buf = np.zeros((_BLOCK_ROWS, len(fields), width + 1), np.uint8)  # slots, then separators
+                buf[:, :, width], buf[:, -1, width] = ord(","), ord("\n")
+            width = buf.shape[2] - 1
+            for j, (field, v, ok) in enumerate(zip(fields, cells, fast)):
+                fewest = _FIELDS[field]
+                words = _format_g(np.where(ok, v, 1.0)) if fewest is None else _format_d(np.where(ok, v, 0.0), fewest)
+                buf[:rows, j, :_SLOT].view(_LE8)[...] = words.T
+            buf[:rows, :, _SLOT:width] = 0
+            for i, j, text in slow:
+                buf[i, j, :width] = 0
+                buf[i, j, : len(text)] = np.frombuffer(text, np.uint8)
+            fh.write(buf[:rows][buf[:rows] != 0])
 
 
 def save_dataset(ds, path):
@@ -311,12 +416,10 @@ def save_dataset(ds, path):
     cats = ",".join(f"{n}:{ds.categories[n]}" for n in names)
     D = ds.feature_dim
     row_fmt = "%d" + ",%.17g" * D + ",%d" * (1 + len(names)) + ",%03d,%.17g\n"
-    bits = 100 * ds.label_flipped + 10 * ds.semantic_reassigned + 1 * ds.data_corrupted
-    cells = np.column_stack(
-        [np.arange(len(ds)), ds.x, ds.c, *(ds.s[n] for n in names), bits, ds.corruption_severity]
-    )
+    bits = ds.label_flipped * np.uint8(100) + ds.semantic_reassigned * np.uint8(10) + ds.data_corrupted
     head = f"{_MAGIC}\n#D={D} seed={ds.seed_provenance} categories={cats}\n{_column_line(D, names)}\n"
-    write_table(path, head, row_fmt, cells)
+    columns = [np.arange(len(ds)), ds.x, ds.c, *(ds.s[n] for n in names), bits, ds.corruption_severity]
+    write_table(path, head, row_fmt, columns)
 
 
 def _read_header(fh, path):

@@ -121,8 +121,8 @@ QUALITY_ROW = "%d,%.17g,%d,%.17g\n"
 
 
 def quality_report(params, ds):
-    """(cells, hist, summary): the (N, 4) float64 rows of quality.csv (id, sigma_D^2
-    and corruption provenance, one QUALITY_ROW each), the text of a QUALITY_BINS-bin
+    """(columns, hist, summary): the four columns of quality.csv (id, sigma_D^2 and
+    corruption provenance, for data.write_table with QUALITY_ROW), the text of a QUALITY_BINS-bin
     histogram comparing corrupted vs clean distributions, and a summary dict."""
     if len(ds) == 0:
         raise data.DataError("cannot build a quality report for an empty dataset")
@@ -136,7 +136,6 @@ def quality_report(params, ds):
     hist_corrupt, _ = np.histogram(s2[corrupted], bins=edges)
     hist_clean, _ = np.histogram(s2[~corrupted], bins=edges)
 
-    cells = np.column_stack([np.arange(len(ds)), s2, corrupted, ds.corruption_severity])
     hist_lines = ["bin_lo,bin_hi,count_clean,count_corrupted"]
     for b in range(QUALITY_BINS):
         hist_lines.append(
@@ -149,7 +148,7 @@ def quality_report(params, ds):
         "mean_quality_clean": float(s2[~corrupted].mean()) if (~corrupted).any() else None,
         "mean_quality_corrupted": float(s2[corrupted].mean()) if corrupted.any() else None,
     }
-    return cells, "\n".join(hist_lines) + "\n", summary
+    return [np.arange(len(ds)), s2, corrupted, ds.corruption_severity], "\n".join(hist_lines) + "\n", summary
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,6 @@ _HEADER = "id,p_live,predicted,quality,corrected"
 
 def save_predictions(probs, sigma_d_sq, corrected, path):
     n = len(probs)
-    cells = np.column_stack(
-        [np.arange(n), probs[:, 1], np.argmax(probs, axis=1), sigma_d_sq, np.full(n, int(corrected))]
-    )
-    data.write_table(path, _HEADER + "\n", "%d,%.17g,%d,%.17g,%d\n", cells)
+    columns = [np.arange(n), probs[:, 1], np.argmax(probs, axis=1), sigma_d_sq, np.full(n, int(corrected))]
+    data.write_table(path, _HEADER + "\n", "%d,%.17g,%d,%.17g,%d\n", columns)
 

@@ -1,5 +1,7 @@
 """Dataset generation, noise injection, and file-format tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,17 @@ class TestGenerate:
         for n_per_class, D in ((1, 2), (9, 5)):
             got = data.generate_synthetic(n_per_class, D, categories, 0.7, seed)
             assert_bit_equal(got, reference_generate_synthetic(n_per_class, D, categories, 0.7, seed))
+
+    def test_peak_holds_about_one_feature_array(self):
+        # 80,000 rows x 8 features: x is 5.1 MB; adding the centers into the noise in place
+        # keeps the peak near it (a gathered centers array and a sum would reach 16 MB)
+        tracemalloc.start()
+        try:
+            ds = data.generate_synthetic(20_000, 8, {"spoof_type": 3}, 0.0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.x.nbytes == 5_120_000 and peak < 9e6, f"generate_synthetic peaked at {peak / 1e6:.1f} MB"
 
     def test_infinite_overlap_gives_finite_features(self):
         ds = data.generate_synthetic(5, 4, {"spoof_type": 2}, float("inf"), 0)

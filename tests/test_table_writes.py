@@ -1,9 +1,10 @@
 """The table writers (dataset, prediction dump, quality.csv) format rows in
-fixed blocks: their bytes must equal the whole-file %-format they replaced,
-on both sides of every block boundary, and writing must hold one block's
-text, not the whole file's."""
+fixed blocks with numpy: their bytes must equal the whole-file %-format they
+replaced, on both sides of every block boundary and for every kind of double,
+and writing must hold one block's text, not the whole file's."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -98,16 +99,20 @@ class TestBlockBoundaries:
 
 
 def test_save_dataset_holds_one_block_of_text(tmp_path):
-    # 40,000 rows: about 32 MB as one whole-file format, about 7 MB in blocks
-    ds = data.generate_synthetic(n_per_class=10_000, D=D, categories={"spoof_type": 3},
-                                 cluster_overlap=0.0, seed=0)
-    tracemalloc.start()
-    try:
-        data.save_dataset(ds, tmp_path / "dataset.txt")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(ds) == 40_000 and peak < 12e6, f"save_dataset peaked at {peak / 1e6:.1f} MB"
+    # a whole-file format of 40,000 rows took about 32 MB; blocks formatted from the columns
+    # hold about 4 MB, whatever the row count
+    def peak(n_per_class):
+        ds = data.generate_synthetic(n_per_class=n_per_class, D=D, categories={"spoof_type": 3},
+                                     cluster_overlap=0.0, seed=0)
+        tracemalloc.start()
+        try:
+            data.save_dataset(ds, tmp_path / "dataset.txt")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(5_000), peak(20_000)  # 20,000 and 80,000 rows
+    assert large < 12e6 and large - small < 1e6, f"save_dataset peaked at {small / 1e6:.2f}, then {large / 1e6:.2f} MB"
 
 
 def test_cli_tables_past_one_block_match_the_reference(tmp_path, checkpoint):
@@ -142,3 +147,85 @@ def test_cli_tables_past_one_block_match_the_reference(tmp_path, checkpoint):
     _, hist, summary = experiments.quality_report(params, ds)
     assert (q / "quality_hist.csv").read_text() == hist
     assert json.loads((q / "quality_summary.json").read_text()) == summary
+
+
+def _powers_of_ten():
+    return np.array([float(10**k) if k >= 0 else 10.0**k for k in range(-10, 23)])
+
+
+def _ulps_around(values, ulps):
+    """Each value and its ulps neighbours on both sides."""
+    out = [values]
+    up = down = values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def _differential_doubles():
+    """About 10**6 doubles: random bit patterns (subnormals, nan and inf among them),
+    log-uniform magnitudes of both signs, the neighbourhood of every power of ten and of
+    the fast path's edges, signed zeros and integers near 2**53 and 10**17."""
+    rng = np.random.default_rng(20260101)
+    bits = rng.integers(0, 2**64, 150_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    logs = 10.0 ** rng.uniform(-8.0, 20.0, 850_000) * rng.choice([-1.0, 1.0], 850_000)
+    edges = _ulps_around(np.concatenate([_powers_of_ten(), [1e-4, 1e16, 2.0**53]]), 3)
+    near = np.concatenate([2.0**53 + np.arange(-40.0, 40.0), 1e17 + 16.0 * np.arange(-40.0, 40.0)])
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, np.inf, -np.inf, np.nan])
+    return np.concatenate([bits, logs, edges, -edges, near, -near, special])
+
+
+def _first_mismatch(got, want, values):
+    """float.hex of the first value whose line differs, or None."""
+    for value, a, b in zip(values, got.split(b"\n"), want.split(b"\n")):
+        if a != b:
+            return f"{float(value).hex()}: wrote {a!r}, % gives {b!r}"
+    return None if got == want else "the files differ in length"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_g_format_matches_percent_on_a_million_doubles(tmp_path):
+    values = _differential_doubles()
+    assert len(values) >= 10**6
+    path = tmp_path / "g.csv"
+    data.write_table(path, "", "%.17g\n", [values])
+    want = "".join("%.17g\n" % v for v in values.tolist()).encode()
+    assert _first_mismatch(path.read_bytes(), want, values) is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field", ["%d", "%03d"])
+def test_d_formats_match_percent(tmp_path, field):
+    powers = 10.0 ** np.arange(16)
+    ints = np.concatenate([[0.0, 9.0], powers, powers - 1, powers + 1, np.arange(112.0),
+                           [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 1e17, 1e20, 1e300]])
+    # non-integral cells go through % as well; a 1e300 widens every slot of its block
+    values = np.concatenate([ints, -ints, [0.5, 2.5, -2.5, 99.9, -0.0]])
+    path = tmp_path / "d.csv"
+    data.write_table(path, "", f"{field},%d\n", [values, values[::-1]])
+    want = "".join(f"{field},%d\n" % row for row in zip(values.tolist(), values[::-1].tolist())).encode()
+    assert _first_mismatch(path.read_bytes(), want, values) is None
+
+
+def test_non_ascii_category_name_keeps_its_utf8_bytes(tmp_path):
+    ds = data.generate_synthetic(n_per_class=3, D=2, categories={"spöof_typé": 2, "光": 3},
+                                 cluster_overlap=0.0, seed=0)
+    path = tmp_path / "dataset.txt"
+    data.save_dataset(ds, path)
+    assert path.read_bytes().split(b"\n")[1] == "#D=2 seed=0 categories=spöof_typé:2,光:3".encode("utf-8")
+    assert data.load_dataset(path) == ds
+
+
+def test_empty_table_writes_only_its_head(tmp_path):
+    path = tmp_path / "empty.csv"
+    data.write_table(path, "id,v\n", "%d,%.17g\n", [np.zeros(0), np.zeros(0)])
+    assert path.read_bytes() == b"id,v\n"
+
+
+@pytest.mark.parametrize("row_fmt, named", [
+    ("%d,%.6f\n", "'%.6f'"), ("%d,%s\n", "'%s'"), ("%d;%d\n", "'%d;%d'"), ("%d,%d", "no newline"),
+])
+def test_unknown_field_is_refused(tmp_path, row_fmt, named):
+    with pytest.raises(ValueError, match=f"cannot format .*{re.escape(named)}"):
+        data.write_table(tmp_path / "t.csv", "", row_fmt, [np.zeros(2), np.zeros(2)])
