@@ -299,17 +299,21 @@ def _column_line(D, names):
 
 
 _SLOT = 24  # bytes per value in write_table's block buffer: three text words
-_FIELDS = {"%.17g": None, "%d": 1, "%03d": 3}  # write_table's fields; for %d, the fewest digits
+_FIELDS = {"%.17g": None, "%r": None, "%d": 1, "%03d": 3}  # write_table's fields; for %d, the fewest digits
+_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # %r of what json writes by name
 _LE8 = np.dtype("<u8")  # a text word: 8 bytes, the first in the low byte
 _P10 = np.array([float(10**p) for p in range(23)])  # every power of ten that is an exact double
+# 10**e for e = -19..1, at e + 19, as a multiplier and a divisor of which one is 1
+_UP = np.array([1.0] * 20 + [10.0])
+_DOWN = np.concatenate([_P10[19::-1], [1.0]])
 
 
 @functools.cache
 def _tables():
-    """write_table's tables, built on first use: the words of 0000..9999; %.17g masks over 24
-    digit bytes (7 zeros, 17 significant digits), 9 words per exponent k = -4..16 and last nonzero
-    byte b (column 24 * (k + 4) + b): the integer part (0 and leading fraction zeros for k < 0),
-    the fraction up to b and the point; %d masks over 16 digit bytes, by the first digit kept."""
+    """write_table's tables, built on first use: the words of 0000..9999; fixed-notation masks
+    over 24 digit bytes (7 zeros, 17 significant digits), 9 words per exponent k = -4..16 and last
+    byte kept b (column 24 * (k + 4) + b): the integer part (0 and leading fraction zeros for
+    k < 0), the fraction up to b and the point; %d masks over 16 digit bytes, by the first digit kept."""
     k, last, b = np.arange(-4, 17)[:, None, None], np.arange(24)[:, None], np.arange(24)
     g = np.concatenate([
         np.broadcast_to(((b >= 7 + np.minimum(k, 0)) & (b < 8 + k)) * np.uint8(255), (21, 24, 24)),
@@ -333,34 +337,63 @@ def _ascii(u, words):
     words: uint32 arithmetic on 8-digit pieces, one table lookup per 4 digits."""
     out = np.empty((words, len(u)), _LE8)
     for j in range(words - 1, -1, -1):
-        u, piece = u // 10**8, (u % 10**8).astype(np.uint32)
+        q = u // 10**8
+        u, piece = q, (u - q * 10**8).astype(np.uint32)
         high = piece // 10000
         out[j] = _tables()[0].take(high) | _tables()[0].take(piece - high * 10000) << 32
     return out
 
 
-def _format_g(v):
-    """%.17g of the values 1e-4 <= |v| < 1e16 and of ±0 as (3, N) text words: the sign in
-    the first byte, then the number's digits and point, NUL-padded."""
-    zero = v == 0
-    a = np.where(zero, 1.0, np.abs(v))  # 0 is formatted as 1, then the digit made 0
+def _digits(a):
+    """(k, D) of the values 1e-4 <= a < 1e16: a rounded half to even to 17 significant digits
+    is D * 10**(k - 16), 10**16 <= D < 10**17. No double in range rounds up to 10**17."""
     k = np.floor(np.log10(a)).astype(np.intp)  # the exponent, or one off next to a power of ten
     hi, lo = _scaled(a, k)
     # the exponent is right when the exact product is in [10**16, 10**17)
     fix = np.flatnonzero((hi < 1e16) | ((hi == 1e16) & (lo < 0)) | (hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
     k[fix] += np.where(hi[fix] < 5e16, -1, 1)
     hi[fix], lo[fix] = _scaled(a[fix], k[fix])
-    # half to even (hi is an even integer); no double in range rounds up to 10**17
-    words = _ascii(hi.astype(np.int64) + np.rint(lo).astype(np.int64), 3)
+    return k, hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # half to even: hi is an even integer
+
+
+def _reads_back(c, e, a):
+    """Whether the decimal c * 10**e reads back as a; exact for integers 0 < c <= 2**53 and
+    -19 <= e <= 1, where it is one correctly rounded multiply or divide of exact doubles."""
+    return c * _UP[e + 19] / _DOWN[e + 19] == a
+
+
+def _shortest(a, k, D):
+    """repr's digits of the values a from their 17 (k, D): D cut to the fewest digits that
+    read back as a, the nearer of two, zero-filled; and the mask of values left to repr.
+    A decimal reads back only within half a double's gap of a, at most 10**17 * 2**-53 <
+    12 units of D's last digit, and D is within half a unit: so a decimal of 15 digits or
+    fewer that reads back is R, D rounded to a multiple of 100, and R's digits are the
+    fewest if R reads back. Else 16 digits do if D cut to 16 digits, t, or t + 1 does; if
+    both do, the nearer by D's 17th digit (a 5: repr). t >= 2**53 cannot be checked
+    exactly (repr). R and t + 1 never reach 10**17: each double 10**j >= 10**j."""
+    r, t = (D + 50) // 100, D // 10
+    short = _reads_back(r, k - 14, a)
+    ok, ok1 = _reads_back(t, k - 15, a), _reads_back(t + 1, k - 15, a)
+    digit = D - 10 * t
+    best = np.where(ok1 & ~(ok & (digit < 5)), 10 * t + 10, np.where(ok, 10 * t, D))
+    return np.where(short, 100 * r, best), ~short & ((t >= 2**53) | ok & ok1 & (digit == 5))
+
+
+def _fixed(v, k, D, point):
+    """The text of v in fixed notation from its digits (k, D) (0 as 1's) as (3, N) text words:
+    the sign in the first byte, then the integer part and the fraction to its last nonzero
+    digit, after a point (%.17g), or to at least one digit (point: repr's 1.0), NUL-padded."""
+    words = _ascii(D, 3)
     # each word's top nonzero digit byte by the float exponent (a word of zeros: negative)
     top = ((words ^ np.uint64(0x3030303030303030)).astype(np.float64).view(np.int64) >> 52) - 1023 >> 3
-    masks = np.take(_tables()[1], 24 * (k + 4) + (top + [[0], [8], [16]]).max(axis=0), axis=1)
+    last = (top + [[0], [8], [16]]).max(axis=0)
+    masks = np.take(_tables()[1], 24 * (k + 4) + (np.maximum(last, k + 8) if point else last), axis=1)
     out = masks[6:]  # starts as the point byte
     whole = words & masks[:3]
     out |= whole >> 8
     out[:2] |= whole[1:] << 56
     out |= words & masks[3:6]
-    out[0, zero] = 48 << 48
+    out[0, v == 0] ^= np.uint64(1 << 48)  # 0 was formatted as 1: its digit 1 (0x31) becomes 0 (0x30)
     out[0] |= np.signbit(v) * np.uint64(45)
     return out
 
@@ -373,42 +406,95 @@ def _format_d(v, fewest):
     return np.vstack([(v < 0) * np.uint64(45), _ascii(u, 2) & np.take(_tables()[2], first, axis=1)])
 
 
+def _words(field, v):
+    """(3, N) text words of field % v, and the mask of the values whose words are not
+    their text: %.17g and %r of |v| in [1e-4, 1e16) or 0, less the few %r _shortest cannot
+    settle, and %d of integral |v| < 2**53 are formatted; other values' words are garbage."""
+    if _FIELDS[field]:
+        slow = ~((np.abs(v) < 2.0**53) & (v == np.trunc(v)))
+        return _format_d(np.where(slow, 0.0, v), _FIELDS[field]), slow
+    a = np.abs(v)
+    slow = ~((a >= 1e-4) & (a < 1e16) | (v == 0))
+    a = np.where(slow | (v == 0), 1.0, a)
+    k, D = _digits(a)
+    if field == "%r":
+        D, unsettled = _shortest(a, k, D)
+        slow |= unsettled
+    return _fixed(v, k, D, field == "%r"), slow
+
+
+def _texts(field, values):
+    """field % value of each value, one at a time, as a NUL-padded bytes array; %r gives
+    the text json.dumps gives a float."""
+    texts = list(map(field.__mod__, values.tolist()))
+    if field == "%r":
+        texts = [_JSON_NAMES.get(text, text) for text in texts]
+    return np.array(texts, dtype=np.bytes_)
+
+
+def _row_parts(row_fmt):
+    """(prefix, fields, suffix) of a row format: fields joined by "," then a newline, or
+    "[" fields "]," for an element of a JSON array."""
+    array = row_fmt.startswith("[") and row_fmt.endswith("],")
+    fields = (row_fmt[1:-2] if array else row_fmt.removesuffix("\n")).split(",")
+    for field in fields if array or row_fmt.endswith("\n") else [row_fmt + " (no newline)"]:
+        if field not in _FIELDS:
+            raise ValueError(f"write_table cannot format {field!r}: fields are %.17g, %r, %d and %03d, then a newline")
+    return ("[", fields, "],") if array else ("", fields, "\n")
+
+
+def _blocks(row_fmt, columns):
+    """The bytes of row_fmt % row for each row of the columns, one block of _BLOCK_ROWS rows
+    at a time. Each column of a block is formatted into NUL-padded slots of one buffer, the
+    prefix and separators in place, and the block is yielded without its NULs."""
+    prefix, fields, suffix = _row_parts(row_fmt)
+    lead, trail = len(prefix), len(suffix)
+    n = len(columns[0])
+    buf, width = None, _SLOT
+    for start in range(0, n, _BLOCK_ROWS):
+        cells = np.column_stack([col[start : start + _BLOCK_ROWS] for col in columns]).astype(np.float64).T
+        if len(cells) != len(fields):
+            raise ValueError(f"write_table needs {len(fields)} columns of {n} values, got {len(cells)}")
+        rows = cells.shape[1]
+        for j, (field, v) in enumerate(zip(fields, cells)):
+            words, slow = _words(field, v)
+            idx = np.flatnonzero(slow)
+            texts = _texts(field, v[idx])
+            if buf is None or texts.itemsize > width:  # the first block, or a %d of a huge value
+                old, width = buf, max(width, texts.itemsize)
+                buf = np.zeros((_BLOCK_ROWS, len(fields), lead + width + trail), np.uint8)  # slots, then separators
+                buf[:, 0, :lead] = np.frombuffer(prefix.encode(), np.uint8)
+                buf[:, :, lead + width] = ord(",")
+                buf[:, -1, lead + width :] = np.frombuffer(suffix.encode(), np.uint8)
+                if old is not None:  # the slots this block has written so far
+                    buf[:rows, :j, : old.shape[2] - trail] = old[:rows, :j, : old.shape[2] - trail]
+            slots = buf[:rows, j, lead : lead + width]
+            slots[:, :_SLOT].view(_LE8)[...] = words.T
+            slots[:, _SLOT:] = 0
+            slots[idx] = texts.astype(f"S{width}").view(np.uint8).reshape(len(idx), width)
+        yield buf[:rows][buf[:rows] != 0]
+
+
 def write_table(path, head, row_fmt, columns):
     """Write head, then the bytes of row_fmt % row for each row of the columns ((N,) or (N, k)
-    arrays, as float64); row_fmt is comma-separated %.17g, %d and %03d fields and a newline.
-    Each block of _BLOCK_ROWS rows is formatted exactly by numpy, column by column, into the
-    NUL-padded slots of one buffer, written without the NULs. Values outside the fast paths
-    (|x| in [1e-4, 1e16) or 0 for %.17g, integral |x| < 2**53 for %d) go through %."""
-    fields = row_fmt.removesuffix("\n").split(",")
-    for field in fields if row_fmt.endswith("\n") else [row_fmt + " (no newline)"]:
-        if field not in _FIELDS:
-            raise ValueError(f"write_table cannot format {field!r}: fields are %.17g, %d and %03d, then a newline")
-    n = len(columns[0])
-    buf = None
+    arrays, as float64); row_fmt is comma-separated %.17g, %r, %d and %03d fields and a newline.
+    Each block of _BLOCK_ROWS rows is formatted exactly by numpy and held as one buffer. Values
+    outside the fast paths (|x| in [1e-4, 1e16) or 0 for %.17g and %r, integral |x| < 2**53 for
+    %d), and the rare %r whose shortest digits one multiply or divide cannot settle, go through
+    % one at a time. %r writes the text json.dumps gives a float: repr, or NaN and Infinity."""
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
-        for start in range(0, n, _BLOCK_ROWS):
-            cells = np.column_stack([col[start : start + _BLOCK_ROWS] for col in columns]).astype(np.float64).T
-            if len(cells) != len(fields):
-                raise ValueError(f"write_table needs {len(fields)} columns of {n} values, got {len(cells)}")
-            rows = cells.shape[1]
-            fast = [((np.abs(v) >= 1e-4) & (np.abs(v) < 1e16)) | (v == 0) if _FIELDS[field] is None
-                    else (np.abs(v) < 2.0**53) & (v == np.trunc(v)) for field, v in zip(fields, cells)]
-            slow = [(i, j, (fields[j] % v[i]).encode()) for j, v in enumerate(cells) for i in np.flatnonzero(~fast[j])]
-            width = max([_SLOT, *(len(text) for *_, text in slow)])
-            if buf is None or width >= buf.shape[2]:  # the first block, or a %d of a huge value
-                buf = np.zeros((_BLOCK_ROWS, len(fields), width + 1), np.uint8)  # slots, then separators
-                buf[:, :, width], buf[:, -1, width] = ord(","), ord("\n")
-            width = buf.shape[2] - 1
-            for j, (field, v, ok) in enumerate(zip(fields, cells, fast)):
-                fewest = _FIELDS[field]
-                words = _format_g(np.where(ok, v, 1.0)) if fewest is None else _format_d(np.where(ok, v, 0.0), fewest)
-                buf[:rows, j, :_SLOT].view(_LE8)[...] = words.T
-            buf[:rows, :, _SLOT:width] = 0
-            for i, j, text in slow:
-                buf[i, j, :width] = 0
-                buf[i, j, : len(text)] = np.frombuffer(text, np.uint8)
-            fh.write(buf[:rows][buf[:rows] != 0])
+        fh.writelines(_blocks(row_fmt, columns))  # each block is dropped before the next is made
+
+
+def format_rows(head, row_fmt, columns, tail):
+    """head, the text write_table writes for the rows less the last row's final character,
+    and tail, as one str: with "[%r,%r],", the rows of a JSON array as json.dumps writes them."""
+    texts = [head, *(str(block, "ascii") for block in _blocks(row_fmt, columns))]
+    if len(texts) > 1:
+        texts[-1] = texts[-1][:-1]
+    texts.append(tail)
+    return "".join(texts)
 
 
 def save_dataset(ds, path):

@@ -13,6 +13,8 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
+from . import data
+
 
 class MetricError(Exception):
     """Raised when a metric is undefined (e.g. an empty class)."""
@@ -115,9 +117,11 @@ class EvalReport:
                 format(k, ".17g"): {"tpr": v[0], "attainable": v[1]}
                 for k, v in sorted(self.tpr_at_fpr.items())
             },
-            "roc": self.roc.tolist(),
+            "roc": [],
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        # the ROC's rows are spliced in as numpy formats them, the bytes json.dumps gives them
+        head, roc, tail = json.dumps(doc, sort_keys=True, separators=(",", ":")).partition('"roc":[')
+        return data.format_rows(head + roc, "[%r,%r,%r],", [self.roc], tail)
 
 
 FPR_TARGETS = (0.01, 0.005, 0.001)

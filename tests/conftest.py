@@ -4,6 +4,8 @@ statements, small dataset builders, row-by-row reference versions of the
 dataset generator and parser, a reader for prediction dumps, and one run
 trained through the stack-only training API."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,14 @@ def reference_load_predictions(path):
     table = np.array([[float(v) for v in row.split(",")] for row in rows]).reshape(len(rows), 5)
     assert np.array_equal(table[:, 0], np.arange(len(rows)))
     return table[:, 1], table[:, 2].astype(np.int64), table[:, 3], table[:, 4].astype(bool)
+
+
+def reference_report_json(rep):
+    """metrics.EvalReport.to_json as json.dumps alone writes it, the ROC as Python floats."""
+    doc = {
+        "apcer": rep.apcer, "bpcer": rep.bpcer, "acer": rep.acer, "hter": rep.hter,
+        "threshold_used": rep.threshold_used, "n_live": rep.n_live, "n_spoof": rep.n_spoof,
+        "tpr_at_fpr": {format(k, ".17g"): {"tpr": v[0], "attainable": v[1]} for k, v in sorted(rep.tpr_at_fpr.items())},
+        "roc": rep.roc.tolist(),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from probfas import data, experiments, generalized, model, training
-from conftest import train_one
+from probfas import data, experiments, generalized, metrics, model, training
+from conftest import reference_report_json, train_one
 
 
 def sep_dataset(seed, n=40, overlap=0.0):
@@ -143,6 +143,15 @@ class TestPipeline:
             params_a["s"].flat, params_b["s"].flat
         )
         assert rep_a.to_json() == rep_b.to_json()
+
+    def test_report_bytes_are_json_dumps_of_the_arm_reports(self):
+        rng = np.random.default_rng(3)
+        scores, labels = rng.random(300), rng.integers(0, 2, 300)
+        reports = {"s": metrics.evaluate(scores, labels), "baseline": metrics.evaluate(scores, labels, include_roc=False)}
+        report = generalized.PipelineReport(tagger_accuracy=0.75, agreement_rate=2 / 3, eval_reports=reports)
+        doc = {"tagger_accuracy": 0.75, "agreement_rate": 2 / 3,
+               "arms": {arm: json.loads(reference_report_json(rep)) for arm, rep in reports.items()}}
+        assert report.to_json() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def test_report_serializes(self):
         d_suf = sep_dataset(19)

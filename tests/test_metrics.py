@@ -1,10 +1,12 @@
 """Evaluation metrics against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from probfas import inference, metrics
-from conftest import reference_load_predictions
+from conftest import reference_load_predictions, reference_report_json
 
 
 def brute_force_tpr_at_fpr(scores, labels, target):
@@ -292,3 +294,61 @@ class TestEvalReport:
     def test_non_finite_threshold_rejected(self, threshold):
         with pytest.raises(metrics.MetricError, match="finite"):
             metrics.evaluate(np.array([0.9, 0.1]), np.array([1, 0]), threshold)
+
+
+def spread_scores(n, seed):
+    """n distinct scores over many magnitudes (below 1e-4 and near 1 too), both labels."""
+    rng = np.random.default_rng(seed)
+    scores = 1.0 / (1.0 + np.exp(-rng.standard_normal(n) * 6.0))
+    labels = (rng.random(n) < scores).astype(np.int64)
+    labels[:2] = [0, 1]
+    return scores, labels
+
+
+class TestReportJson:
+    """to_json splices the ROC rows in from the numpy formatter: the bytes must be the
+    ones json.dumps writes for the whole report."""
+
+    def test_without_roc(self):
+        rep = metrics.evaluate(*spread_scores(50, 1), include_roc=False)
+        assert rep.to_json() == reference_report_json(rep)
+        assert '"roc":[]' in rep.to_json()
+
+    def test_four_row_roc(self):
+        rep = metrics.evaluate(np.array([0.9, 0.1, 0.1]), np.array([1, 0, 1]))
+        assert len(rep.roc) == 4
+        assert rep.to_json() == reference_report_json(rep)
+
+    def test_nan_threshold_between_the_sentinels(self):
+        rep = metrics.evaluate(np.array([0.7, np.nan, 0.2, 3e-5]), np.array([1, 0, 0, 1]))
+        assert np.isnan(rep.roc[-2, 0]) and rep.roc[0, 0] == -np.inf and rep.roc[-1, 0] == np.inf
+        text = rep.to_json()
+        assert text == reference_report_json(rep)
+        assert '"roc":[[-Infinity,0.5,1.0],[3e-05,0.5,1.0],' in text and "[NaN,0.0,0.0],[Infinity,0.0,0.0]]" in text
+
+    def test_rates_of_exactly_zero_and_one(self):
+        rep = metrics.evaluate(np.array([0.25, 0.5, 0.75, 1.0]), np.array([0, 0, 1, 1]))
+        assert {0.0, 0.5, 1.0} == set(rep.roc[:, 1:].ravel())
+        assert rep.to_json() == reference_report_json(rep)
+
+    @pytest.mark.parametrize("rows", [4, 4096, 4097, 8193, 10_002])  # 4096 rows to a formatted block
+    def test_many_rows(self, rows):
+        rep = metrics.evaluate(*spread_scores(rows - 2, rows))
+        assert len(rep.roc) == rows
+        assert rep.to_json() == reference_report_json(rep)
+
+    def test_holds_little_beside_the_text(self):
+        # json.dumps of the ROC as Python floats peaked at about 4.9 and 28 MB; the text is
+        # about 0.6 and 6 MB
+        def peak(n):
+            rep = metrics.evaluate(*spread_scores(n - 2, 0))
+            assert len(rep.roc) == n
+            tracemalloc.start()
+            try:
+                rep.to_json()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10_000), peak(100_000)
+        assert small <= 3e6 and large <= 16e6, f"to_json peaked at {small / 1e6:.2f}, then {large / 1e6:.2f} MB"

@@ -176,12 +176,26 @@ def _differential_doubles():
     return np.concatenate([bits, logs, edges, -edges, near, -near, special])
 
 
+def _repr_doubles():
+    """The %.17g doubles, plus what repr's shortest digits meet, of both signs: +-3 ulps
+    around 2**-20..2**59 (where the gap below is half the gap above), i/n, decimals rounded
+    to 1..17 places, small integers, 10**k and 2**53 +- 50; then +-0, +-inf and nan."""
+    rng = np.random.default_rng(20261019)
+    fractions = [np.arange(n + 1) / n for n in (3, 7, 2500, 7500, 9999, 10000)]
+    decimals = [np.round(10.0 ** rng.uniform(-3.0, 14.0, 4000), places) for places in range(1, 18)]
+    ints = [np.arange(1.0, 2000.0), _powers_of_ten()[10:], 2.0**53 + np.arange(-50.0, 51.0)]
+    more = np.concatenate([_ulps_around(2.0 ** np.arange(-20, 60), 3), *fractions, *decimals, *ints])
+    return np.concatenate([_differential_doubles(), more, -more, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+
+
 def _first_mismatch(got, want, values):
     """float.hex of the first value whose line differs, or None."""
+    if got == want:
+        return None
     for value, a, b in zip(values, got.split(b"\n"), want.split(b"\n")):
         if a != b:
-            return f"{float(value).hex()}: wrote {a!r}, % gives {b!r}"
-    return None if got == want else "the files differ in length"
+            return f"{float(value).hex()}: wrote {a!r}, expected {b!r}"
+    return "the files differ in length"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -191,6 +205,16 @@ def test_g_format_matches_percent_on_a_million_doubles(tmp_path):
     path = tmp_path / "g.csv"
     data.write_table(path, "", "%.17g\n", [values])
     want = "".join("%.17g\n" % v for v in values.tolist()).encode()
+    assert _first_mismatch(path.read_bytes(), want, values) is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_r_format_matches_json_dumps_on_a_million_doubles(tmp_path):
+    values = _repr_doubles()
+    assert len(values) >= 10**6
+    path = tmp_path / "r.csv"
+    data.write_table(path, "", "%r\n", [values])
+    want = (json.dumps(values.tolist())[1:-1].replace(", ", "\n") + "\n").encode()
     assert _first_mismatch(path.read_bytes(), want, values) is None
 
 
@@ -206,6 +230,18 @@ def test_d_formats_match_percent(tmp_path, field):
     data.write_table(path, "", f"{field},%d\n", [values, values[::-1]])
     want = "".join(f"{field},%d\n" % row for row in zip(values.tolist(), values[::-1].tolist())).encode()
     assert _first_mismatch(path.read_bytes(), want, values) is None
+
+
+def test_slots_widened_after_columns_are_written_keep_them(tmp_path):
+    # a %d text longer than the slots widens them when the block meets it: at the third
+    # column of the first block, then at the second column of the second
+    n = BLOCK + 3
+    g, d1, d2 = np.linspace(-2.0, 3.0, n), np.arange(float(n)), np.arange(float(n))
+    d2[5], d1[-1] = 1e200, -1e300
+    path = tmp_path / "wide.csv"
+    data.write_table(path, "", "%.17g,%d,%d\n", [g, d1, d2])
+    want = "".join("%.17g,%d,%d\n" % row for row in zip(g.tolist(), d1.tolist(), d2.tolist())).encode()
+    assert _first_mismatch(path.read_bytes(), want, g) is None
 
 
 def test_non_ascii_category_name_keeps_its_utf8_bytes(tmp_path):
@@ -225,6 +261,7 @@ def test_empty_table_writes_only_its_head(tmp_path):
 
 @pytest.mark.parametrize("row_fmt, named", [
     ("%d,%.6f\n", "'%.6f'"), ("%d,%s\n", "'%s'"), ("%d;%d\n", "'%d;%d'"), ("%d,%d", "no newline"),
+    ("[%r,%s],", "'%s'"), ("[%r,%r]\n", "'[%r'"),
 ])
 def test_unknown_field_is_refused(tmp_path, row_fmt, named):
     with pytest.raises(ValueError, match=f"cannot format .*{re.escape(named)}"):
