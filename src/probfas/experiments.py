@@ -3,8 +3,12 @@ suite: the default synthetic benchmark, ablation-arm runs on stacks of
 (train, test) splits (one run being a stack of one), noise sweeps, and
 quality reports."""
 
+import ctypes
 import json
 import os
+import signal
+import sys
+from functools import partial
 
 import numpy as np
 
@@ -41,15 +45,88 @@ def apply_noise_kind(train, test, kind, fraction, seed):
 
 def run_arms(splits, arms, configs, threshold=0.5):
     """Train the ablation arms on a stack of (train, test) splits, one per
-    config (see training.train_arms, which raises a divergence), and
-    evaluate each replica on its test split. Yields (arm, arm configs,
-    (S, P) params, one EvalReport per replica) as each arm is trained. The
-    DQ arm uses stage-2 training and corrected inference."""
+    config (see training.train_arms), and evaluate each replica on its test
+    split. Yields (arm, arm configs, (S, P) params, one EvalReport per
+    replica) in ``arms`` order. The DQ arm uses stage-2 training and
+    corrected inference.
+
+    The stage-1 groups (see stage1_groups) train side by side in forked
+    workers (see _map_groups), each arm ending on the bytes it reaches
+    alone. If an arm diverges, the arms before it are yielded and then its
+    TrainingDiverged is raised: the error one arm after another would meet
+    first."""
+    finished, errors = {}, {}
+    for done, diverged in _map_groups(partial(_train_group, splits, configs, threshold), stage1_groups(arms, configs)):
+        finished.update((result[0], result) for result in done)
+        errors.update(diverged)
+    for arm in arms:
+        if arm in errors:
+            raise errors[arm]
+        yield finished[arm]
+
+
+def stage1_groups(arms, configs):
+    """``arms`` split by the stage-1 run they share (training.stage1_key),
+    each group in ``arms`` order, the groups in the order of their first
+    arm."""
+    groups = {}
+    for arm in arms:
+        key = training.stage1_key([training.arm_config(arm, cfg) for cfg in configs])
+        groups.setdefault(key, []).append(arm)
+    return list(groups.values())
+
+
+def _train_group(splits, configs, threshold, group):
+    """One stage-1 group's run_arms results, in group order, up to the arm
+    that diverges, and {that arm: its TrainingDiverged}, or {}."""
     trains = [train for train, _ in splits]
-    for arm, arm_cfgs, params, _ in training.train_arms(trains, arms, configs, keep_logs=False):
-        reports = [_evaluate(params.replica(r), test, cfg, threshold)
-                   for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs))]
-        yield arm, arm_cfgs, params, reports
+    done = []
+    try:
+        for arm, arm_cfgs, params, _ in training.train_arms(trains, group, configs, keep_logs=False):
+            reports = [_evaluate(params.replica(r), test, cfg, threshold)
+                       for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs))]
+            done.append((arm, arm_cfgs, params, reports))
+    except training.TrainingDiverged as exc:
+        return done, {group[len(done)]: exc}
+    return done, {}
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _map_groups(train_group, groups):
+    """train_group of each group, in a pool of forked workers when there
+    are two or more of both, else here, in order; the pool is joined before
+    this returns or raises. Fork starts a worker without importing numpy
+    again, and unlike forkserver leaves no server behind."""
+    # imported here, where a pool is made: the imports cost every command's
+    # start-up about 20 ms and 2 MB
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(groups), _usable_cpus())
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(train_group, groups))
+    # a forked worker flushes what it inherits of the buffers when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
+        # longest first: the LQ groups draw noise and hold the DQ arm's stage 2
+        return list(pool.map(train_group, sorted(groups, key=lambda group: group[0] not in training.LQ_ARMS)))
+
+
+def _exit_with_parent(parent):
+    """Worker initializer: a worker waits for work until its pool shuts
+    down, so on Linux it asks for SIGTERM when the process that forked it
+    dies, and a killed command leaves no worker behind."""
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG; on failure the worker only loses this guard
+    if os.getppid() != parent:  # the parent died before the request
+        os._exit(1)
 
 
 def _evaluate(params, test, cfg, threshold):
@@ -68,9 +145,10 @@ def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, thresho
     Each cell's seeds train as one stacked model per arm (see run_arms),
     and arms that share a stage-1 configuration (``s-lq`` and ``s-lq-dq``
     differ only in stage 2) share one stage-1 run per cell, each arm's
-    stage 2 starting from a copy of it (see training.train_arms). Stage 1
-    reads nothing that tells the two apart, so every row keeps the bytes of
-    a run trained alone. If a run diverges, the TrainingDiverged raised is
+    stage 2 starting from a copy of it (see training.train_arms), the
+    cell's stage-1 groups training side by side in worker processes. Stage
+    1 reads nothing that tells the two apart, so every row keeps the bytes
+    of a run trained alone. If a run diverges, the TrainingDiverged raised is
     the one of the first arm, and within it the first seed in ``seeds``
     order, that diverges: the error one run after another would meet first.
     """

@@ -79,6 +79,16 @@ class ModelParams:
         self.omega_s = {name: next(views) for name in sorted(self.omega_s)}
         self.flat = flat
 
+    # pickled as flat and its layout, so the tensors load as views into flat
+    # again rather than as copies beside it
+    def __getstate__(self):
+        return {"layers": len(self.layers), "omega_s": sorted(self.omega_s), "slots": self._slots, "flat": self.flat}
+
+    def __setstate__(self, state):
+        self.layers, self.omega_s = [None] * state["layers"], dict.fromkeys(state["omega_s"])
+        self._slots = state["slots"]
+        self._bind(state["flat"])
+
     @property
     def D(self):
         return self.layers[0][0].shape[-1]

@@ -41,6 +41,10 @@ class TrainingDiverged(Exception):
         self.components = components
         super().__init__(f"stage {stage} diverged at epoch {epoch}: {components}")
 
+    def __reduce__(self):
+        # Exception's own reduce passes the message alone to __init__
+        return type(self), (self.stage, self.epoch, self.components)
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -383,6 +387,7 @@ def train_stage2_dq(params, datasets, configs, keep_logs=True):
 
 
 ARMS = ("baseline", "s", "s-lq", "s-lq-dq")
+LQ_ARMS = ("s-lq", "s-lq-dq")  # the arms with the label-quality head
 
 
 def train_arms(datasets, arms, configs, keep_logs=True):
@@ -405,7 +410,7 @@ def train_arms(datasets, arms, configs, keep_logs=True):
     stage1 = {}
     for arm in arms:
         arm_cfgs = [arm_config(arm, cfg) for cfg in configs]
-        key = json.dumps([{**cfg.to_dict(), "stage2": None, "enable_dq": None} for cfg in arm_cfgs])
+        key = stage1_key(arm_cfgs)
         try:
             if key not in stage1:
                 stage1[key] = train_stage1_lq(datasets, arm_cfgs, keep_logs=keep_logs)
@@ -423,6 +428,12 @@ def train_arms(datasets, arms, configs, keep_logs=True):
         yield arm, arm_cfgs, params, logs
 
 
+def stage1_key(arm_cfgs):
+    """What stage 1 reads of an arm's configs: every field but stage2 and
+    enable_dq, as text. Arms with equal keys train the same stage 1."""
+    return json.dumps([{**cfg.to_dict(), "stage2": None, "enable_dq": None} for cfg in arm_cfgs])
+
+
 def arm_config(arm, base):
     """Map an ablation arm name onto the TrainConfig enable bits and
     lambda_s: 0 for the baseline, a lambda_s of 0 read as 1.0 by the rest."""
@@ -430,7 +441,7 @@ def arm_config(arm, base):
         raise ConfigError(f"unknown arm {arm!r}; expected one of {ARMS}")
     lambda_s = 0.0 if arm == "baseline" else base.lambda_s or 1.0
     return TrainConfig.from_dict({**base.to_dict(), "lambda_s": lambda_s,
-                                  "enable_lq": arm in ("s-lq", "s-lq-dq"), "enable_dq": arm == "s-lq-dq"})
+                                  "enable_lq": arm in LQ_ARMS, "enable_dq": arm == "s-lq-dq"})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 hand-written gradients against finite differences."""
 
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -78,6 +79,16 @@ class TestFlatten:
         p = make(tiny_params)
         for name, t in p.named_tensors():
             assert np.shares_memory(t, p.flat), name
+
+    def test_a_pickled_stack_loads_as_views_of_flat(self, tiny_params):
+        # worker processes send their trained stacks back pickled
+        stack = model.ModelParams.stack([tiny_params, tiny_params.zeros_like()])
+        loaded = pickle.loads(pickle.dumps(stack))
+        assert loaded.flat.tobytes() == stack.flat.tobytes() and loaded.flat.shape == stack.flat.shape
+        assert [(n, t.shape) for n, t in loaded.named_tensors()] == [(n, t.shape) for n, t in stack.named_tensors()]
+        for name, t in loaded.named_tensors():
+            assert np.shares_memory(t, loaded.flat), name
+        assert loaded.replica(0).flat.tobytes() == tiny_params.flat.tobytes()
 
     def test_copy_and_zeros_like_share_no_memory_with_source(self, tiny_params):
         for other in (tiny_params.copy(), tiny_params.zeros_like()):

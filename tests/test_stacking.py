@@ -4,9 +4,13 @@ the same runs trained one at a time (parameters, train logs, predictions
 and divergence reports), and their gradients must pass the
 finite-difference oracles."""
 
+import concurrent.futures
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,28 @@ from probfas import cli, data, experiments, generalized, inference, losses, metr
 from conftest import check_replica_gradients, selection_mask, train_one, with_grads
 
 SEEDS = [0, 1, 2, 3, 4]
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """run_arms trains every group in this process, where a test's
+    monkeypatched counters see the calls."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """run_arms trains on two forked workers; yields the number of pools made."""
+    pools = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    yield pools
 
 
 def benchmark_cell(seed, kind="semantic", fraction=0.2):
@@ -110,6 +136,7 @@ class TestEquivalence:
                 expected.append(("data", 0.3, arm, seed, rep.acer, rep.apcer, rep.bpcer))
         assert rows == expected
 
+    @pytest.mark.usefixtures("one_cpu")
     @pytest.mark.parametrize("arms, per_cell", [(None, 3), (["s-lq", "s-lq-dq"], 1), (["s-lq-dq", "s"], 2)])
     def test_noise_sweep_trains_each_stage1_configuration_once_per_cell(self, monkeypatch, arms, per_cell):
         calls = []
@@ -123,6 +150,74 @@ class TestEquivalence:
         cfg = tiny_config(0, epochs=1, batch_size=64)
         experiments.noise_sweep(["semantic"], {"semantic": [0.0, 0.5]}, arms, [1, 0], cfg)
         assert calls == [[1, 0]] * 2 * per_cell
+
+    def test_stage1_groups(self):
+        configs = [tiny_config(seed) for seed in (1, 0)]
+        assert experiments.stage1_groups(training.ARMS, configs) == [["baseline"], ["s"], ["s-lq", "s-lq-dq"]]
+        assert experiments.stage1_groups(["s-lq-dq", "baseline", "s-lq"], configs) == \
+            [["s-lq-dq", "s-lq"], ["baseline"]]
+
+    def test_pooled_run_arms_equals_one_cpu(self, monkeypatch, pooled):
+        splits = [benchmark_cell(seed, "data", 0.3) for seed in (1, 0)]
+        configs = [tiny_config(seed, epochs=2, batch_size=32) for seed in (1, 0)]
+        arms = ["s-lq-dq", "baseline", "s", "s-lq"]
+        got = list(experiments.run_arms(splits, arms, configs))
+        assert pooled == [1]
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        want = list(experiments.run_arms(splits, arms, configs))
+        assert pooled == [1]
+        assert [arm for arm, *_ in got] == [arm for arm, *_ in want] == arms
+        for (arm, got_cfgs, got_params, got_reports), (_, want_cfgs, want_params, want_reports) in zip(got, want):
+            assert got_cfgs == want_cfgs, arm
+            assert np.array_equal(got_params.flat.view(np.uint64), want_params.flat.view(np.uint64)), arm
+            assert [r.to_json() for r in got_reports] == [r.to_json() for r in want_reports], arm
+
+    def test_noise_sweep_leaves_no_worker_running(self, pooled):
+        rows = experiments.noise_sweep(["semantic"], {"semantic": [0.5]}, None, [1, 0], tiny_config(0, epochs=1))
+        assert len(rows) == len(training.ARMS) * 2 and pooled == [1]
+        assert multiprocessing.active_children() == []
+
+
+_STALLED_SWEEP = """\
+import os, sys, time
+from probfas import experiments, training
+
+def stalled(trains, group, configs, keep_logs):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(120)
+    yield from ()
+
+training.train_arms = stalled
+experiments._usable_cpus = lambda: 2
+list(experiments.run_arms([(None, None)], list(training.ARMS), [training.TrainConfig()]))
+"""
+
+
+def _gone(pid):
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers exit with their parent on Linux only")
+def test_a_killed_sweep_leaves_no_worker_running(tmp_path):
+    # each worker stalls in its group; killing the command must end them too
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", _STALLED_SWEEP, str(tmp_path)], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+        workers = [int(p.name) for p in tmp_path.iterdir()]
+        assert len(workers) == 2
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    deadline = time.monotonic() + 20
+    while not all(map(_gone, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert all(map(_gone, workers))
 
 
 _SWEEP_CONFIG = """\
@@ -178,6 +273,34 @@ class TestDivergence:
             with pytest.raises(training.TrainingDiverged) as exc:
                 experiments.noise_sweep([kind], {kind: [fraction]}, arms, list(range(7, -1, -1)))
             assert (exc.value.stage, exc.value.epoch, str(exc.value)) == (alone.stage, alone.epoch, str(alone))
+
+    def test_the_error_survives_pickling(self):
+        # a worker process sends its divergence back pickled
+        exc = training.TrainingDiverged(1, 3, {"total": 1e31, "loss_s": {"spoof_type": 2.5}})
+        loaded = pickle.loads(pickle.dumps(exc))
+        assert type(loaded) is training.TrainingDiverged
+        assert (loaded.stage, loaded.epoch, loaded.components, str(loaded)) == (1, 3, exc.components, str(exc))
+
+    def test_four_arm_sweep_raises_the_one_cpu_error(self, monkeypatch, pooled):
+        # s-lq-dq, the last arm, diverges; the others train in the pool first
+        kind, fraction = self.CELL
+        alone = self._seed_error(7)
+        errors = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            with pytest.raises(training.TrainingDiverged) as exc:
+                experiments.noise_sweep([kind], {kind: [fraction]}, None, list(range(7, -1, -1)))
+            errors.append((exc.value.stage, exc.value.epoch, str(exc.value)))
+            assert multiprocessing.active_children() == []
+        assert pooled == [1]
+        assert errors == [(alone.stage, alone.epoch, str(alone))] * 2
+
+    def test_cli_exits_3_with_one_line_for_all_arms(self, tmp_path, capsys, pooled):
+        code = cli.main(["noise-sweep", "--noise-kind", "binary", "--fractions", "0.7",
+                         "--seeds", "7,6,5,4,3,2,1,0", "--out", str(tmp_path)])
+        assert code == 3 and pooled == [1]
+        assert capsys.readouterr().err == f"training diverged: {self._seed_error(7)}\n"
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_cli_exits_3_with_one_line(self, tmp_path, capsys):
         code = cli.main(["noise-sweep", "--noise-kind", "binary", "--fractions", "0.7", "--arm", "s-lq-dq",
@@ -325,6 +448,7 @@ class TestUnreadWork:
         batches = [min(16, n - lo) for lo in range(0, n, 16)]
         assert rows == (batches + [n] * keep_logs) * 3
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_only_the_lq_stage1_run_draws_noise(self, monkeypatch):
         # a cell of all four arms trains three stage-1 runs (s-lq-dq shares
         # s-lq's); only s-lq's, the third, builds noise streams
