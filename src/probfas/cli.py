@@ -78,12 +78,21 @@ def _published(out, doc):
     while not os.path.lexists(path):
         made.append(path)
         path = os.path.dirname(path)
+    manifest, text = os.path.join(out, MANIFEST_FILENAME), json.dumps(doc, sort_keys=True, indent=2) + "\n"
     try:
         os.makedirs(out, exist_ok=True)
-        experiments.check_manifest(os.path.join(out, MANIFEST_FILENAME), doc)
+        if os.path.exists(manifest):  # manifests are immutable
+            try:
+                with open(manifest, encoding="utf-8") as fh:
+                    if fh.read() != text:
+                        raise data.DataError(f"{manifest}: manifest exists with different content")
+            except OSError as exc:
+                raise data.DataError(f"{manifest}: cannot read manifest: {exc.strerror or exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise data.DataError(f"{manifest}: manifest is not UTF-8 text ({exc.reason})") from exc
         with tempfile.TemporaryDirectory(prefix=".partial-", dir=out) as stage:
             yield stage
-            _write_text(os.path.join(stage, MANIFEST_FILENAME), experiments.manifest_text(doc))
+            _write_text(os.path.join(stage, MANIFEST_FILENAME), text)
             names = sorted(os.listdir(stage), key=MANIFEST_FILENAME.__eq__)
             for name in names:  # checked first: a rename that fails part way leaves the others in out
                 target = os.path.join(out, name)
@@ -340,7 +349,7 @@ def main(argv=None):
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
     except (data.DataError, training.ConfigError, training.CheckpointError,
-            metrics.MetricError, experiments.ManifestError, ValueError) as exc:
+            metrics.MetricError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -273,7 +273,7 @@ def inject_data_noise(ds, fraction, severity, seed):
         return out
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A2]))
     rows = _pick(rng, len(ds), fraction)
-    smoothed = kernels.smooth_rows(out.x[rows], 3)
+    smoothed = kernels.smooth_rows(out.x[rows])
     out.x[rows] = smoothed + severity * rng.standard_normal(smoothed.shape)
     out.data_corrupted[rows] = True
     out.corruption_severity[rows] = float(severity)

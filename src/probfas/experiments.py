@@ -4,7 +4,6 @@ suite: the default synthetic benchmark, ablation-arm runs on stacks of
 quality reports."""
 
 import ctypes
-import json
 import os
 import signal
 import sys
@@ -55,14 +54,12 @@ def run_arms(splits, arms, configs, threshold=0.5):
     alone. If an arm diverges, the arms before it are yielded and then its
     TrainingDiverged is raised: the error one arm after another would meet
     first."""
-    finished, errors = {}, {}
-    for done, diverged in _map_groups(partial(_train_group, splits, configs, threshold), stage1_groups(arms, configs)):
-        finished.update((result[0], result) for result in done)
-        errors.update(diverged)
+    groups = _map_groups(partial(_train_group, splits, configs, threshold), stage1_groups(arms, configs))
+    results = {arm: result for group in groups for arm, result in group.items()}
     for arm in arms:
-        if arm in errors:
-            raise errors[arm]
-        yield finished[arm]
+        if isinstance(results[arm], training.TrainingDiverged):
+            raise results[arm]
+        yield results[arm]
 
 
 def stage1_groups(arms, configs):
@@ -77,18 +74,18 @@ def stage1_groups(arms, configs):
 
 
 def _train_group(splits, configs, threshold, group):
-    """One stage-1 group's run_arms results, in group order, up to the arm
-    that diverges, and {that arm: its TrainingDiverged}, or {}."""
+    """One stage-1 group's run_arms results by arm, in group order, up to
+    the arm that diverges, which maps to its TrainingDiverged."""
     trains = [train for train, _ in splits]
-    done = []
+    results = {}
     try:
         for arm, arm_cfgs, params, _ in training.train_arms(trains, group, configs, keep_logs=False):
             reports = [_evaluate(params.replica(r), test, cfg, threshold)
                        for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs))]
-            done.append((arm, arm_cfgs, params, reports))
+            results[arm] = (arm, arm_cfgs, params, reports)
     except training.TrainingDiverged as exc:
-        return done, {group[len(done)]: exc}
-    return done, {}
+        results[group[len(results)]] = exc
+    return results
 
 
 def _usable_cpus():
@@ -227,31 +224,3 @@ def quality_report(params, ds):
         "mean_quality_corrupted": float(s2[corrupted].mean()) if corrupted.any() else None,
     }
     return [np.arange(len(ds)), s2, corrupted, ds.corruption_severity], "\n".join(hist_lines) + "\n", summary
-
-
-# ---------------------------------------------------------------------------
-# manifests
-# ---------------------------------------------------------------------------
-
-class ManifestError(Exception):
-    pass
-
-
-def check_manifest(path, doc):
-    """Manifests are immutable: raises ManifestError if path holds a
-    manifest other than doc."""
-    if not os.path.exists(path):
-        return
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ManifestError(f"{path}: cannot read manifest: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: manifest is not UTF-8 text ({exc.reason})") from exc
-    if text != manifest_text(doc):
-        raise ManifestError(f"{path}: manifest exists with different content")
-
-
-def manifest_text(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

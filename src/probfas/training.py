@@ -467,26 +467,31 @@ def load_trainlog(path):
 _CKPT_MAGIC = b"PROBFAS-CKPT v1\n"
 
 
-def save_checkpoint(path, params, config=None):
-    params.check_finite()
-    # the empty extra_arrays and extra_meta keep the v1 header's bytes
-    header = {
+def _header(params, config):
+    """The JSON header of a checkpoint of one model and its config (or None);
+    the empty extra_arrays and extra_meta keep the v1 header's bytes."""
+    return json.dumps({
         "version": 1,
         "tensors": [{"name": name, "shape": list(t.shape)} for name, t in params.named_tensors()],
         "extra_arrays": [],
         "config": config.to_dict() if config is not None else None,
         "extra_meta": {},
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def save_checkpoint(path, params, config=None):
+    params.check_finite()
+    blob = _header(params, config)
     with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        fh.write(_CKPT_MAGIC + struct.pack("<I", len(blob)) + blob)
         fh.write(np.ascontiguousarray(params.flat, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Returns (params, config_or_None)."""
+    """Returns (params, config_or_None) of a file as save_checkpoint writes
+    it: the model is rebuilt from the widths its header's layers.*.W and
+    omega_s.* shapes give, and the header must be, byte for byte, the one
+    save_checkpoint writes for that model and config."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -505,36 +510,32 @@ def load_checkpoint(path):
         )
     try:
         header = json.loads(blob[header_start:body_start].decode("utf-8"))
-        specs = [(spec["name"], tuple(int(d) for d in spec["shape"])) for spec in header["tensors"]]
+        specs = [(spec["name"], spec["shape"]) for spec in header["tensors"]]
+        if not all(type(d) is int and d >= 0 for _, shape in specs for d in shape):
+            raise ValueError("tensor shapes must be lists of non-negative integers")
         config = TrainConfig.from_dict(header["config"]) if header["config"] else None
-    except (ValueError, KeyError, TypeError) as exc:
+        widths = [shape for name, shape in specs if name.startswith("layers.") and name.endswith(".W")]
+        sizes = [widths[0][1], *(shape[0] for shape in widths)]  # D, hidden..., B
+        categories = {name[len("omega_s."):]: shape[0] for name, shape in specs if name.startswith("omega_s.")}
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, RecursionError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
 
-    sizes = [math.prod(shape) for _, shape in specs]
+    n_params = sum(math.prod(shape) for _, shape in specs)
     body_len = len(blob) - body_start
-    if body_len != 8 * sum(sizes):
-        problem = "truncated body" if body_len < 8 * sum(sizes) else "trailing bytes after body"
-        raise CheckpointError(f"{path}: {problem}: {body_len} bytes, header declares {8 * sum(sizes)}")
-    body = np.frombuffer(blob, dtype="<f8", offset=body_start)
-    arrays, offset = {}, 0
-    for (name, shape), size in zip(specs, sizes):
-        arrays[name] = body[offset : offset + size].reshape(shape)
-        offset += size
-
-    layer_idx = sorted({int(n.split(".")[1]) for n in arrays if n.startswith("layers.")})
-    try:
-        layers = [(arrays[f"layers.{i}.W"], arrays[f"layers.{i}.b"]) for i in layer_idx]
-        params = model.ModelParams(
-            layers=layers,
-            w_lq=arrays["w_lq"],
-            b_lq=arrays["b_lq"],
-            w_dq=arrays["w_dq"],
-            b_dq=arrays["b_dq"],
-            omega_c=arrays["omega_c"],
-            omega_s={n.split(".", 1)[1]: arrays[n] for n in arrays if n.startswith("omega_s.")},
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing tensor {exc}") from exc
+    if body_len != 8 * n_params:
+        problem = "truncated body" if body_len < 8 * n_params else "trailing bytes after body"
+        raise CheckpointError(f"{path}: {problem}: {body_len} bytes, header declares {8 * n_params}")
+    # the size of the model the widths give, checked before init_params
+    # allocates it, so a header cannot make it allocate more than the body
+    mismatch = CheckpointError(f"{path}: header is not the v1 header of the model "
+                               "its layer and category widths describe")
+    B = sizes[-1]
+    if sum(o * (i + 1) for i, o in zip(sizes, sizes[1:])) + B * (B + 4 + sum(categories.values())) + 1 != n_params:
+        raise mismatch
+    params = model.init_params(sizes[0], categories, B=B, hidden=sizes[1:-1])
+    if _header(params, config) != blob[header_start:body_start]:
+        raise mismatch
+    params = params.with_flat(np.frombuffer(blob, dtype="<f8", offset=body_start).astype(np.float64))
     try:
         params.check_finite()
     except ValueError as exc:

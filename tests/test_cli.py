@@ -579,6 +579,33 @@ def test_bad_setting_is_exit_two_naming_key(dataset_dir, tmp_path, capsys, case)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case, code, message", [
+    ("seeds-range", 1, "usage error: bad --seeds range 'a..3'"),
+    ("magic-only", 2, "error: {data}: missing header lines"),
+    ("zero-width", 2, "error: {data}: malformed metadata line: '#D=0 seed=7 categories=spoof_type:3'"),
+    ("negative-epochs", 2, "error: stage1.epochs must be >= 0"),
+    ("zero-embedding", 2, "error: embedding_dim must be >= 1"),
+])
+def test_rejection_is_one_line_and_makes_no_out(dataset_dir, tmp_path, capsys, case, code, message):
+    # each is rejected before the output directory is made
+    cfg, bad = tmp_path / "cfg.txt", tmp_path / "bad.txt"
+    write_quick_config(cfg)
+    lines = (dataset_dir / "dataset.txt").read_text().splitlines(keepends=True)
+    rows = {"magic-only": lines[:1], "zero-width": [lines[0], lines[1].replace("#D=4", "#D=0"), *lines[2:]]}
+    bad.write_text("".join(rows.get(case, lines)))
+    settings = {"negative-epochs": "stage1.epochs = -1\n", "zero-embedding": "embedding_dim = 0\n"}
+    cfg.write_text(cfg.read_text() + settings.get(case, ""))
+    if case == "seeds-range":
+        argv = ["noise-sweep", "--seeds", "a..3", "--config", str(cfg)]
+    else:
+        argv = ["train", "--data", str(bad), "--config", str(cfg)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == message.format(data=bad) + "\n"
+    assert not out.exists()
+
+
 class TestOutputRoot:
     def test_env_var_provides_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROBFAS_OUT_ROOT", str(tmp_path / "root"))

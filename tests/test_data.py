@@ -208,7 +208,7 @@ class TestDataNoise:
         from probfas import kernels
 
         noisy = data.inject_data_noise(tiny_dataset, 1.0, 0.0, seed=11)
-        assert np.allclose(noisy.X(), kernels.smooth_rows(tiny_dataset.X(), 3), rtol=1e-15)
+        assert np.allclose(noisy.X(), kernels.smooth_rows(tiny_dataset.X()), rtol=1e-15)
 
 
 def with_all_noise(ds, semantic, binary, data_fraction, severity, seed):

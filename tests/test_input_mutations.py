@@ -9,8 +9,16 @@ diverged: ...``, and leaves the output directory as it found it (holding
 the mutant manifest, or not there at all); no mutant ends in a traceback.
 Each pair's mutants come from ``random.Random(f"{SEED}:{command}:{input}")``,
 so a failure names a reproducible mutant.
+
+A checkpoint's header is also mutated by name (a tensor renamed, added,
+dropped, reordered or reshaped to its own size, a shape entry that is not
+an integer, another version, a non-empty extra field), the body kept in
+agreement with the declared sizes: ``eval`` and ``quality-report`` must
+exit 2 with one ``error:`` line that names the checkpoint.
 """
 
+import json
+import math
 import os
 import random
 import re
@@ -117,3 +125,74 @@ def test_mutated_input_gives_a_documented_exit(clean, tmp_path, capsys, command,
             # a failed run leaves no artifact, staging directory or new directory
             assert contents(out) == before, label
         shutil.rmtree(out, ignore_errors=True)
+
+
+def split_checkpoint(blob):
+    """(header dict, body bytes) of a checkpoint file."""
+    start = len(training._CKPT_MAGIC) + 4
+    end = start + int.from_bytes(blob[start - 4 : start], "little")
+    return json.loads(blob[start:end]), blob[end:]
+
+
+def join_checkpoint(header, body):
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return training._CKPT_MAGIC + len(text).to_bytes(4, "little") + text + body
+
+
+HEADER_MUTANTS = ("renamed-layer", "renamed-head", "added", "dropped", "reordered", "reshaped",
+                  "string-shape", "float-shape", "version-2", "extra-arrays", "extra-meta")
+
+
+def mutate_header(kind, header, body):
+    """Applies one named mutation to a header in place; returns the body,
+    grown or cut where a tensor is added or dropped so that its size still
+    agrees with the header's shapes."""
+    tensors = header["tensors"]
+    names = [spec["name"] for spec in tensors]
+    if kind == "renamed-layer":
+        tensors[names.index("layers.1.W")]["name"] = "layers.x.W"
+    elif kind == "renamed-head":
+        tensors[names.index("w_dq")]["name"] = "w_dx"
+    elif kind == "added":
+        tensors.append({"name": "foo", "shape": [3]})
+        return body + bytes(24)
+    elif kind == "dropped":
+        i = names.index("b_dq")
+        at = 8 * sum(math.prod(spec["shape"]) for spec in tensors[:i])
+        del tensors[i]
+        return body[:at] + body[at + 8 :]
+    elif kind == "reordered":
+        i, j = names.index("w_lq"), names.index("b_lq")
+        tensors[i], tensors[j] = tensors[j], tensors[i]
+    elif kind == "reshaped":  # (6,) and (6,) become (3,) and (9,): the same total size
+        tensors[names.index("w_dq")]["shape"] = [3]
+        tensors[names.index("b_lq")]["shape"] = [9]
+    elif kind == "string-shape":
+        tensors[0]["shape"] = [8, "4"]
+    elif kind == "float-shape":
+        tensors[0]["shape"] = [8, 4.0]
+    elif kind == "version-2":
+        header["version"] = 2
+    elif kind == "extra-arrays":
+        header["extra_arrays"] = [{"name": "stats", "shape": [2]}]
+    elif kind == "extra-meta":
+        header["extra_meta"] = {"note": "kept"}
+    return body
+
+
+@pytest.mark.parametrize("command", ["eval", "quality-report"])
+@pytest.mark.parametrize("kind", HEADER_MUTANTS)
+def test_checkpoint_header_mutant_is_one_line_naming_the_file(clean, tmp_path, capsys, command, kind):
+    _, paths, commands = clean
+    blob = paths["checkpoint"].read_bytes()
+    header, body = split_checkpoint(blob)
+    assert join_checkpoint(header, body) == blob  # so a mutant differs by its mutation only
+    ckpt = tmp_path / "mutant.ckpt"
+    ckpt.write_bytes(join_checkpoint(header, mutate_header(kind, header, body)))
+    out = tmp_path / "out"
+    argv = [arg.format(**{**paths, "checkpoint": ckpt}) for arg in commands[command]] + ["--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1, err
+    assert not out.exists()

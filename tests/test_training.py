@@ -328,6 +328,24 @@ class TestCheckpoint:
         assert np.array_equal(loaded.flat, params.flat)
         assert loaded_cfg.to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize("hidden", [(), (8,), (64, 64)])
+    @pytest.mark.parametrize("categories", [{}, {"spoof_type": 3}, {"spoof_type": 3, "light": 2}])
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_every_saved_layout_loads_to_its_bytes(self, tmp_path, hidden, categories, with_config):
+        params = model.init_params(5, categories, B=4, hidden=hidden, seed=3)
+        params.w_lq[...] = np.random.default_rng(1).standard_normal(params.w_lq.shape)
+        params.b_dq[...] = -0.0
+        cfg = small_config(seed=9) if with_config else None
+        if cfg is not None:
+            cfg.hidden, cfg.embedding_dim = hidden, 4
+        path = tmp_path / "model.ckpt"
+        training.save_checkpoint(path, params, config=cfg)
+        loaded, loaded_cfg = training.load_checkpoint(path)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert [(n, t.shape) for n, t in loaded.named_tensors()] == [(n, t.shape) for n, t in params.named_tensors()]
+        assert loaded.flat.flags.writeable
+        assert (loaded_cfg is None) if cfg is None else (loaded_cfg.to_dict() == cfg.to_dict())
+
     def test_extra_arrays_rejected_as_trailing_bytes(self, tiny_params, tmp_path):
         # a v1 file whose header declares an extra array after the tensors
         path = tmp_path / "model.ckpt"
@@ -394,6 +412,16 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         path.write_bytes(training._CKPT_MAGIC + len(header).to_bytes(4, "little") + header)
         with pytest.raises(training.CheckpointError, match="malformed header"):
+            training.load_checkpoint(path)
+
+    def test_widths_beyond_the_body_are_rejected_before_the_model_is_built(self, tmp_path):
+        # a layer of 10**12 outputs and no inputs declares no body, but its
+        # model would take terabytes
+        header = (b'{"config":null,"extra_arrays":[],"extra_meta":{},'
+                  b'"tensors":[{"name":"layers.0.W","shape":[1000000000000,0]}],"version":1}')
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(training._CKPT_MAGIC + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(training.CheckpointError, match="not the v1 header of the model"):
             training.load_checkpoint(path)
 
     def test_embedding_dim_mismatch_rejected(self, tiny_params, tmp_path):
