@@ -241,8 +241,7 @@ def cmd_train(args):
     return 0
 
 
-def _eval_mode(params, ds, corrected, threshold, stage, tag):
-    probs, s2 = inference.predict_batch(params, ds.X(), corrected=corrected)
+def _eval_mode(probs, s2, ds, corrected, threshold, stage, tag):
     report = metrics.evaluate(probs[:, 1], ds.c_labels(), threshold)
     inference.save_predictions(probs, s2, corrected, os.path.join(stage, f"predictions_{tag}.csv"))
     _write_text(os.path.join(stage, f"report_{tag}.json"), report.to_json() + "\n")
@@ -264,8 +263,9 @@ def cmd_eval(args):
     reports = {}
     with _published(out, doc) as stage:
         with _quality_of(args.checkpoint):
-            for tag in modes:
-                reports[tag] = _eval_mode(params, ds, tag == "corrected", args.threshold, stage, tag)
+            predictions, s2 = inference.predict_modes(params, ds.X(), [tag == "corrected" for tag in modes])
+        for tag, probs in zip(modes, predictions):
+            reports[tag] = _eval_mode(probs, s2, ds, tag == "corrected", args.threshold, stage, tag)
         if len(reports) == 2:
             delta = {
                 key: getattr(reports["corrected"], key) - getattr(reports["uncorrected"], key)

@@ -7,14 +7,16 @@ for it and are excluded from semantic supervision. All operations are
 pure functions of (input, seed).
 """
 
-import functools
+import io
 import math
+import os
+import shutil
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import forks, kernels, numfmt
 
 LIVE = 1
 SPOOF = 0
@@ -291,145 +293,21 @@ def inject_data_noise(ds, fraction, severity, seed):
 
 _MAGIC = "#probfas-dataset v1"
 _BLOCK_ROWS = 4096  # rows per formatted block in write_table: writing holds one block's bytes
+# Tables at least this large are split with a forked child (forks.child) when a second CPU is
+# usable. At 60 MB RSS a fork, its pipe and the reaping take about 3 ms in all, 1.5 ms of it in
+# this process. Done here, formatting costs 0.12-0.18 us a field (a 4096-row block: 10 ms of a
+# dataset's 14 fields, 2 ms of quality.csv's 4) and np.loadtxt 0.20 us (17 ms a MiB). From 8
+# blocks and 4 MiB the child takes 8-40 ms of formatting or 34 ms of parsing off this process,
+# several times the fork. score's 10,000-row tables (3 blocks, 1.7 MB) and every set-up table
+# stay in one process.
+_SPLIT_BLOCKS = 8
+_SPLIT_BYTES = 4 << 20
+_READ_BYTES = 1 << 16  # bytes per read of a child's pipe, or of a file looking for its cut
 
 
 def _column_line(D, names):
     """The column-name line of a dataset file with D features and these categories."""
     return ",".join(["id", *(f"x{i}" for i in range(D)), "c", *(f"s:{n}" for n in names), "flags", "severity"])
-
-
-_SLOT = 24  # bytes per value in write_table's block buffer: three text words
-_FIELDS = {"%.17g": None, "%r": None, "%d": 1, "%03d": 3}  # write_table's fields; for %d, the fewest digits
-_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # %r of what json writes by name
-_LE8 = np.dtype("<u8")  # a text word: 8 bytes, the first in the low byte
-_P10 = np.array([float(10**p) for p in range(23)])  # every power of ten that is an exact double
-# 10**e for e = -19..1, at e + 19, as a multiplier and a divisor of which one is 1
-_UP = np.array([1.0] * 20 + [10.0])
-_DOWN = np.concatenate([_P10[19::-1], [1.0]])
-
-
-@functools.cache
-def _tables():
-    """write_table's tables, built on first use: the words of 0000..9999; fixed-notation masks
-    over 24 digit bytes (7 zeros, 17 significant digits), 9 words per exponent k = -4..16 and last
-    byte kept b (column 24 * (k + 4) + b): the integer part (0 and leading fraction zeros for
-    k < 0), the fraction up to b and the point; %d masks over 16 digit bytes, by the first digit kept."""
-    k, last, b = np.arange(-4, 17)[:, None, None], np.arange(24)[:, None], np.arange(24)
-    g = np.concatenate([
-        np.broadcast_to(((b >= 7 + np.minimum(k, 0)) & (b < 8 + k)) * np.uint8(255), (21, 24, 24)),
-        ((b >= 8 + k) & (b <= last)) * np.uint8(255), ((b == 7 + k) & (last >= 8 + k)) * np.uint8(46),
-    ], axis=2).view(_LE8).reshape(-1, 9).T.copy()
-    d = ((b[:16] >= np.arange(17)[:, None]) * np.uint8(255)).view(_LE8).T.copy()
-    return sum((np.arange(10000) // 10 ** (3 - i) % 10 + 48) << 8 * i for i in range(4)).astype(_LE8), g, d
-
-
-def _scaled(a, k):
-    """(hi, lo) with hi + lo == a * 10**(16 - k) exactly: Dekker's two-product, over
-    Veltkamp splits of both factors into 26-bit halves (134217729 is 2**27 + 1)."""
-    b = _P10[16 - k]
-    ah, bh = (t := a * 134217729.0) - (t - a), (t := b * 134217729.0) - (t - b)
-    al, bl, hi = a - ah, b - bh, a * b
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-
-
-def _ascii(u, words):
-    """The digits of the int64s 0 <= u < 10**(8 * words), zero-padded, as (words, N) text
-    words: uint32 arithmetic on 8-digit pieces, one table lookup per 4 digits."""
-    out = np.empty((words, len(u)), _LE8)
-    for j in range(words - 1, -1, -1):
-        q = u // 10**8
-        u, piece = q, (u - q * 10**8).astype(np.uint32)
-        high = piece // 10000
-        out[j] = _tables()[0].take(high) | _tables()[0].take(piece - high * 10000) << 32
-    return out
-
-
-def _digits(a):
-    """(k, D) of the values 1e-4 <= a < 1e16: a rounded half to even to 17 significant digits
-    is D * 10**(k - 16), 10**16 <= D < 10**17. No double in range rounds up to 10**17."""
-    k = np.floor(np.log10(a)).astype(np.intp)  # the exponent, or one off next to a power of ten
-    hi, lo = _scaled(a, k)
-    # the exponent is right when the exact product is in [10**16, 10**17)
-    fix = np.flatnonzero((hi < 1e16) | ((hi == 1e16) & (lo < 0)) | (hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
-    k[fix] += np.where(hi[fix] < 5e16, -1, 1)
-    hi[fix], lo[fix] = _scaled(a[fix], k[fix])
-    return k, hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # half to even: hi is an even integer
-
-
-def _reads_back(c, e, a):
-    """Whether the decimal c * 10**e reads back as a; exact for integers 0 < c <= 2**53 and
-    -19 <= e <= 1, where it is one correctly rounded multiply or divide of exact doubles."""
-    return c * _UP[e + 19] / _DOWN[e + 19] == a
-
-
-def _shortest(a, k, D):
-    """repr's digits of the values a from their 17 (k, D): D cut to the fewest digits that
-    read back as a, the nearer of two, zero-filled; and the mask of values left to repr.
-    A decimal reads back only within half a double's gap of a, at most 10**17 * 2**-53 <
-    12 units of D's last digit, and D is within half a unit: so a decimal of 15 digits or
-    fewer that reads back is R, D rounded to a multiple of 100, and R's digits are the
-    fewest if R reads back. Else 16 digits do if D cut to 16 digits, t, or t + 1 does; if
-    both do, the nearer by D's 17th digit (a 5: repr). t >= 2**53 cannot be checked
-    exactly (repr). R and t + 1 never reach 10**17: each double 10**j >= 10**j."""
-    r, t = (D + 50) // 100, D // 10
-    short = _reads_back(r, k - 14, a)
-    ok, ok1 = _reads_back(t, k - 15, a), _reads_back(t + 1, k - 15, a)
-    digit = D - 10 * t
-    best = np.where(ok1 & ~(ok & (digit < 5)), 10 * t + 10, np.where(ok, 10 * t, D))
-    return np.where(short, 100 * r, best), ~short & ((t >= 2**53) | ok & ok1 & (digit == 5))
-
-
-def _fixed(v, k, D, point):
-    """The text of v in fixed notation from its digits (k, D) (0 as 1's) as (3, N) text words:
-    the sign in the first byte, then the integer part and the fraction to its last nonzero
-    digit, after a point (%.17g), or to at least one digit (point: repr's 1.0), NUL-padded."""
-    words = _ascii(D, 3)
-    # each word's top nonzero digit byte by the float exponent (a word of zeros: negative)
-    top = ((words ^ np.uint64(0x3030303030303030)).astype(np.float64).view(np.int64) >> 52) - 1023 >> 3
-    last = (top + [[0], [8], [16]]).max(axis=0)
-    masks = np.take(_tables()[1], 24 * (k + 4) + (np.maximum(last, k + 8) if point else last), axis=1)
-    out = masks[6:]  # starts as the point byte
-    whole = words & masks[:3]
-    out |= whole >> 8
-    out[:2] |= whole[1:] << 56
-    out |= words & masks[3:6]
-    out[0, v == 0] ^= np.uint64(1 << 48)  # 0 was formatted as 1: its digit 1 (0x31) becomes 0 (0x30)
-    out[0] |= np.signbit(v) * np.uint64(45)
-    return out
-
-
-def _format_d(v, fewest):
-    """%d (fewest 1) or %03d (fewest 3) of the integral values |v| < 2**53 as (3, N) text
-    words: the sign in the first byte, then 16 digits with the leading zeros made NUL."""
-    u = np.abs(v).astype(np.int64)
-    first = 16 - np.maximum(np.searchsorted(_P10[:16], u, side="right"), fewest - (v < 0))
-    return np.vstack([(v < 0) * np.uint64(45), _ascii(u, 2) & np.take(_tables()[2], first, axis=1)])
-
-
-def _words(field, v):
-    """(3, N) text words of field % v, and the mask of the values whose words are not
-    their text: %.17g and %r of |v| in [1e-4, 1e16) or 0, less the few %r _shortest cannot
-    settle, and %d of integral |v| < 2**53 are formatted; other values' words are garbage."""
-    if _FIELDS[field]:
-        slow = ~((np.abs(v) < 2.0**53) & (v == np.trunc(v)))
-        return _format_d(np.where(slow, 0.0, v), _FIELDS[field]), slow
-    a = np.abs(v)
-    slow = ~((a >= 1e-4) & (a < 1e16) | (v == 0))
-    a = np.where(slow | (v == 0), 1.0, a)
-    k, D = _digits(a)
-    if field == "%r":
-        D, unsettled = _shortest(a, k, D)
-        slow |= unsettled
-    return _fixed(v, k, D, field == "%r"), slow
-
-
-def _texts(field, values):
-    """field % value of each value, one at a time, as a NUL-padded bytes array; %r gives
-    the text json.dumps gives a float."""
-    texts = list(map(field.__mod__, values.tolist()))
-    if field == "%r":
-        texts = [_JSON_NAMES.get(text, text) for text in texts]
-    return np.array(texts, dtype=np.bytes_)
 
 
 def _row_parts(row_fmt):
@@ -438,7 +316,7 @@ def _row_parts(row_fmt):
     array = row_fmt.startswith("[") and row_fmt.endswith("],")
     fields = (row_fmt[1:-2] if array else row_fmt.removesuffix("\n")).split(",")
     for field in fields if array or row_fmt.endswith("\n") else [row_fmt + " (no newline)"]:
-        if field not in _FIELDS:
+        if field not in numfmt.FIELDS:
             raise ValueError(f"write_table cannot format {field!r}: fields are %.17g, %r, %d and %03d, then a newline")
     return ("[", fields, "],") if array else ("", fields, "\n")
 
@@ -450,16 +328,16 @@ def _blocks(row_fmt, columns):
     prefix, fields, suffix = _row_parts(row_fmt)
     lead, trail = len(prefix), len(suffix)
     n = len(columns[0])
-    buf, width = None, _SLOT
+    buf, width = None, numfmt.SLOT
     for start in range(0, n, _BLOCK_ROWS):
         cells = np.column_stack([col[start : start + _BLOCK_ROWS] for col in columns]).astype(np.float64).T
         if len(cells) != len(fields):
             raise ValueError(f"write_table needs {len(fields)} columns of {n} values, got {len(cells)}")
         rows = cells.shape[1]
         for j, (field, v) in enumerate(zip(fields, cells)):
-            words, slow = _words(field, v)
+            words, slow = numfmt.words(field, v)
             idx = np.flatnonzero(slow)
-            texts = _texts(field, v[idx])
+            texts = numfmt.texts(field, v[idx])
             if buf is None or texts.itemsize > width:  # the first block, or a %d of a huge value
                 old, width = buf, max(width, texts.itemsize)
                 buf = np.zeros((_BLOCK_ROWS, len(fields), lead + width + trail), np.uint8)  # slots, then separators
@@ -469,8 +347,8 @@ def _blocks(row_fmt, columns):
                 if old is not None:  # the slots this block has written so far
                     buf[:rows, :j, : old.shape[2] - trail] = old[:rows, :j, : old.shape[2] - trail]
             slots = buf[:rows, j, lead : lead + width]
-            slots[:, :_SLOT].view(_LE8)[...] = words.T
-            slots[:, _SLOT:] = 0
+            slots[:, : numfmt.SLOT].view(numfmt.WORD)[...] = words.T
+            slots[:, numfmt.SLOT :] = 0
             slots[idx] = texts.astype(f"S{width}").view(np.uint8).reshape(len(idx), width)
         yield buf[:rows][buf[:rows] != 0]
 
@@ -481,10 +359,30 @@ def write_table(path, head, row_fmt, columns):
     Each block of _BLOCK_ROWS rows is formatted exactly by numpy and held as one buffer. Values
     outside the fast paths (|x| in [1e-4, 1e16) or 0 for %.17g and %r, integral |x| < 2**53 for
     %d), and the rare %r whose shortest digits one multiply or divide cannot settle, go through
-    % one at a time. %r writes the text json.dumps gives a float: repr, or NaN and Infinity."""
+    % one at a time. %r writes the text json.dumps gives a float: repr, or NaN and Infinity.
+    A table of _SPLIT_BLOCKS blocks or more is cut at the block boundary nearest its middle when
+    a second CPU is usable: a forked child formats the blocks after the cut and holds their
+    text while this process writes those before it, then copies the child's bytes after them.
+    If the child fails, this process formats its blocks itself."""
+    _row_parts(row_fmt)  # a bad format raises here, before a child is forked
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
-        fh.writelines(_blocks(row_fmt, columns))  # each block is dropped before the next is made
+        blocks = -(-len(columns[0]) // _BLOCK_ROWS)
+        if blocks < _SPLIT_BLOCKS or not forks.can_fork():
+            fh.writelines(_blocks(row_fmt, columns))  # each block is dropped before the next is made
+            return
+        cut = (blocks + 1) // 2 * _BLOCK_ROWS
+        theirs = [col[cut:] for col in columns]
+        # the child formats all its blocks before writing: the pipe holds 64 KiB until read
+        with forks.child(lambda out: out.writelines(list(_blocks(row_fmt, theirs)))) as child:
+            fh.writelines(_blocks(row_fmt, [col[:cut] for col in columns]))
+            start = fh.tell()
+            if child is not None:
+                shutil.copyfileobj(child.pipe, fh, _READ_BYTES)
+            if child is None or not child.succeeded():
+                fh.seek(start)
+                fh.truncate()
+                fh.writelines(_blocks(row_fmt, theirs))
 
 
 def format_rows(head, row_fmt, columns, tail):
@@ -570,10 +468,96 @@ def _first(mask):
     return bad[0] if bad.size else None
 
 
+class _Window(io.RawIOBase):
+    """Bytes [pos, end) of an open file, read with os.pread, so the file offset,
+    which a forked child shares, never moves."""
+
+    def __init__(self, fd, pos, end):
+        self.fd, self.pos, self.end = fd, pos, end
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        got = os.pread(self.fd, min(len(b), self.end - self.pos), self.pos)
+        b[: len(got)] = got
+        self.pos += len(got)
+        return len(got)
+
+    def text(self):
+        """The window as text, with open()'s decoding and universal newlines."""
+        return io.TextIOWrapper(io.BufferedReader(self), encoding="utf-8")
+
+    def cut(self):
+        """Ends the window just after the first newline at or past its middle and past
+        every byte read so far, and returns that offset; None (and no change) if there is
+        none. CRLF pairs are never cut, and no UTF-8 character holds a newline byte."""
+        at = max(self.end // 2, self.pos)
+        while chunk := os.pread(self.fd, _READ_BYTES, at):
+            if (i := chunk.find(b"\n")) >= 0:
+                self.end = at + i + 1
+                return self.end
+            at += len(chunk)
+        return None
+
+
+class _SplitFailed(Exception):
+    """A part of a split parse failed; the parse runs again in one process."""
+
+
+def _split_columns(text, window, dtype):
+    """Each field of the sample rows of text, which reads window, as one array: a forked
+    child parses the rows after window.cut() while this process parses those before it,
+    then sends its rows' fields raw, which are read in place after this process's rows.
+    _SplitFailed if either part fails or there is no cut."""
+    size = window.end
+    cut = window.cut()
+    if cut is None:
+        raise _SplitFailed
+    theirs = _Window(window.fd, cut, size)
+    with forks.child(lambda out: _send_columns(out, _parse_rows(theirs.text(), dtype))) as child:
+        if child is None:
+            raise _SplitFailed
+        try:
+            mine = _parse_rows(text, dtype)
+        except ValueError:  # UnicodeDecodeError included
+            raise _SplitFailed from None
+        m = len(mine)
+        n = m + int.from_bytes(child.pipe.read(8), "little")
+        columns = {name: np.empty((n, *dtype[name].shape), dtype[name].base) for name in dtype.names}
+        for name, col in columns.items():
+            col[:m] = mine[name]
+        del mine  # before the child's rows arrive
+        for col in columns.values():
+            child.pipe.readinto(col[m:])
+        if not child.succeeded():  # a short read comes only from a child that failed
+            raise _SplitFailed
+    return columns
+
+
+def _send_columns(out, rows):
+    out.write(len(rows).to_bytes(8, "little"))
+    for name in rows.dtype.names:
+        out.write(np.ascontiguousarray(rows[name]))
+
+
 def load_dataset(path):
+    """The dataset of a file save_dataset wrote. A file of _SPLIT_BYTES or more is parsed in
+    two parts, one by a forked child, when a second CPU is usable (see _split_columns); if
+    either part fails, the whole file is parsed again in this process, which gives the error."""
+    try:
+        return _load_dataset(path, split=True)
+    except _SplitFailed:
+        return _load_dataset(path, split=False)
+
+
+def _load_dataset(path, split):
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = _read_header(fh, path)
+            size = os.fstat(fh.fileno()).st_size
+            window = _Window(fh.fileno(), 0, size) if split and size >= _SPLIT_BYTES and forks.can_fork() else None
+            text = fh if window is None else window.text()
+            lines = _read_header(text, path)
             meta = {}
             for tok in lines[1].lstrip("#").split():
                 key, _, val = tok.partition("=")
@@ -598,15 +582,19 @@ def load_dataset(path):
             dtype = np.dtype(
                 [("id", "i8"), ("x", "f8", (D,)), ("lab", "i8", (1 + K,)), ("flags", "U4"), ("sev", "f8")]
             )
-            try:
-                rows = _parse_rows(fh, dtype)
-            except ValueError:
-                raise _row_error(path, dtype, 1 + D + 1 + K + 2) from None
+            if window is not None:  # rows: a structured array, or its fields by name
+                rows = _split_columns(text, window, dtype)
+            else:
+                try:
+                    rows = _parse_rows(fh, dtype)
+                except ValueError:
+                    raise _row_error(path, dtype, 1 + D + 1 + K + 2) from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read dataset: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: dataset file is not UTF-8 text ({exc.reason})") from exc
-    n = rows.size
+
+    n = len(rows["id"])
     if not n:
         raise DataError(f"{path}: dataset file has no sample rows")
     row = _first(rows["id"] != np.arange(n))

@@ -3,15 +3,13 @@ suite: the default synthetic benchmark, ablation-arm runs on stacks of
 (train, test) splits (one run being a stack of one), noise sweeps, and
 quality reports."""
 
-import ctypes
 import os
-import signal
 import sys
 from functools import partial
 
 import numpy as np
 
-from . import data, inference, metrics, model, training
+from . import data, forks, inference, metrics, model, training
 
 LABEL_NOISE_FRACTIONS = (0.0, 0.2, 0.5, 0.7, 1.0)
 DATA_NOISE_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.5)
@@ -88,42 +86,25 @@ def _train_group(splits, configs, threshold, group):
     return results
 
 
-def _usable_cpus():
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _map_groups(train_group, groups):
     """train_group of each group, in a pool of forked workers when there
     are two or more of both, else here, in order; the pool is joined before
     this returns or raises. Fork starts a worker without importing numpy
     again, and unlike forkserver leaves no server behind."""
+    if len(groups) < 2 or not forks.can_fork():
+        return list(map(train_group, groups))
     # imported here, where a pool is made: the imports cost every command's
     # start-up about 20 ms and 2 MB
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(len(groups), _usable_cpus())
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return list(map(train_group, groups))
     # a forked worker flushes what it inherits of the buffers when it exits
     sys.stdout.flush()
     sys.stderr.flush()
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
+    with ProcessPoolExecutor(min(len(groups), forks.usable_cpus()), mp_context=multiprocessing.get_context("fork"),
+                             initializer=forks.exit_with_parent, initargs=(os.getpid(),)) as pool:
         # longest first: the LQ groups draw noise and hold the DQ arm's stage 2
         return list(pool.map(train_group, sorted(groups, key=lambda group: group[0] not in training.LQ_ARMS)))
-
-
-def _exit_with_parent(parent):
-    """Worker initializer: a worker waits for work until its pool shuts
-    down, so on Linux it asks for SIGTERM when the process that forked it
-    dies, and a killed command leaves no worker behind."""
-    if sys.platform.startswith("linux"):
-        prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-        prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG; on failure the worker only loses this guard
-    if os.getppid() != parent:  # the parent died before the request
-        os._exit(1)
 
 
 def _evaluate(params, test, cfg, threshold):

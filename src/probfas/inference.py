@@ -63,13 +63,17 @@ def predict_batch(params, X, corrected):
     geometry) and the distance softmax is used. Raises QualityError when a
     sigma_D^2 is out of range (see data_quality).
     """
+    (probs,), s2 = predict_modes(params, X, [corrected])
+    return probs, s2
+
+
+def predict_modes(params, X, modes):
+    """([probs of each mode], sigma_d_sq): predict_batch for each `corrected` of
+    modes, from one embedding of the rows."""
     mu = model.embed(params, X)
     s2 = data_quality(params, mu)
-    if corrected:
-        probs = corrected_confidence(l2_normalize_rows(mu), l2_normalize_rows(params.omega_c), s2)
-    else:
-        probs = standard_confidence(mu, params.omega_c)
-    return probs, s2
+    return [corrected_confidence(l2_normalize_rows(mu), l2_normalize_rows(params.omega_c), s2) if corrected
+            else standard_confidence(mu, params.omega_c) for corrected in modes], s2
 
 
 # ---------------------------------------------------------------------------

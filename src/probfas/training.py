@@ -545,4 +545,6 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: embedding dim {params.B} does not match config embedding_dim {config.embedding_dim}"
         )
+    if config is not None and tuple(sizes[1:-1]) != config.hidden:
+        raise CheckpointError(f"{path}: hidden widths {sizes[1:-1]} do not match config hidden {list(config.hidden)}")
     return params, config

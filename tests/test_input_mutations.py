@@ -140,7 +140,7 @@ def join_checkpoint(header, body):
 
 
 HEADER_MUTANTS = ("renamed-layer", "renamed-head", "added", "dropped", "reordered", "reshaped",
-                  "string-shape", "float-shape", "version-2", "extra-arrays", "extra-meta")
+                  "string-shape", "float-shape", "version-2", "extra-arrays", "extra-meta", "config-hidden")
 
 
 def mutate_header(kind, header, body):
@@ -177,6 +177,8 @@ def mutate_header(kind, header, body):
         header["extra_arrays"] = [{"name": "stats", "shape": [2]}]
     elif kind == "extra-meta":
         header["extra_meta"] = {"note": "kept"}
+    elif kind == "config-hidden":  # the config disagrees with the layer widths
+        header["config"]["hidden"] = [32]
     return body
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probfas import cli, data, experiments, generalized, inference, losses, metrics, model, training
+from probfas import cli, data, experiments, forks, generalized, inference, losses, metrics, model, training
 from conftest import check_replica_gradients, selection_mask, train_one, with_grads
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -26,7 +26,7 @@ SEEDS = [0, 1, 2, 3, 4]
 def one_cpu(monkeypatch):
     """run_arms trains every group in this process, where a test's
     monkeypatched counters see the calls."""
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(forks, "usable_cpus", lambda: 1)
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def pooled(monkeypatch):
             pools.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forks, "usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     yield pools
 
@@ -163,7 +163,7 @@ class TestEquivalence:
         arms = ["s-lq-dq", "baseline", "s", "s-lq"]
         got = list(experiments.run_arms(splits, arms, configs))
         assert pooled == [1]
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(forks, "usable_cpus", lambda: 1)
         want = list(experiments.run_arms(splits, arms, configs))
         assert pooled == [1]
         assert [arm for arm, *_ in got] == [arm for arm, *_ in want] == arms
@@ -180,7 +180,7 @@ class TestEquivalence:
 
 _STALLED_SWEEP = """\
 import os, sys, time
-from probfas import experiments, training
+from probfas import experiments, forks, training
 
 def stalled(trains, group, configs, keep_logs):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
@@ -188,7 +188,7 @@ def stalled(trains, group, configs, keep_logs):
     yield from ()
 
 training.train_arms = stalled
-experiments._usable_cpus = lambda: 2
+forks.usable_cpus = lambda: 2
 list(experiments.run_arms([(None, None)], list(training.ARMS), [training.TrainConfig()]))
 """
 
@@ -287,7 +287,7 @@ class TestDivergence:
         alone = self._seed_error(7)
         errors = []
         for cpus in (2, 1):
-            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(forks, "usable_cpus", lambda: cpus)
             with pytest.raises(training.TrainingDiverged) as exc:
                 experiments.noise_sweep([kind], {kind: [fraction]}, None, list(range(7, -1, -1)))
             errors.append((exc.value.stage, exc.value.epoch, str(exc.value)))

@@ -432,6 +432,15 @@ class TestCheckpoint:
         with pytest.raises(training.CheckpointError, match="embedding dim"):
             training.load_checkpoint(path)
 
+    def test_hidden_mismatch_rejected(self, tmp_path):
+        # layers (8, 4) and (6, 8) beside the default config's hidden (32,)
+        path = tmp_path / "model.ckpt"
+        params = model.init_params(4, {"a": 3}, B=6, hidden=(8,))
+        training.save_checkpoint(path, params, config=training.TrainConfig(embedding_dim=6))
+        with pytest.raises(training.CheckpointError) as exc:
+            training.load_checkpoint(path)
+        assert str(exc.value) == f"{path}: hidden widths [8] do not match config hidden [32]"
+
     def test_nonfinite_params_rejected_on_save(self, tiny_params, tmp_path):
         bad = tiny_params.copy()
         bad.omega_c[0, 0] = np.inf
