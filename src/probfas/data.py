@@ -340,7 +340,7 @@ def _blocks(row_fmt, columns):
             texts = numfmt.texts(field, v[idx])
             if buf is None or texts.itemsize > width:  # the first block, or a %d of a huge value
                 old, width = buf, max(width, texts.itemsize)
-                buf = np.zeros((_BLOCK_ROWS, len(fields), lead + width + trail), np.uint8)  # slots, then separators
+                buf = np.zeros((min(n, _BLOCK_ROWS), len(fields), lead + width + trail), np.uint8)
                 buf[:, 0, :lead] = np.frombuffer(prefix.encode(), np.uint8)
                 buf[:, :, lead + width] = ord(",")
                 buf[:, -1, lead + width :] = np.frombuffer(suffix.encode(), np.uint8)
@@ -573,12 +573,14 @@ def _load_dataset(path, split):
                     raise ValueError(D)
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{path}: malformed metadata line: {lines[1]!r}") from exc
+            K = len(categories)
+            if (fields := lines[2].count(",") + 1) != D + K + 4:  # first: the expected line is as long as D says
+                raise DataError(f"{path}: column-name line has {fields} fields; the metadata line declares {D + K + 4}")
             if lines[2] != _column_line(D, categories):
                 raise DataError(
                     f"{path}: column-name line does not match the metadata line; "
                     f"expected {_column_line(D, categories)!r}"
                 )
-            K = len(categories)
             dtype = np.dtype(
                 [("id", "i8"), ("x", "f8", (D,)), ("lab", "i8", (1 + K,)), ("flags", "U4"), ("sev", "f8")]
             )
@@ -588,7 +590,7 @@ def _load_dataset(path, split):
                 try:
                     rows = _parse_rows(fh, dtype)
                 except ValueError:
-                    raise _row_error(path, dtype, 1 + D + 1 + K + 2) from None
+                    raise _row_error(path, dtype, fields) from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read dataset: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -3,8 +3,7 @@ suite: the default synthetic benchmark, ablation-arm runs on stacks of
 (train, test) splits (one run being a stack of one), noise sweeps, and
 quality reports."""
 
-import os
-import sys
+import pickle
 from functools import partial
 
 import numpy as np
@@ -47,11 +46,11 @@ def run_arms(splits, arms, configs, threshold=0.5):
     replica) in ``arms`` order. The DQ arm uses stage-2 training and
     corrected inference.
 
-    The stage-1 groups (see stage1_groups) train side by side in forked
-    workers (see _map_groups), each arm ending on the bytes it reaches
-    alone. If an arm diverges, the arms before it are yielded and then its
-    TrainingDiverged is raised: the error one arm after another would meet
-    first."""
+    The stage-1 groups (see stage1_groups) train side by side in this
+    process and a forked child (see _map_groups), each arm ending on the
+    bytes it reaches alone. If an arm diverges, the arms before it are
+    yielded and then its TrainingDiverged is raised: the error one arm after
+    another would meet first."""
     groups = _map_groups(partial(_train_group, splits, configs, threshold), stage1_groups(arms, configs))
     results = {arm: result for group in groups for arm, result in group.items()}
     for arm in arms:
@@ -87,24 +86,21 @@ def _train_group(splits, configs, threshold, group):
 
 
 def _map_groups(train_group, groups):
-    """train_group of each group, in a pool of forked workers when there
-    are two or more of both, else here, in order; the pool is joined before
-    this returns or raises. Fork starts a worker without importing numpy
-    again, and unlike forkserver leaves no server behind."""
+    """train_group of each group. With two or more groups and a second CPU,
+    this process trains the first group, the LQ groups first (they draw noise
+    and hold the DQ arm's stage 2, so take longest), while a forked child
+    (forks.child) trains the rest and sends them back pickled. If there is no
+    child, or it fails, this process trains the child's groups too."""
     if len(groups) < 2 or not forks.can_fork():
         return list(map(train_group, groups))
-    # imported here, where a pool is made: the imports cost every command's
-    # start-up about 20 ms and 2 MB
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # a forked worker flushes what it inherits of the buffers when it exits
-    sys.stdout.flush()
-    sys.stderr.flush()
-    with ProcessPoolExecutor(min(len(groups), forks.usable_cpus()), mp_context=multiprocessing.get_context("fork"),
-                             initializer=forks.exit_with_parent, initargs=(os.getpid(),)) as pool:
-        # longest first: the LQ groups draw noise and hold the DQ arm's stage 2
-        return list(pool.map(train_group, sorted(groups, key=lambda group: group[0] not in training.LQ_ARMS)))
+    first, *rest = sorted(groups, key=lambda group: group[0] not in training.LQ_ARMS)
+    with forks.child(lambda out: out.write(pickle.dumps(list(map(train_group, rest))))) as child:
+        results = [train_group(first)]
+        if child is not None:
+            sent = child.pipe.read()
+            if child.succeeded():
+                return results + pickle.loads(sent)
+    return results + list(map(train_group, rest))
 
 
 def _evaluate(params, test, cfg, threshold):
@@ -124,7 +120,7 @@ def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, thresho
     and arms that share a stage-1 configuration (``s-lq`` and ``s-lq-dq``
     differ only in stage 2) share one stage-1 run per cell, each arm's
     stage 2 starting from a copy of it (see training.train_arms), the
-    cell's stage-1 groups training side by side in worker processes. Stage
+    cell's stage-1 groups training side by side in two processes. Stage
     1 reads nothing that tells the two apart, so every row keeps the bytes
     of a run trained alone. If a run diverges, the TrainingDiverged raised is
     the one of the first arm, and within it the first seed in ``seeds``

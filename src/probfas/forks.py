@@ -1,8 +1,8 @@
-"""Forked processes, for the sweep's worker pool and for table I/O that
-splits a large table with one child: how many CPUs this process may use,
-a child that dies with its parent, and one child that sends its result
-back through a pipe. Bare os.fork and os.pipe: multiprocessing costs
-every command's start-up about 20 ms and 2 MB when imported."""
+"""One forked child doing part of this process's work, its result sent back
+through a pipe, for the sweep's stage-1 groups and for splitting a large
+table: how many CPUs this process may use, a child that dies with its parent,
+and the child itself. Bare os.fork and os.pipe: multiprocessing costs every
+command's start-up about 20 ms and 2 MB when imported."""
 
 import contextlib
 import ctypes
@@ -50,22 +50,24 @@ class Child:
 
 @contextlib.contextmanager
 def child(work):
-    """Forks a child that runs work(out), out a binary file writing to a
-    pipe, and yields a Child reading that pipe, or None when the fork fails.
+    """Forks a child that runs work(out), out a binary file writing to a pipe,
+    and yields a Child reading that pipe, or None if the pipe or fork fails.
     The child exits 0 once work has returned and out is flushed, else 1,
     never returning into the caller's code; it flushes nothing it inherits.
     Only the forking thread lives on in the child, so work must take no lock
-    another thread may hold (numpy's parsing and formatting take none).
-    A child not reaped when the block ends is killed, then reaped."""
+    another thread may hold. numpy's parsing and formatting take none; OpenBLAS
+    stops its threads at a fork (pthread_atfork), so training may run in the
+    child. A child not reaped when the block ends is killed, then reaped."""
     sys.stdout.flush()
     sys.stderr.flush()
-    parent = os.getpid()
-    read, write = os.pipe()
+    parent, fds, pid = os.getpid(), (), None
     try:
+        fds = read, write = os.pipe()
         pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
+    except OSError:  # EMFILE, EAGAIN, ENOMEM: the caller does the child's work itself
+        for fd in fds:
+            os.close(fd)
+    if pid is None:
         yield None
         return
     if pid == 0:

@@ -1,15 +1,17 @@
 """Shared helpers: finite-difference gradient checking over the flat
 parameter vector, the paper's loss formulas as independent numpy
 statements, small dataset builders, row-by-row reference versions of the
-dataset generator and parser, a reader for prediction dumps, and one run
-trained through the stack-only training API."""
+dataset generator and parser, a reader for prediction dumps, one run
+trained through the stack-only training API, and a counter of forked
+children."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from probfas import data, model, training
+from probfas import data, forks, model, training
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
@@ -141,6 +143,27 @@ def train_one(ds, cfg, arm=None, params=None):
     else:
         stack, logs = training.train_stage1_lq([ds], [cfg])
     return stack.replica(0), logs[0]
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Lets forks.child fork, as if two CPUs were usable, and yields the pids
+    os.fork gives this process; each must be reaped by the end of the test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(forks, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # reaped: no child is left
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture

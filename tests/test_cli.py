@@ -742,9 +742,22 @@ class TestManifest:
         assert (dataset_dir / "dataset.txt").read_bytes() == before
 
 
+_TWO_GROUPS_ON_TWO_CPUS = """\
+import sys
+from probfas import cli, experiments, forks, training
+
+forks.usable_cpus = lambda: 2
+cfg = training.TrainConfig(seed=0)
+cfg.stage1.epochs = 1
+arms = list(experiments.run_arms([experiments.make_benchmark_data(0)], ["baseline", "s"], [cfg]))
+assert [arm for arm, *_ in arms] == ["baseline", "s"]
+print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))
+"""
+
+
 def test_import_loads_no_process_pool_module():
-    # imported at module level, they cost every command's start-up about 19 ms and 1.9 MB
+    # imported, they cost every command's start-up about 19 ms and 1.9 MB; run_arms forks without them
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    code = "import sys, probfas.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", _TWO_GROUPS_ON_TWO_CPUS], env=env, capture_output=True, text=True,
+                          check=True)
     assert done.stdout == "[]\n"

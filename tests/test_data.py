@@ -330,6 +330,15 @@ class TestFileFormat:
         with pytest.raises(data.DataError, match="column-name line"):
             data.load_dataset(path)
 
+    def test_column_line_field_count_is_checked_first(self, tmp_path):
+        # the expected line of D=10**9 features would be about 11 GB
+        path = tmp_path / "ds.txt"
+        path.write_text("#probfas-dataset v1\n#D=1000000000 seed=0 categories=spoof_type:3\n"
+                        "id,x0,c,s:spoof_type,flags,severity\n0,0.5,0,1,000,0\n")
+        with pytest.raises(data.DataError) as exc:
+            data.load_dataset(path)
+        assert str(exc.value) == f"{path}: column-name line has 6 fields; the metadata line declares 1000000005"
+
     def test_no_sample_rows_rejected(self, tiny_dataset, tmp_path):
         path = tmp_path / "ds.txt"
         data.save_dataset(tiny_dataset, path)

@@ -81,7 +81,7 @@ class TestFlatten:
             assert np.shares_memory(t, p.flat), name
 
     def test_a_pickled_stack_loads_as_views_of_flat(self, tiny_params):
-        # worker processes send their trained stacks back pickled
+        # a forked child sends its trained stacks back pickled
         stack = model.ModelParams.stack([tiny_params, tiny_params.zeros_like()])
         loaded = pickle.loads(pickle.dumps(stack))
         assert loaded.flat.tobytes() == stack.flat.tobytes() and loaded.flat.shape == stack.flat.shape

@@ -3,6 +3,7 @@ give, byte for byte and error for error, what one process gives, whatever the
 child does, and leave no child behind. The thresholds are patched down so
 that small tables take the split path."""
 
+import errno
 import os
 import signal
 import subprocess
@@ -21,27 +22,13 @@ BLOCK = 16  # rows per block while splitting is forced
 
 
 @pytest.fixture
-def split(monkeypatch):
+def split(monkeypatch, forked):
     """Splits every table of two blocks or more and every dataset file, as if two
     CPUs were usable; yields the pids forked, each of which must be reaped."""
-    pids = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
     monkeypatch.setattr(data, "_BLOCK_ROWS", BLOCK)
     monkeypatch.setattr(data, "_SPLIT_BLOCKS", 2)
     monkeypatch.setattr(data, "_SPLIT_BYTES", 1)
-    monkeypatch.setattr(forks, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(os, "fork", counted)
-    yield pids
-    for pid in pids:
-        with pytest.raises(ChildProcessError):  # reaped: no child is left
-            os.waitpid(pid, os.WNOHANG)
+    return forked
 
 
 def one_process(monkeypatch, fn, *args):
@@ -134,6 +121,22 @@ def test_a_failed_fork_gives_the_one_process_results(tmp_path, monkeypatch, spli
     _bit_equal(data.load_dataset(path), ds)
     one_process(monkeypatch, data.write_table, tmp_path / "one.csv", "", "%.17g,%r,%d,%03d\n", columns)
     assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_a_failed_pipe_gives_the_one_process_results(tmp_path, monkeypatch, split):
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    columns, ds = _table(6 * BLOCK), _dataset()
+    path = _saved(tmp_path, ds, monkeypatch)
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    data.write_table(tmp_path / "split.csv", "", "%.17g,%r,%d,%03d\n", columns)
+    data.save_dataset(ds, tmp_path / "split.txt")
+    _bit_equal(data.load_dataset(path), ds)
+    assert split == []
+    one_process(monkeypatch, data.write_table, tmp_path / "one.csv", "", "%.17g,%r,%d,%03d\n", columns)
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert (tmp_path / "split.txt").read_bytes() == path.read_bytes()
 
 
 def test_columns_too_short_for_the_childs_half_raise_as_in_one_process(tmp_path, monkeypatch, split):

@@ -4,8 +4,7 @@ the same runs trained one at a time (parameters, train logs, predictions
 and divergence reports), and their gradients must pass the
 finite-difference oracles."""
 
-import concurrent.futures
-import multiprocessing
+import errno
 import os
 import pickle
 import subprocess
@@ -27,21 +26,6 @@ def one_cpu(monkeypatch):
     """run_arms trains every group in this process, where a test's
     monkeypatched counters see the calls."""
     monkeypatch.setattr(forks, "usable_cpus", lambda: 1)
-
-
-@pytest.fixture
-def pooled(monkeypatch):
-    """run_arms trains on two forked workers; yields the number of pools made."""
-    pools = []
-
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(forks, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    yield pools
 
 
 def benchmark_cell(seed, kind="semantic", fraction=0.2):
@@ -157,25 +141,40 @@ class TestEquivalence:
         assert experiments.stage1_groups(["s-lq-dq", "baseline", "s-lq"], configs) == \
             [["s-lq-dq", "s-lq"], ["baseline"]]
 
-    def test_pooled_run_arms_equals_one_cpu(self, monkeypatch, pooled):
+    def _run_arms_equals_one_cpu(self, monkeypatch, forked, forks_made):
+        """run_arms with a second CPU, whatever the test did to its child, gives
+        the bytes it gives on one CPU."""
         splits = [benchmark_cell(seed, "data", 0.3) for seed in (1, 0)]
         configs = [tiny_config(seed, epochs=2, batch_size=32) for seed in (1, 0)]
         arms = ["s-lq-dq", "baseline", "s", "s-lq"]
         got = list(experiments.run_arms(splits, arms, configs))
-        assert pooled == [1]
+        assert len(forked) == forks_made
         monkeypatch.setattr(forks, "usable_cpus", lambda: 1)
         want = list(experiments.run_arms(splits, arms, configs))
-        assert pooled == [1]
+        assert len(forked) == forks_made
         assert [arm for arm, *_ in got] == [arm for arm, *_ in want] == arms
         for (arm, got_cfgs, got_params, got_reports), (_, want_cfgs, want_params, want_reports) in zip(got, want):
             assert got_cfgs == want_cfgs, arm
             assert np.array_equal(got_params.flat.view(np.uint64), want_params.flat.view(np.uint64)), arm
             assert [r.to_json() for r in got_reports] == [r.to_json() for r in want_reports], arm
 
-    def test_noise_sweep_leaves_no_worker_running(self, pooled):
+    def test_pooled_run_arms_equals_one_cpu(self, monkeypatch, forked):
+        self._run_arms_equals_one_cpu(monkeypatch, forked, 1)
+
+    def test_a_child_that_dies_at_once_gives_the_one_cpu_bytes(self, monkeypatch, forked):
+        monkeypatch.setattr(forks, "exit_with_parent", lambda parent: os._exit(1))
+        self._run_arms_equals_one_cpu(monkeypatch, forked, 1)
+
+    def test_a_failed_pipe_gives_the_one_cpu_bytes(self, monkeypatch, forked):
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        self._run_arms_equals_one_cpu(monkeypatch, forked, 0)
+
+    def test_noise_sweep_leaves_no_worker_running(self, forked):
         rows = experiments.noise_sweep(["semantic"], {"semantic": [0.5]}, None, [1, 0], tiny_config(0, epochs=1))
-        assert len(rows) == len(training.ARMS) * 2 and pooled == [1]
-        assert multiprocessing.active_children() == []
+        assert len(rows) == len(training.ARMS) * 2 and len(forked) == 1
 
 
 _STALLED_SWEEP = """\
@@ -200,24 +199,25 @@ def _gone(pid):
         return True
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers exit with their parent on Linux only")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children exit with their parent on Linux only")
 def test_a_killed_sweep_leaves_no_worker_running(tmp_path):
-    # each worker stalls in its group; killing the command must end them too
+    # the command and its child each stall in a group; killing the command must end the child too
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.Popen([sys.executable, "-c", _STALLED_SWEEP, str(tmp_path)], env=env)
     try:
         deadline = time.monotonic() + 60
         while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline and proc.poll() is None:
             time.sleep(0.05)
-        workers = [int(p.name) for p in tmp_path.iterdir()]
-        assert len(workers) == 2
+        trainers = {int(p.name) for p in tmp_path.iterdir()}
+        assert proc.pid in trainers and len(trainers) == 2
+        (child,) = trainers - {proc.pid}
     finally:
         proc.kill()
         proc.wait(timeout=60)
     deadline = time.monotonic() + 20
-    while not all(map(_gone, workers)) and time.monotonic() < deadline:
+    while not _gone(child) and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert all(map(_gone, workers))
+    assert _gone(child)
 
 
 _SWEEP_CONFIG = """\
@@ -275,14 +275,14 @@ class TestDivergence:
             assert (exc.value.stage, exc.value.epoch, str(exc.value)) == (alone.stage, alone.epoch, str(alone))
 
     def test_the_error_survives_pickling(self):
-        # a worker process sends its divergence back pickled
+        # a forked child sends its divergence back pickled
         exc = training.TrainingDiverged(1, 3, {"total": 1e31, "loss_s": {"spoof_type": 2.5}})
         loaded = pickle.loads(pickle.dumps(exc))
         assert type(loaded) is training.TrainingDiverged
         assert (loaded.stage, loaded.epoch, loaded.components, str(loaded)) == (1, 3, exc.components, str(exc))
 
-    def test_four_arm_sweep_raises_the_one_cpu_error(self, monkeypatch, pooled):
-        # s-lq-dq, the last arm, diverges; the others train in the pool first
+    def test_four_arm_sweep_raises_the_one_cpu_error(self, monkeypatch, forked):
+        # s-lq-dq, the last arm, diverges; the others train meanwhile, baseline and s in the child
         kind, fraction = self.CELL
         alone = self._seed_error(7)
         errors = []
@@ -291,14 +291,13 @@ class TestDivergence:
             with pytest.raises(training.TrainingDiverged) as exc:
                 experiments.noise_sweep([kind], {kind: [fraction]}, None, list(range(7, -1, -1)))
             errors.append((exc.value.stage, exc.value.epoch, str(exc.value)))
-            assert multiprocessing.active_children() == []
-        assert pooled == [1]
+        assert len(forked) == 1
         assert errors == [(alone.stage, alone.epoch, str(alone))] * 2
 
-    def test_cli_exits_3_with_one_line_for_all_arms(self, tmp_path, capsys, pooled):
+    def test_cli_exits_3_with_one_line_for_all_arms(self, tmp_path, capsys, forked):
         code = cli.main(["noise-sweep", "--noise-kind", "binary", "--fractions", "0.7",
                          "--seeds", "7,6,5,4,3,2,1,0", "--out", str(tmp_path)])
-        assert code == 3 and pooled == [1]
+        assert code == 3 and len(forked) == 1
         assert capsys.readouterr().err == f"training diverged: {self._seed_error(7)}\n"
         assert not (tmp_path / "sweep.csv").exists()
 

@@ -253,6 +253,21 @@ def test_non_ascii_category_name_keeps_its_utf8_bytes(tmp_path):
     assert data.load_dataset(path) == ds
 
 
+def test_a_short_wide_table_holds_a_buffer_of_its_rows(tmp_path):
+    # gen-data --n 3 --dim 100000 --spoof-types 2 asked for a 4096-row buffer of 100,005
+    # fields, 9.54 GiB for 9 rows; here a full block's buffer would take 41 MB
+    columns = [np.linspace(-1.0, 1.0, 3) * k for k in range(400)]
+    path = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        data.write_table(path, "", ",".join(["%.17g"] * 400) + "\n", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"write_table peaked at {peak / 1e6:.2f} MB"
+    assert path.read_bytes() == one_format("", ",".join(["%.17g"] * 400) + "\n", np.column_stack(columns))
+
+
 def test_empty_table_writes_only_its_head(tmp_path):
     path = tmp_path / "empty.csv"
     data.write_table(path, "id,v\n", "%d,%.17g\n", [np.zeros(0), np.zeros(0)])
