@@ -342,6 +342,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
+    except MemoryError as exc:  # a size in the input that no memory can hold
+        command = next((arg for arg in argv or sys.argv[1:] if arg in _COMMANDS), parser.prog)
+        print(f"error: {command}: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -51,8 +51,7 @@ def run_arms(splits, arms, configs, threshold=0.5):
     bytes it reaches alone. If an arm diverges, the arms before it are
     yielded and then its TrainingDiverged is raised: the error one arm after
     another would meet first."""
-    groups = _map_groups(partial(_train_group, splits, configs, threshold), stage1_groups(arms, configs))
-    results = {arm: result for group in groups for arm, result in group.items()}
+    results = _map_groups(partial(_train_groups, splits, configs, threshold), stage1_groups(arms, configs))
     for arm in arms:
         if isinstance(results[arm], training.TrainingDiverged):
             raise results[arm]
@@ -70,37 +69,38 @@ def stage1_groups(arms, configs):
     return list(groups.values())
 
 
-def _train_group(splits, configs, threshold, group):
-    """One stage-1 group's run_arms results by arm, in group order, up to
-    the arm that diverges, which maps to its TrainingDiverged."""
-    trains = [train for train, _ in splits]
-    results = {}
-    try:
-        for arm, arm_cfgs, params, _ in training.train_arms(trains, group, configs, keep_logs=False):
-            reports = [_evaluate(params.replica(r), test, cfg, threshold)
-                       for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs))]
-            results[arm] = (arm, arm_cfgs, params, reports)
-    except training.TrainingDiverged as exc:
-        results[group[len(results)]] = exc
+def _train_groups(splits, configs, threshold, groups):
+    """The run_arms results of each group's arms, by arm, up to the arm of a
+    group that diverges, which maps to its TrainingDiverged. The groups'
+    stage-1 runs share one shuffle plan (see training.run_stage)."""
+    trains, plan, results = [train for train, _ in splits], {} if len(groups) > 1 else None, {}
+    for group in groups:
+        try:
+            for arm, arm_cfgs, params, _ in training.train_arms(trains, group, configs, keep_logs=False, plan=plan):
+                reports = [_evaluate(params.replica(r), test, cfg, threshold)
+                           for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs))]
+                results[arm] = (arm, arm_cfgs, params, reports)
+        except training.TrainingDiverged as exc:
+            results[next(arm for arm in group if arm not in results)] = exc
     return results
 
 
-def _map_groups(train_group, groups):
-    """train_group of each group. With two or more groups and a second CPU,
+def _map_groups(train_groups, groups):
+    """train_groups of the groups. With two or more groups and a second CPU,
     this process trains the first group, the LQ groups first (they draw noise
     and hold the DQ arm's stage 2, so take longest), while a forked child
     (forks.child) trains the rest and sends them back pickled. If there is no
     child, or it fails, this process trains the child's groups too."""
     if len(groups) < 2 or not forks.can_fork():
-        return list(map(train_group, groups))
+        return train_groups(groups)
     first, *rest = sorted(groups, key=lambda group: group[0] not in training.LQ_ARMS)
-    with forks.child(lambda out: out.write(pickle.dumps(list(map(train_group, rest))))) as child:
-        results = [train_group(first)]
+    with forks.child(lambda out: out.write(pickle.dumps(train_groups(rest)))) as child:
+        results = train_groups([first])
         if child is not None:
             sent = child.pipe.read()
             if child.succeeded():
-                return results + pickle.loads(sent)
-    return results + list(map(train_group, rest))
+                return {**results, **pickle.loads(sent)}
+    return {**results, **train_groups(rest)}
 
 
 def _evaluate(params, test, cfg, threshold):

@@ -1,6 +1,7 @@
 """Numeric kernels shared by the losses, the optimizer and data-noise
 injection. Each is plain vectorized numpy and bitwise deterministic."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,16 +16,24 @@ def softmax_xent(logits, labels):
     logits: (..., N, A) float64; labels: (..., N) int64 in [0, A).
     Returns (loss (..., N), probs (..., N, A), one-hot (..., N, A) bool).
     A label outside [0, A) picks no logit and raises ValueError.
+
+    Below 8 classes the max and the sum over the class axis run column by
+    column, in fewer calls for the bytes of numpy's reductions (a chain of
+    comparisons, a left-to-right sum from +0.0); from 8 on numpy's sum is
+    pairwise, so the reductions stay.
     """
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    onehot = labels[..., None] == np.arange(logits.shape[-1])
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    A = logits.shape[-1]
+    onehot = labels[..., None] == np.arange(A)
+    by_columns = 0 < A < 8
+    shifted = logits - (functools.reduce(np.maximum, [logits[..., a] for a in range(A)])[..., None] if by_columns
+                        else logits.max(axis=-1, keepdims=True))
+    expv = np.exp(shifted)
+    denom = functools.reduce(np.add, [expv[..., a] for a in range(A)]) if by_columns else expv.sum(axis=-1)
     picked = shifted[onehot]
     if picked.size != labels.size:
-        raise ValueError(f"labels out of range [0, {logits.shape[-1]})")
-    expv = np.exp(shifted)
-    denom = expv.sum(axis=-1)
+        raise ValueError(f"labels out of range [0, {A})")
     probs = expv / denom[..., None]
     return np.log(denom) - picked.reshape(labels.shape), probs, onehot
 

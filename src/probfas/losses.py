@@ -29,23 +29,12 @@ class LossValue:
         self.total = float(self.total) if np.ndim(self.total) == 0 else self.total
 
 
-def _mean(a):
-    """a.mean(axis=-1), the same bytes without np.mean's Python layer."""
-    return a.sum(axis=-1) / a.shape[-1]
-
-
 def _make_loss(per_sample):
+    """The LossValue of per_sample, its total the mean over the last axis
+    (np.mean's bytes without its Python layer), or 0 over no samples."""
     per_sample = np.asarray(per_sample, dtype=np.float64)
-    if not per_sample.shape[-1]:
-        return LossValue(np.zeros(per_sample.shape[:-1]), per_sample)
-    return LossValue(_mean(per_sample), per_sample)
-
-
-def _check_labels(labels, n_classes):
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"labels out of range [0, {n_classes})")
-    return labels
+    n = per_sample.shape[-1]
+    return LossValue(np.add.reduce(per_sample, axis=-1) / n if n else np.zeros(per_sample.shape[:-1]), per_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -78,34 +67,42 @@ def sample_z(mu, sigma_l, epsilon):
 # data-quality Gaussian NLL
 # ---------------------------------------------------------------------------
 
-def _checked_sigma_sq(sigma_d_sq):
-    sigma_d_sq = np.asarray(sigma_d_sq, dtype=np.float64)
-    if np.any(sigma_d_sq <= 0):
-        raise ValueError("sigma_d_sq must be strictly positive")
-    return np.maximum(sigma_d_sq, SIGMA_SQ_FLOOR)
-
-
 def dq_gaussian_nll_with_grads(mu, omega_c, labels_c, sigma_d_sq):
     """Per-sample 0.5*(ln s2 + ||omega_c[c]-mu||^2 / s2) + 0.5*ln(2*pi).
 
     Returns (LossValue, grads, d2) with grads = (dmu, domega_c,
-    dsigma_d_sq) and d2 each row's squared distance ||omega_c[c]-mu||^2."""
-    labels_c = _check_labels(labels_c, omega_c.shape[-2])
-    s2 = _checked_sigma_sq(sigma_d_sq)
-    rows = _class_rows(labels_c)
-    diff = omega_c[rows] - mu
+    dsigma_d_sq) and d2 each row's squared distance ||omega_c[c]-mu||^2.
+    A label outside [0, A) or a sigma_d_sq <= 0 raises ValueError."""
+    labels_c = np.asarray(labels_c, dtype=np.int64)
+    onehot = labels_c[..., None] == np.arange(omega_c.shape[-2])
+    if np.count_nonzero(onehot) != labels_c.size:  # a label outside [0, A) has no class
+        raise ValueError(f"labels out of range [0, {omega_c.shape[-2]})")
+    sigma_d_sq = np.asarray(sigma_d_sq, dtype=np.float64)
+    if (sigma_d_sq <= 0).any():
+        raise ValueError("sigma_d_sq must be strictly positive")
+    s2 = np.maximum(sigma_d_sq, SIGMA_SQ_FLOOR)
+    diff = omega_c[_class_rows(labels_c)] - mu
     d2 = _row_dots(diff, diff)
     per = kernels.gaussian_nll(d2, s2)
     n = mu.shape[-2]
 
     dd2 = 0.5 / (s2 * n)
     ddiff = (2.0 * dd2)[..., None] * diff
-    dmu = -ddiff
-    domega = np.zeros_like(omega_c)
-    np.add.at(domega, rows, ddiff)
     ds2 = 0.5 * (1.0 / s2 - d2 / (s2 * s2)) / n
-    ds2 = np.where(np.asarray(sigma_d_sq) < SIGMA_SQ_FLOOR, 0.0, ds2)
-    return _make_loss(per), (dmu, domega, ds2), d2
+    ds2 = np.where(sigma_d_sq < SIGMA_SQ_FLOOR, 0.0, ds2)
+    return _make_loss(per), (-ddiff, _class_row_sums(onehot, ddiff), ds2), d2
+
+
+def _class_row_sums(onehot, rows):
+    """Each class's sum of the rows (..., N, B) of its (..., N, A) one-hot,
+    from +0.0 in row order: np.add.at's bytes. The other classes' rows add
+    +0.0, which leaves such a sum as it was; numpy sums down the rows in
+    order unless they are its inner loop (A * B == 1), where it is pairwise."""
+    out = np.zeros((*rows.shape[:-2], onehot.shape[-1], rows.shape[-1]))
+    if out.shape[-2] * out.shape[-1] == 1:
+        np.add.at(out, _class_rows(np.argmax(onehot, axis=-1)), rows)
+        return out
+    return np.add.reduce(np.where(onehot[..., None], rows[..., None, :], 0.0), axis=-3, out=out, initial=0.0)
 
 
 def _class_rows(labels):
@@ -120,12 +117,12 @@ def _row_dots(A, B):
 
 def _row_norms(M):
     """np.linalg.norm(M, axis=-1), the same bytes without its Python layer."""
-    return np.sqrt((M * M).sum(axis=-1))
+    return np.sqrt(np.add.reduce(M * M, axis=-1))
 
 
 def l2_normalize_rows(M):
     norms = _row_norms(M)
-    if np.any(norms == 0):
+    if (norms == 0).any():
         raise ValueError("cannot l2-normalize a zero row")
     return M / norms[..., None]
 
@@ -145,7 +142,7 @@ def _lone_rows(spoof, n_sp):
     """(replica, row) of the spoof row of each replica that has just one:
     alone, its products are matrix-vector calls, which round differently
     from the matrix-matrix calls over all rows, so they are redone for it."""
-    if not (n_sp == 1).any():
+    if 1 not in n_sp.reshape(-1).tolist():
         return []
     return [(r, np.flatnonzero(spoof[r])[0]) for r in np.ndindex(n_sp.shape) if n_sp[r] == 1]
 
@@ -153,8 +150,9 @@ def _lone_rows(spoof, n_sp):
 def stage1_objective(params, X, c, s_by_category, epsilon, grads, lambda_s=1.0, enable_lq=True):
     """Live/spoof CE plus lambda_s * semantic CE per category, the latter at
     the sampled z when enable_lq else at mu, restricted to spoof samples.
-    Adds the parameter gradients into ``grads``, a ModelParams-shaped
-    struct; an out-of-range label raises ValueError (kernels.softmax_xent).
+    Puts the parameter gradients into ``grads``, a zeroed ModelParams-shaped
+    struct (see training.run_stage); an out-of-range label raises
+    ValueError (kernels.softmax_xent).
 
     Returns (LossValue, aux dict). aux["loss_c"] is the live/spoof CE
     total, and aux["loss_s"] is a function of a replica index (``()`` for
@@ -164,25 +162,23 @@ def stage1_objective(params, X, c, s_by_category, epsilon, grads, lambda_s=1.0, 
     n = mu.shape[-2]
 
     loss_c, dlogits_c = softmax_ce_with_grads(model.live_spoof_logits(params, mu), c)
-    per_sample = loss_c.per_sample.copy()
-    grads.omega_c += model._t(dlogits_c) @ mu
+    np.matmul(model._t(dlogits_c), mu, out=grads.omega_c)
     dmu = dlogits_c @ params.omega_c
 
     # The semantic CE runs on every row, with the live rows' gradients
     # masked to zero: the same bytes as over the spoof rows alone, without
     # a ragged per-replica subset.
     spoof = c == SPOOF
-    n_sp = spoof.sum(axis=-1)
-    per_sem = {}
+    per_sample, per_sem = loss_c.per_sample, {}
     if lambda_s != 0.0 and s_by_category and spoof.any():
+        n_sp = np.add.reduce(spoof, axis=-1)
+        keep = spoof[..., None]
         if enable_lq:
             sigma_l = model.lq_variance(params, mu)
-            z = sample_z(mu, sigma_l, epsilon)
+            z = np.where(keep, sample_z(mu, sigma_l, epsilon), 0.0)
         else:
-            z = mu
-        keep = spoof[..., None]
-        z = np.where(keep, z, 0.0)
-        dz = np.zeros_like(z)
+            z = np.where(keep, mu, 0.0)
+        dz = None
         # dividing by the spoof count differentiates the spoof-mean, so
         # gradients scale by lambda_s alone; per_sample is rescaled so the
         # batch mean still equals the objective total. A replica without
@@ -198,12 +194,15 @@ def stage1_objective(params, X, c, s_by_category, epsilon, grads, lambda_s=1.0, 
             per, probs, onehot = kernels.softmax_xent(logits, np.where(spoof, labels, 0))
             probs -= onehot
             dlogits = np.where(keep, probs, 0.0) / n_div[..., None, None]
-            grads.omega_s[cat] += lambda_s * (model._t(dlogits) @ z)
+            np.matmul(model._t(dlogits), z, out=grads.omega_s[cat])
             dz_cat = dlogits @ omega
             for r, i in lone:
                 dz_cat[r][i] = dlogits[r][i : i + 1] @ omega[r]
-            dz += lambda_s * dz_cat
-            per_sample += np.where(spoof, per_scale * per, 0.0)
+            if lambda_s != 1.0:  # a product by 1.0 is exact, so it is left out
+                grads.omega_s[cat] *= lambda_s
+                dz_cat *= lambda_s
+            dz = dz_cat if dz is None else dz + dz_cat  # not summed into zeros: see training.run_stage
+            per_sample = per_sample + np.where(spoof, per_scale * per, 0.0)
             per_sem[cat] = per
         dmu += dz
         if enable_lq:
@@ -222,7 +221,7 @@ def stage1_objective(params, X, c, s_by_category, epsilon, grads, lambda_s=1.0, 
             return {}
         return {cat: lambda_s * float(per[r][rows].mean()) for cat, per in per_sem.items()}
 
-    return _make_loss(per_sample), {"loss_c": loss_c.total, "loss_s": loss_s}
+    return _make_loss(per_sample) if per_sem else loss_c, {"loss_c": loss_c.total, "loss_s": loss_s}
 
 
 def stage2_objective(params, mu, c, grads):

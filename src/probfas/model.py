@@ -203,13 +203,13 @@ def embed(params, X):
 
 def embed_backward(params, activations, dmu, grads):
     """Backprop dL/dmu through the MLP (activations from embed_with_cache),
-    adding each layer's (dW, db) into grads.layers of a ModelParams-shaped
-    gradient struct. The gradient of the input rows is not computed."""
+    writing each layer's (dW, db) into grads.layers of a zeroed gradient
+    struct (see training.run_stage). The input rows get no gradient."""
     delta = dmu
     for i in range(len(params.layers) - 1, -1, -1):
         dW, db = grads.layers[i]
-        dW += _t(delta) @ activations[i]
-        db += delta.sum(axis=-2)
+        np.matmul(_t(delta), activations[i], out=dW)
+        np.add.reduce(delta, axis=-2, out=db)
         if i:
             h = activations[i]
             delta = (delta @ params.layers[i][0]) * (1.0 - h * h)
@@ -230,7 +230,7 @@ def lq_variance(params, mu):
 def lq_variance_backward(params, mu, sigma_l, dsigma):
     """Returns (dw_lq, db_lq, dmu)."""
     da = 0.5 * sigma_l * dsigma
-    return _t(da) @ mu, da.sum(axis=-2), da @ params.w_lq
+    return _t(da) @ mu, np.add.reduce(da, axis=-2), da @ params.w_lq
 
 
 def _matvec(M, v):

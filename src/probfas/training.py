@@ -186,10 +186,10 @@ def save_config(cfg, path):
 
 def _epoch_rng(seed, stage, epoch, stream):
     """Stream 0 of an epoch shuffles its rows, stream 1 draws its noise."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), stage, epoch, stream]))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), stage, epoch, stream])))
 
 
-def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
+def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0, plan=None):
     """Minibatch training in place of the S = len(seeds) replicas stacked in
     ``params`` (flat (S, P)) for stage_cfg.epochs epochs, on ``columns``:
     the replicas' sample arrays, each (S, n, ...).
@@ -197,13 +197,18 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
     Replica r shuffles its n rows with, and draws its (n, noise_dim) noise
     of each epoch from, streams (seeds[r], stage, epoch, 0) and (..., 1), so
     it trains as it would alone; with noise_dim 0 no noise stream is built.
+    ``plan``, if not None, is the shuffle plan of the stage-1 runs one
+    process trains for one sweep cell: a dict, made and dropped by their
+    caller, in which the first run keeps each epoch's orders for the others.
     ``step(batch, eps, grads) -> figures`` gets the columns' rows of one
     batch, (S, bs, ...) each, their noise rows (S, bs, noise_dim), or None
     without noise, and the stage's one gradient struct (shaped as params),
-    zeroed before each step, to add the batch's gradients into.
-    ``figures`` maps names to (S,) arrays, ``figures["total"]`` being the
-    batch losses, or to functions of a replica index, evaluated only to
-    report a divergence.
+    zeroed before each step, to put the batch's gradients into: written
+    rather than added to zeros, a zero gradient may be -0.0, a sign that
+    neither update reads (Adam's in any case, SGD's but for p = -0.0,
+    which training never makes). ``figures`` maps names to (S,) arrays,
+    ``figures["total"]`` being the batch losses, or to functions of a
+    replica index, evaluated only to report a divergence.
 
     The stage steps stage_cfg's optimizer; Adam's (S, P) moments start at
     zero, and its scratch is the stage's too, so an update allocates no
@@ -221,12 +226,24 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
         m, v = np.zeros_like(flat), np.zeros_like(flat)
         scratch = np.empty((2, *flat.shape))
     t, bs = 0, stage_cfg.batch_size
-    replica = np.arange(S)[:, None]
+    order = np.empty((S, n), dtype=np.int64)
+    offsets = np.arange(0, S * n, n)[:, None]  # of each replica's rows in a column's (S * n) rows
     for epoch in range(stage_cfg.epochs):
-        order = np.stack([_epoch_rng(seed, stage, epoch, 0).permutation(n) for seed in seeds])
-        shuffled = [col[replica, order] for col in columns]
+        key = (tuple(seeds), stage, epoch, n)
+        if plan is not None and key in plan:
+            order[...] = plan[key]
+        else:
+            for row, seed in zip(order, seeds):  # Generator.permutation(n) is a shuffle of arange(n)
+                row[...] = np.arange(n)
+                _epoch_rng(seed, stage, epoch, 0).shuffle(row)
+            if plan is not None:
+                plan[key] = order.copy()
+        order += offsets
+        shuffled = [np.take(col.reshape(S * n, *col.shape[2:]), order, axis=0) for col in columns]
         if noise_dim:
-            noise = np.stack([_epoch_rng(seed, stage, epoch, 1).standard_normal((n, noise_dim)) for seed in seeds])
+            noise = np.empty((S, n, noise_dim))
+            for rows, seed in zip(noise, seeds):
+                _epoch_rng(seed, stage, epoch, 1).standard_normal(out=rows)
         history = {}
         # silenced: a step's non-finite values reach a total, which the divergence check reports
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -234,8 +251,8 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
                 grads.flat.fill(0.0)
                 figures = step([col[:, lo : lo + bs] for col in shuffled],
                                noise[:, lo : lo + bs] if noise_dim else None, grads)
-                diverged = np.flatnonzero(~(np.abs(figures["total"]) <= DIVERGENCE_CAP))
-                if diverged.size:
+                diverged = [r for r, x in enumerate(figures["total"].tolist()) if not abs(x) <= DIVERGENCE_CAP]
+                if diverged:
                     r = diverged[0]
                     raise TrainingDiverged(stage, epoch, {
                         key: value(r) if callable(value) else float(value[r]) for key, value in figures.items()
@@ -285,10 +302,11 @@ def _check_stack(datasets, configs):
 # stage 1
 # ---------------------------------------------------------------------------
 
-def train_stage1_lq(datasets, configs, keep_logs=True):
-    """Multi-task stage-1 training of a stack of runs. With enable_lq=False
-    the semantic loss is evaluated at mu (deterministic arm), no noise is
-    drawn and the variance head stays at its initialization.
+def train_stage1_lq(datasets, configs, keep_logs=True, plan=None):
+    """Multi-task stage-1 training of a stack of runs (``plan``: see
+    run_stage). With enable_lq=False the semantic loss is evaluated at mu
+    (deterministic arm), no noise is drawn and the variance head stays at
+    its initialization.
 
     Returns the (S, P) parameters and one train log per replica, or raises
     the TrainingDiverged of run_stage. Without keep_logs no per-epoch
@@ -317,7 +335,7 @@ def train_stage1_lq(datasets, configs, keep_logs=True):
     logs = [[] for _ in range(S)]
     seeds = [run.seed for run in configs]
     stage = run_stage(params, [X, c, *labels], 1, cfg.stage1, seeds, step,
-                      noise_dim=params.B if cfg.enable_lq else 0)
+                      noise_dim=params.B if cfg.enable_lq else 0, plan=plan)
     for epoch, means in stage:
         if not keep_logs:
             continue
@@ -390,11 +408,11 @@ ARMS = ("baseline", "s", "s-lq", "s-lq-dq")
 LQ_ARMS = ("s-lq", "s-lq-dq")  # the arms with the label-quality head
 
 
-def train_arms(datasets, arms, configs, keep_logs=True):
+def train_arms(datasets, arms, configs, keep_logs=True, plan=None):
     """Trains each ablation arm of a stack of runs, in ``arms`` order:
     stage 1, then stage 2 when the arm enables DQ. Yields (arm, arm
     configs, (S, P) params, one log per replica joining both stages, empty
-    without keep_logs).
+    without keep_logs). Stage 1 takes its row orders from ``plan``.
 
     If the stack diverges, the arm raises before it is yielded, so later
     arms do not train, and it raises the error one run after another would
@@ -413,7 +431,7 @@ def train_arms(datasets, arms, configs, keep_logs=True):
         key = stage1_key(arm_cfgs)
         try:
             if key not in stage1:
-                stage1[key] = train_stage1_lq(datasets, arm_cfgs, keep_logs=keep_logs)
+                stage1[key] = train_stage1_lq(datasets, arm_cfgs, keep_logs=keep_logs, plan=plan)
             params, logs = stage1[key]
             if arm_cfgs[0].enable_dq:
                 # stage 2 tunes a copy, leaving stage 1 for later arms

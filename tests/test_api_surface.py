@@ -133,3 +133,10 @@ def test_every_default_is_overridden_by_some_call_in_src():
                 set_somewhere |= _params_set(use[4], positional, n_required)
         unset += [f"{qualified}({param})" for param in defaulted if param not in set_somewhere]
     assert not unset, f"defaulted parameters that no call in src/probfas sets: {unset}"
+
+
+def test_no_module_is_over_650_lines():
+    # every process compiles src/probfas from source, so the largest
+    # module's compile() peak is part of every command's peak memory
+    lines = {path.name: len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.glob("*.py")}
+    assert max(lines.values()) <= 650, {name: n for name, n in lines.items() if n > 650}

@@ -15,6 +15,10 @@ dropped, reordered or reshaped to its own size, a shape entry that is not
 an integer, another version, a non-empty extra field), the body kept in
 agreement with the declared sizes: ``eval`` and ``quality-report`` must
 exit 2 with one ``error:`` line that names the checkpoint.
+
+A size that no memory can hold (``--n``, ``--dim``, a ``--seeds`` range, a
+config's ``embedding_dim`` or ``hidden``) must exit 2 with one ``error:``
+line that names the command, leaving ``--out`` and its parents unmade.
 """
 
 import json
@@ -198,3 +202,35 @@ def test_checkpoint_header_mutant_is_one_line_naming_the_file(clean, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+# Sizes that no memory can hold: each asks numpy or Python for 1 TiB or more
+# at once, so the allocation fails before the command writes a byte, forks
+# or starts a thread.
+HUGE = 10 ** 12
+SIZE_CASES = {
+    "n": ["gen-data", "--n", str(HUGE)],
+    "dim": ["gen-data", "--n", "10", "--dim", str(HUGE // 10)],
+    "seeds": ["noise-sweep", "--seeds", f"0..{HUGE}"],
+    "embedding_dim": ["train", "--data", "{dataset}", "--config", "{config}"],
+    "hidden": ["train", "--data", "{dataset}", "--config", "{config}"],
+}
+
+
+@pytest.mark.parametrize("case", SIZE_CASES)
+def test_a_size_no_memory_holds_is_one_line_and_exit_2(clean, tmp_path, capsys, case):
+    _, paths, _ = clean
+    cfg = training.load_config(paths["config"])
+    if case == "embedding_dim":
+        cfg.embedding_dim = HUGE
+    elif case == "hidden":
+        cfg.hidden = (HUGE,)
+    config = tmp_path / "sized.cfg"
+    training.save_config(cfg, config)
+    out = tmp_path / "made" / "out"
+    argv = [arg.format(dataset=paths["dataset"], config=config) for arg in SIZE_CASES[case]] + ["--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert not (tmp_path / "made").exists()

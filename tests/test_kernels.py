@@ -1,5 +1,6 @@
 """Kernel-level checks: frozen numeric oracles and stability."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,54 @@ HALF_LOG_2PI = 0.9189385332046727
 ONE_PLUS_HALF_LOG_2PI = 1.9189385332046727
 
 
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308])
+
+
+def assert_same_bytes(got, want, label):
+    """Equal bytes, a NaN compared as a NaN: its sign and payload are numpy's
+    to choose."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), label
+    assert got[~nan].tobytes() == want[~nan].tobytes(), label
+
+
+def reference_softmax_xent(logits, labels):
+    """softmax_xent with the max and the sum as numpy reductions over the
+    class axis."""
+    onehot = labels[..., None] == np.arange(logits.shape[-1])
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expv = np.exp(shifted)
+    denom = expv.sum(axis=-1)
+    return np.log(denom) - shifted[onehot].reshape(labels.shape), expv / denom[..., None], onehot
+
+
+def assert_softmax_xent_equals_the_reductions(logits, labels, label):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        got, want = kernels.softmax_xent(logits, labels), reference_softmax_xent(logits, labels)
+    for name, g, w in zip(("loss", "probs", "one-hot"), got, want):
+        assert_same_bytes(g, w, f"{label}: {name}")
+
+
 class TestSoftmaxXent:
+    @pytest.mark.parametrize("A", [*range(1, 10), 16])
+    def test_equals_the_axis_reductions_byte_for_byte(self, A):
+        # below 8 classes the kernel reduces column by column; random
+        # scales from 1e-300 to 1e300, with special values in some draws
+        rng = np.random.default_rng(A)
+        for trial in range(60):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 40))) if trial % 2 else (int(rng.integers(1, 40)),)
+            logits = rng.standard_normal((*shape, A)) * 10.0 ** rng.integers(-300, 300, (*shape, A))
+            if trial % 3 == 0:
+                mask = rng.random(logits.shape) < rng.random()
+                logits[mask] = rng.choice(SPECIAL, mask.sum())
+            assert_softmax_xent_equals_the_reductions(logits, rng.integers(0, A, shape), f"{A} classes, draw {trial}")
+
+    @pytest.mark.parametrize("A", [2, 3])
+    def test_equals_the_axis_reductions_on_every_row_of_special_values(self, A):
+        logits = np.array(list(itertools.product(SPECIAL, repeat=A)))
+        labels = np.arange(len(logits)) % A
+        assert_softmax_xent_equals_the_reductions(logits, labels, f"{A} classes")
+
     def test_uniform_logits_give_log_cardinality(self):
         logits = np.zeros((4, 3))
         labels = np.array([0, 1, 2, 0])

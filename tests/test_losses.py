@@ -159,6 +159,12 @@ class TestGaussianNll:
             vals = 0.5 * (np.log(grid) + d2 / grid) + HALF_LOG_2PI
             assert np.all(vals >= bound - 1e-9)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_label_rejected(self, bad):
+        labels = np.array([0, 1, bad, 0])
+        with pytest.raises(ValueError, match=r"labels out of range \[0, 2\)"):
+            dq_nll(np.ones((4, 3)), np.ones((2, 3)), labels, np.ones(4))
+
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(10)
         mu = rng.standard_normal((4, 3))
@@ -175,6 +181,40 @@ class TestGaussianNll:
         assert rel_err(dmu.ravel(), fd_gradient(f_mu, mu.ravel())) < FD_TOL
         assert rel_err(domega.ravel(), fd_gradient(f_om, omega.ravel())) < FD_TOL
         assert rel_err(ds2, fd_gradient(f_s2, s2.copy())) < FD_TOL
+
+
+def reference_class_row_sums(labels, rows, A):
+    """np.add.at of each row into zeros at its class's row."""
+    out = np.zeros((*rows.shape[:-2], A, rows.shape[-1]))
+    np.add.at(out, labels if labels.ndim == 1 else (np.arange(len(labels))[:, None], labels), rows)
+    return out
+
+
+class TestClassRowSums:
+    @pytest.mark.parametrize("A", [1, 2, 3])
+    @pytest.mark.parametrize("B", [1, 2, 16])
+    def test_equals_add_at_byte_for_byte(self, A, B):
+        # the stage-2 gradient of omega_c's rows: one model and stacks, a
+        # class with no rows, rows of -0.0 and special values
+        rng = np.random.default_rng(10 * A + B)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, 1.0])
+        for trial in range(40):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 300))) if trial % 2 else (int(rng.integers(1, 300)),)
+            labels = rng.integers(0, A, shape)
+            if trial % 4 == 0:
+                labels[labels == A - 1] = 0  # no row of the last class
+            rows = rng.standard_normal((*shape, B)) * 10.0 ** rng.integers(-300, 300, (*shape, B))
+            if trial % 3 == 0:
+                mask = rng.random(rows.shape) < rng.random()
+                rows[mask] = rng.choice(special, mask.sum())
+            if trial % 5 == 0:
+                rows[labels == 0] = -0.0
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = losses._class_row_sums(labels[..., None] == np.arange(A), rows)
+                want = reference_class_row_sums(labels, rows, A)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), trial
+            assert got[~nan].tobytes() == want[~nan].tobytes(), trial
 
 
 class TestL2Normalize:

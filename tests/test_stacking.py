@@ -181,7 +181,7 @@ _STALLED_SWEEP = """\
 import os, sys, time
 from probfas import experiments, forks, training
 
-def stalled(trains, group, configs, keep_logs):
+def stalled(trains, group, configs, **kwargs):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(120)
     yield from ()
@@ -469,6 +469,27 @@ class TestUnreadWork:
         experiments.noise_sweep(["semantic"], {"semantic": [0.5]}, None, [1, 0], cfg)
         assert runs == [False, False, True]
         assert noise_streams == [(3, 1, 1), (3, 1, 0)] * cfg.stage1.epochs
+
+    @pytest.mark.usefixtures("one_cpu")
+    def test_a_cell_builds_each_shuffle_stream_once(self, monkeypatch):
+        # the cell's three stage-1 runs share one shuffle plan in this
+        # process: each (seed, 1, epoch) order stream is built once, not
+        # once per run; the LQ run's noise and s-lq-dq's stage 2 once too
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(entropy=None, **kwargs):
+            built.append(tuple(entropy) if isinstance(entropy, list) else entropy)
+            return seed_sequence(entropy, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        seeds, epochs = [1, 0], 3
+        splits = [benchmark_cell(seed) for seed in seeds]
+        configs = [tiny_config(seed, epochs=epochs, batch_size=64) for seed in seeds]
+        list(experiments.run_arms(splits, list(training.ARMS), configs))
+        streams = [entropy for entropy in built if isinstance(entropy, tuple) and len(entropy) == 4]
+        assert sorted(streams) == sorted((seed, stage, epoch, stream) for seed in seeds for epoch in range(epochs)
+                                         for stage, stream in [(1, 0), (1, 1), (2, 0)])
 
 
 def stacked_stage_case(seeds, n=8, D=4, B=5, hidden=(6,), A=3):
