@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from . import data, forks, inference, metrics, model, training
+from . import data, forks, inference, metrics, training
 
 LABEL_NOISE_FRACTIONS = (0.0, 0.2, 0.5, 0.7, 1.0)
 DATA_NOISE_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.5)
@@ -178,7 +178,7 @@ def quality_report(params, ds):
     histogram comparing corrupted vs clean distributions, and a summary dict."""
     if len(ds) == 0:
         raise data.DataError("cannot build a quality report for an empty dataset")
-    s2 = inference.data_quality(params, model.embed(params, ds.X()))
+    s2 = inference.rows_quality(params, ds.X())
     corrupted = ds.flag_mask("data_corrupted")
 
     lo, hi = float(s2.min()), float(s2.max())

@@ -20,7 +20,20 @@ def data_quality(params, mu):
     warning. Raises QualityError at the first that is not finite and >= the
     smallest normal float, below which corrected_confidence's logits overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s2 = model.dq_variance(params, mu)
+        return _checked_quality(model.dq_variance(params, mu))
+
+
+def rows_quality(params, X):
+    """data_quality(params, model.embed(params, X)), the same bytes, holding
+    one row block's mu at a time (model._by_row_blocks): each block is
+    embedded and scored alone, and the row check then runs over the whole
+    result, so its error names the row's place in X."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = model._by_row_blocks(lambda rows: model.dq_variance(params, model.embed(params, rows)), X)
+    return _checked_quality(s2)
+
+
+def _checked_quality(s2):
     tiny = np.finfo(float).tiny
     bad = np.flatnonzero(~(np.isfinite(s2) & (s2 >= tiny)))
     if bad.size:
@@ -69,11 +82,23 @@ def predict_batch(params, X, corrected):
 
 def predict_modes(params, X, modes):
     """([probs of each mode], sigma_d_sq): predict_batch for each `corrected` of
-    modes, from one embedding of the rows."""
+    modes, from one embedding of the rows.
+
+    Every figure after the embedding is a function of its row alone, so each
+    mode's probabilities are computed one block of model._ROW_BLOCK rows at
+    a time, with the bytes of one pass over all rows, and no (N, 2, B) or
+    normalised copy of mu is held. sigma_D^2 is checked on every row before
+    any block, so its error comes first, as in one pass."""
     mu = model.embed(params, X)
     s2 = data_quality(params, mu)
-    return [corrected_confidence(l2_normalize_rows(mu), l2_normalize_rows(params.omega_c), s2) if corrected
-            else standard_confidence(mu, params.omega_c) for corrected in modes], s2
+    omega_n = l2_normalize_rows(params.omega_c) if any(modes) else None
+    probs = [np.empty((len(mu), 2)) for _ in modes]
+    for a in range(0, len(mu), model._ROW_BLOCK):
+        rows = slice(a, a + model._ROW_BLOCK)
+        for out, corrected in zip(probs, modes):
+            out[rows] = (corrected_confidence(l2_normalize_rows(mu[rows]), omega_n, s2[rows]) if corrected
+                         else standard_confidence(mu[rows], params.omega_c))
+    return probs, s2
 
 
 # ---------------------------------------------------------------------------

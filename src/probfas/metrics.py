@@ -58,6 +58,17 @@ def _accepted(scores, labels, thresholds):
     return counts
 
 
+def _distinct(scores):
+    """np.unique(scores) without its first call's import of numpy.ma: the same
+    sort, the first of each run of equal values (so the same one of -0.0 and
+    0.0), and the first NaN standing for every NaN (its equal_nan)."""
+    ranked = np.sort(scores, axis=None)
+    keep = np.ones(ranked.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=keep[1:])
+    keep[np.searchsorted(ranked, np.nan) + 1:] = False  # NaNs sort last
+    return ranked[keep]
+
+
 def roc_sweep(scores, labels):
     """(K, 3) float64 rows (threshold, fpr, tpr), thresholds ascending over
     every distinct score plus -inf/+inf sentinels. fpr and tpr are fractions,
@@ -65,7 +76,7 @@ def roc_sweep(scores, labels):
     scores, labels = _as_arrays(scores, labels)
     if not np.any(labels == 1) or not np.any(labels == 0):
         raise MetricError("both live and spoof samples are required")
-    thresholds = np.concatenate(([-np.inf], np.unique(scores), [np.inf]))
+    thresholds = np.concatenate(([-np.inf], _distinct(scores), [np.inf]))
     (spoof, n_spoof), (live, n_live) = _accepted(scores, labels, thresholds)
     return np.column_stack([thresholds, spoof / n_spoof, live / n_live])
 

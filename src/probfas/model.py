@@ -28,16 +28,27 @@ _ROW_BLOCK = 512
 
 
 def _by_row_blocks(fn, M):
-    """fn over blocks of the rows (axis -2) of M, concatenated; fn's result
-    keeps the row axis at the same position."""
+    """fn over blocks of the rows (axis -2) of M, each block's result written
+    into one array; fn's result keeps the row axis at the same position.
+
+    The per-row rule: the partition depends on the row count alone, and a
+    row's bytes depend on its block only through the block's size (BLAS
+    picks its kernel by size), so each row's result is fixed by N. A figure
+    computed row by row from the result afterwards has the same bytes in
+    any row blocks as in one pass over all rows; inference relies on that."""
     n, axis = M.shape[-2], M.ndim - 2
     starts = list(range(0, n, _ROW_BLOCK)) or [0]
     if len(starts) > 1 and n - starts[-1] < _ROW_BLOCK // 2:
         starts[-1] -= _ROW_BLOCK // 2  # the last two blocks share 512 + r rows
     if len(starts) == 1:
         return fn(M)
-    ends = starts[1:] + [n]
-    return np.concatenate([fn(M[..., a:b, :]) for a, b in zip(starts, ends)], axis=axis)
+    out = None
+    for a, b in zip(starts, starts[1:] + [n]):
+        part = fn(M[..., a:b, :])
+        if out is None:
+            out = np.empty(part.shape[:axis] + (n,) + part.shape[axis + 1:], part.dtype)
+        out[(slice(None),) * axis + (slice(a, b),)] = part
+    return out
 
 
 def _t(M):

@@ -1,10 +1,12 @@
 """Confidence computation with and without the data-quality correction,
 plus the prediction dump format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from probfas import inference, losses, model
+from probfas import data, experiments, inference, losses, model
 from conftest import reference_load_predictions
 
 SIGMOID_NEG_20 = 2.0611536181902036e-09
@@ -201,6 +203,87 @@ class TestPredictBatch:
         for got, want in zip(inference.predict_batch(params, other, corrected=corrected),
                              inference.predict_batch(params, X, corrected=corrected)):
             assert got[::2].tobytes() == want[::2].tobytes()
+
+
+def whole_array_modes(params, X, modes):
+    """predict_modes as one pass over all rows: every mode's (N, 2) formula
+    on the whole of mu."""
+    mu = model.embed(params, X)
+    s2 = inference.data_quality(params, mu)
+    return [inference.corrected_confidence(losses.l2_normalize_rows(mu), losses.l2_normalize_rows(params.omega_c), s2)
+            if corrected else inference.standard_confidence(mu, params.omega_c) for corrected in modes], s2
+
+
+def benchmark_params(seed):
+    """The benchmark's widths, with every tensor moved off its initial values."""
+    params = model.init_params(8, {"spoof_type": 3}, B=16, hidden=(32,), seed=seed)
+    params.flat[...] += np.random.default_rng(seed).standard_normal(params.flat.shape) * 0.1
+    return params
+
+
+class TestRowBlocks:
+    """eval and quality-report work on row blocks of mu and give the bytes of
+    one pass over all rows."""
+
+    @pytest.mark.parametrize("modes", [[False, True], [True, False], [True], [False]])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1300, 2048])
+    def test_predict_modes_equals_the_whole_array_formulas(self, n, modes):
+        params = benchmark_params(n)
+        X = np.random.default_rng(n).standard_normal((n, 8)) * 3.0
+        (got, got_s2), (want, want_s2) = inference.predict_modes(params, X, modes), whole_array_modes(params, X, modes)
+        assert got_s2.tobytes() == want_s2.tobytes()
+        assert len(got) == len(modes)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (n, 2) and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n_per_class", [1, 130, 325, 1000])  # 4 clusters: 4 to 4000 rows
+    def test_quality_report_equals_the_whole_array_formulas(self, monkeypatch, n_per_class):
+        params = benchmark_params(n_per_class)
+        ds = data.generate_synthetic(n_per_class=n_per_class, D=8, categories={"spoof_type": 3},
+                                     cluster_overlap=1.5, seed=n_per_class)
+        ds = data.inject_data_noise(ds, 0.3, 2.0, n_per_class)
+        (_, s2, _, _), hist, summary = experiments.quality_report(params, ds)
+        monkeypatch.setattr(inference, "rows_quality", lambda p, X: inference.data_quality(p, model.embed(p, X)))
+        (_, want, _, _), want_hist, want_summary = experiments.quality_report(params, ds)
+        assert s2.tobytes() == want.tobytes()
+        assert (hist, summary) == (want_hist, want_summary)
+
+    def test_a_bad_sigma_d_sq_is_named_by_its_row_in_the_whole_set(self):
+        params = benchmark_params(0)
+        X = np.random.default_rng(0).standard_normal((1300, 8)) * 3.0
+        X[[1200, 1250]] = np.nan  # the third block's rows 176 and 226
+        message = r"^sigma_D\^2 of row 1200 is nan, not finite"
+        with pytest.raises(inference.QualityError, match=message):
+            inference.rows_quality(params, X)
+        with pytest.raises(inference.QualityError, match=message):
+            inference.predict_modes(params, X, [False, True])
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        """(fn(*args), the peak of numpy's traced data buffers while it ran)."""
+        tracemalloc.start()
+        try:
+            return fn(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_predict_modes_holds_mu_its_outputs_and_one_block(self):
+        # numpy traces its data buffers, so the peak is exact. One pass over
+        # all rows held a normalised copy of mu and (N, 2, B) distances
+        # besides: 11.0 MB here, against 3.7 MB in blocks
+        params = benchmark_params(1)
+        X = np.random.default_rng(1).standard_normal((20_000, 8)) * 3.0
+        block = 4 * model._ROW_BLOCK * 2 * params.B * 8  # a block's (rows, 2, B) distances, four times over
+        (probs, s2), peak = self.traced_peak(inference.predict_modes, params, X, [False, True])
+        held = len(X) * params.B * 8 + s2.nbytes + sum(p.nbytes for p in probs)  # mu, sigma_D^2 and probs
+        assert peak <= held + block, f"peak {peak / 1e6:.2f} MB, bound {(held + block) / 1e6:.2f} MB"
+
+    def test_rows_quality_holds_one_block_beside_its_result(self):
+        params = benchmark_params(2)
+        X = np.random.default_rng(2).standard_normal((20_000, 8)) * 3.0
+        block = 4 * model._ROW_BLOCK * 2 * params.B * 8  # as above
+        s2, peak = self.traced_peak(inference.rows_quality, params, X)
+        assert peak <= s2.nbytes + block, f"peak {peak / 1e6:.2f} MB, bound {(s2.nbytes + block) / 1e6:.2f} MB"
 
 
 class TestPredictionDump:

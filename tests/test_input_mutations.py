@@ -16,9 +16,11 @@ an integer, another version, a non-empty extra field), the body kept in
 agreement with the declared sizes: ``eval`` and ``quality-report`` must
 exit 2 with one ``error:`` line that names the checkpoint.
 
-A size that no memory can hold (``--n``, ``--dim``, a ``--seeds`` range, a
-config's ``embedding_dim`` or ``hidden``) must exit 2 with one ``error:``
-line that names the command, leaving ``--out`` and its parents unmade.
+A size that no memory can hold (``--n``, ``--dim``, ``--spoof-types``, a
+``--seeds`` range, a config's ``embedding_dim`` or ``hidden``, a dataset's
+declared D, a checkpoint's declared width) must exit 2 with one ``error:``
+line that names the command, or the file that declares the size, leaving
+``--out`` and its parents unmade.
 """
 
 import json
@@ -205,16 +207,36 @@ def test_checkpoint_header_mutant_is_one_line_naming_the_file(clean, tmp_path, c
 
 
 # Sizes that no memory can hold: each asks numpy or Python for 1 TiB or more
-# at once, so the allocation fails before the command writes a byte, forks
-# or starts a thread.
+# at once, or is declared by a file whose other bytes cannot hold it, so the
+# command fails before it writes a byte, forks or starts a thread. A size
+# declared by a file ("{sized}") is named by that file's path, any other by
+# the command.
 HUGE = 10 ** 12
 SIZE_CASES = {
     "n": ["gen-data", "--n", str(HUGE)],
     "dim": ["gen-data", "--n", "10", "--dim", str(HUGE // 10)],
+    "spoof_types": ["gen-data", "--n", "1", "--spoof-types", str(HUGE)],
     "seeds": ["noise-sweep", "--seeds", f"0..{HUGE}"],
     "embedding_dim": ["train", "--data", "{dataset}", "--config", "{config}"],
     "hidden": ["train", "--data", "{dataset}", "--config", "{config}"],
+    "dataset_D": ["eval", "--data", "{sized}", "--checkpoint", "{checkpoint}"],
+    "checkpoint_width": ["quality-report", "--data", "{dataset}", "--checkpoint", "{sized}"],
 }
+
+
+def sized_file(case, paths, path):
+    """Writes to path the clean input of a file case declaring HUGE: the
+    dataset's D, or the checkpoint's first hidden width (its tensors and
+    config kept in agreement)."""
+    if case == "dataset_D":
+        magic, meta, rest = paths["dataset"].read_bytes().split(b"\n", 2)
+        path.write_bytes(b"\n".join([magic, meta.replace(b"D=4 ", f"D={HUGE} ".encode()), rest]))
+        return
+    header, body = split_checkpoint(paths["checkpoint"].read_bytes())
+    shapes = {spec["name"]: spec["shape"] for spec in header["tensors"]}
+    shapes["layers.0.W"][0] = shapes["layers.0.b"][0] = shapes["layers.1.W"][1] = HUGE
+    header["config"]["hidden"] = [HUGE]
+    path.write_bytes(join_checkpoint(header, body))
 
 
 @pytest.mark.parametrize("case", SIZE_CASES)
@@ -227,10 +249,14 @@ def test_a_size_no_memory_holds_is_one_line_and_exit_2(clean, tmp_path, capsys, 
         cfg.hidden = (HUGE,)
     config = tmp_path / "sized.cfg"
     training.save_config(cfg, config)
+    sized = tmp_path / "sized.input"
+    if "{sized}" in SIZE_CASES[case]:
+        sized_file(case, paths, sized)
     out = tmp_path / "made" / "out"
-    argv = [arg.format(dataset=paths["dataset"], config=config) for arg in SIZE_CASES[case]] + ["--out", str(out)]
+    argv = [arg.format(**{**paths, "config": config, "sized": sized}) for arg in SIZE_CASES[case]] + ["--out", str(out)]
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    named = sized if "{sized}" in SIZE_CASES[case] else argv[0]
+    assert err.startswith(f"error: {named}: ") and err.count("\n") == 1 and "Traceback" not in err, err
     assert not (tmp_path / "made").exists()

@@ -267,6 +267,31 @@ class TestRowBlocks:
                 assert mu[r].tobytes() == model.embed(p, X[r]).tobytes(), (n, r)
                 assert s2[r].tobytes() == model.dq_variance(p, mu[r]).tobytes(), (n, r)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("n", [1, 255, 256, 511, 512, 513, 767, 768, 1000, 5000])
+    def test_blocks_written_in_place_equal_the_concatenated_list(self, monkeypatch, n, stacked):
+        def concatenated(fn, M):  # the list of block results and one np.concatenate
+            n, axis = M.shape[-2], M.ndim - 2
+            starts = list(range(0, n, model._ROW_BLOCK)) or [0]
+            if len(starts) > 1 and n - starts[-1] < model._ROW_BLOCK // 2:
+                starts[-1] -= model._ROW_BLOCK // 2
+            if len(starts) == 1:
+                return fn(M)
+            ends = starts[1:] + [n]
+            return np.concatenate([fn(M[..., a:b, :]) for a, b in zip(starts, ends)], axis=axis)
+
+        rng = np.random.default_rng(n)
+        replicas = [model.init_params(8, {"spoof_type": 3}, B=16, hidden=(32,), seed=s) for s in range(2)]
+        for p in replicas:
+            p.flat[...] += rng.standard_normal(p.flat.shape) * 0.1
+        params = model.ModelParams.stack(replicas) if stacked else replicas[0]
+        X = rng.standard_normal((2, n, 8) if stacked else (n, 8)) * 3.0
+        mu = model.embed(params, X)
+        s2 = model.dq_variance(params, mu)
+        monkeypatch.setattr(model, "_by_row_blocks", concatenated)
+        assert mu.tobytes() == model.embed(params, X).tobytes()
+        assert s2.tobytes() == model.dq_variance(params, mu).tobytes()
+
     def test_empty_batch(self, tiny_params):
         assert model.embed(tiny_params, np.zeros((0, tiny_params.D))).shape == (0, tiny_params.B)
         assert model.dq_variance(tiny_params, np.zeros((0, tiny_params.B))).shape == (0,)
