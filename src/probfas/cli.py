@@ -282,9 +282,11 @@ def cmd_noise_sweep(args):
     # a repeated value would train its runs twice into one cell's statistics
     for flag, values in (("--noise-kind", args.noise_kind), ("--fractions", args.fractions),
                          ("--arm", args.arm), ("--seeds", args.seeds)):
-        for i, value in enumerate(values or ()):
-            if value in values[:i]:
+        seen = set()  # finds what `in` a list finds: 0.0 equals -0.0, a NaN only itself
+        for value in values or ():
+            if value in seen:
                 raise _UsageError(f"{flag} repeats {value}")
+            seen.add(value)
     metrics.check_threshold(args.threshold)
     out = _resolve_out(args.out, "noise-sweep")
     kinds = args.noise_kind or ["semantic", "data"]

@@ -150,7 +150,8 @@ class Dataset:
         return getattr(self, flag_name)
 
 
-def _check_fraction(fraction, kind):
+def check_fraction(fraction, kind):
+    """Raises the DataError of a ``kind`` noise fraction outside [0,1]."""
     if not 0.0 <= fraction <= 1.0:
         raise DataError(f"{kind} noise fraction must be in [0,1], got {fraction}")
 
@@ -238,7 +239,7 @@ def _pick(rng, n, fraction):
 def inject_semantic_label_noise(ds, fraction, seed):
     """Re-draw the primary-category label of round(fraction * N_spoof) spoof
     samples uniformly (possibly equal to the original)."""
-    _check_fraction(fraction, "semantic")
+    check_fraction(fraction, "semantic")
     out = ds.copy()
     if fraction == 0.0:
         return out
@@ -253,7 +254,7 @@ def inject_semantic_label_noise(ds, fraction, seed):
 
 def inject_binary_label_noise(ds, fraction, seed):
     """Flip the live/spoof label of round(fraction * N) samples."""
-    _check_fraction(fraction, "binary")
+    check_fraction(fraction, "binary")
     out = ds.copy()
     if fraction == 0.0:
         return out
@@ -267,7 +268,7 @@ def inject_binary_label_noise(ds, fraction, seed):
 def inject_data_noise(ds, fraction, severity, seed):
     """Degrade round(fraction * N) feature vectors: 3-wide boxcar smoothing
     over the feature axis plus additive Gaussian noise with std = severity."""
-    _check_fraction(fraction, "data")
+    check_fraction(fraction, "data")
     if not (math.isfinite(severity) and severity >= 0):
         raise DataError(f"data noise severity must be finite and >= 0, got {severity}")
     out = ds.copy()

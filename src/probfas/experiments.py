@@ -51,7 +51,7 @@ def run_arms(splits, arms, configs, threshold=0.5):
     bytes it reaches alone. If an arm diverges, the arms before it are
     yielded and then its TrainingDiverged is raised: the error one arm after
     another would meet first."""
-    results = _map_groups(partial(_train_groups, splits, configs, threshold), stage1_groups(arms, configs))
+    results = _map_groups(partial(_train, splits, configs, threshold), arms, stage1_groups(arms, configs))
     for arm in arms:
         if isinstance(results[arm], training.TrainingDiverged):
             raise results[arm]
@@ -69,38 +69,40 @@ def stage1_groups(arms, configs):
     return list(groups.values())
 
 
-def _train_groups(splits, configs, threshold, groups):
-    """The run_arms results of each group's arms, by arm, up to the arm of a
-    group that diverges, which maps to its TrainingDiverged. The groups'
-    stage-1 runs share one shuffle plan (see training.run_stage)."""
-    trains, plan, results = [train for train, _ in splits], {} if len(groups) > 1 else None, {}
-    for group in groups:
-        try:
-            for arm, arm_cfgs, params, _ in training.train_arms(trains, group, configs, keep_logs=False, plan=plan):
-                reports = [_evaluate(params.replica(r), test, cfg, threshold)
-                           for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs))]
-                results[arm] = (arm, arm_cfgs, params, reports)
-        except training.TrainingDiverged as exc:
-            results[next(arm for arm in group if arm not in results)] = exc
+def _train(splits, configs, threshold, arms):
+    """The run_arms results of ``arms``, by arm, from one train_arms call in
+    ``arms`` order, up to an arm that diverges, which maps to its
+    TrainingDiverged; the arms after it are left out."""
+    results = {}
+    try:
+        for arm, arm_cfgs, params, _ in training.train_arms([train for train, _ in splits], arms, configs,
+                                                            keep_logs=False):
+            reports = [_evaluate(params.replica(r), test, cfg, threshold)
+                       for r, ((_, test), cfg) in enumerate(zip(splits, arm_cfgs))]
+            results[arm] = (arm, arm_cfgs, params, reports)
+    except training.TrainingDiverged as exc:
+        results[next(arm for arm in arms if arm not in results)] = exc
     return results
 
 
-def _map_groups(train_groups, groups):
-    """train_groups of the groups. With two or more groups and a second CPU,
-    this process trains the first group, the LQ groups first (they draw noise
-    and hold the DQ arm's stage 2, so take longest), while a forked child
-    (forks.child) trains the rest and sends them back pickled. If there is no
-    child, or it fails, this process trains the child's groups too."""
+def _map_groups(train, arms, groups):
+    """train of ``arms``. With two or more stage-1 ``groups`` and a second
+    CPU, this process trains the LQ group, if any, else the first (the LQ
+    arms draw noise and hold stage 2, so take longest), while a forked child
+    (forks.child) trains the other arms, in ``arms`` order, and sends them
+    back pickled. If there is no child, or it fails, this process trains
+    the child's arms too."""
     if len(groups) < 2 or not forks.can_fork():
-        return train_groups(groups)
-    first, *rest = sorted(groups, key=lambda group: group[0] not in training.LQ_ARMS)
-    with forks.child(lambda out: out.write(pickle.dumps(train_groups(rest)))) as child:
-        results = train_groups([first])
+        return train(arms)
+    mine = min(groups, key=lambda group: group[0] not in training.LQ_ARMS)
+    rest = [arm for arm in arms if arm not in mine]
+    with forks.child(lambda out: out.write(pickle.dumps(train(rest)))) as child:
+        results = train(mine)
         if child is not None:
             sent = child.pipe.read()
             if child.succeeded():
                 return {**results, **pickle.loads(sent)}
-    return {**results, **train_groups(rest)}
+    return {**results, **train(rest)}
 
 
 def _evaluate(params, test, cfg, threshold):
@@ -129,13 +131,15 @@ def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, thresho
     base = base_config or training.TrainConfig()
     arms = training.ARMS if arms is None else arms
     configs = [training.TrainConfig.from_dict({**base.to_dict(), "seed": seed}) for seed in seeds]
+    cells = [(kind, fraction) for kind in kinds for fraction in fractions_by_kind[kind]]
+    for kind, fraction in cells:  # a bad fraction is an error before any cell trains
+        data.check_fraction(fraction, kind)
     rows = []
-    for kind in kinds:
-        for fraction in fractions_by_kind[kind]:
-            splits = [apply_noise_kind(*make_benchmark_data(seed), kind, fraction, seed) for seed in seeds]
-            for arm, arm_cfgs, _, reports in run_arms(splits, arms, configs, threshold):
-                for cfg, report in zip(arm_cfgs, reports):
-                    rows.append((kind, fraction, arm, cfg.seed, report.acer, report.apcer, report.bpcer))
+    for kind, fraction in cells:
+        splits = [apply_noise_kind(*make_benchmark_data(seed), kind, fraction, seed) for seed in seeds]
+        for arm, arm_cfgs, _, reports in run_arms(splits, arms, configs, threshold):
+            for cfg, report in zip(arm_cfgs, reports):
+                rows.append((kind, fraction, arm, cfg.seed, report.acer, report.apcer, report.bpcer))
     return rows
 
 

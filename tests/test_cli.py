@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probfas import cli, data, inference, metrics, model, training
+from probfas import cli, data, forks, inference, metrics, model, training
 from conftest import reference_load_predictions, train_one
 
 
@@ -438,7 +438,9 @@ class TestNoiseSweep:
         ("--fractions", ["0.5,0.50"], "--fractions repeats 0.5"),
         ("--arm", ["s", "s-lq", "s"], "--arm repeats s"),
         ("--noise-kind", ["semantic", "semantic"], "--noise-kind repeats semantic"),
-    ], ids=["seeds", "fractions", "arm", "noise-kind"])
+        ("--seeds", ["3,1,2,1,3"], "--seeds repeats 1"),
+        ("--fractions", ["0.0,-0.0"], "--fractions repeats -0.0"),
+    ], ids=["seeds", "fractions", "arm", "noise-kind", "first-repeat", "signed-zero"])
     def test_repeated_value_is_usage_error(self, tmp_path, capsys, flag, values, message):
         # a repeated value would train its runs twice into one cell's mean and std
         cfg_path = tmp_path / "cfg.txt"
@@ -451,6 +453,41 @@ class TestNoiseSweep:
         assert run(argv) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
+
+    def test_two_nans_are_no_repeat(self, tmp_path, capsys):
+        # NaN equals no NaN, so it reaches the fraction check, not the repeat check
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert run(["noise-sweep", "--fractions", "nan,nan", "--seeds", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: semantic noise fraction must be in [0,1], got nan\n"
+        assert not out.exists()
+
+    def test_repeat_check_is_linear_in_the_seeds(self, tmp_path):
+        # 200,001 seeds and no repeat: the threshold's error comes first, in
+        # seconds only if the repeat check is linear in the values
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = tmp_path / "x"
+        done = subprocess.run([sys.executable, "-m", "probfas.cli", "noise-sweep", "--seeds", "0..200000",
+                               "--threshold", "nan", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert not out.exists()
+
+    def test_a_bad_fraction_is_reported_before_any_cell_trains(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        train_arms = training.train_arms
+        monkeypatch.setattr(training, "train_arms",
+                            lambda *args, **kwargs: calls.append(1) or train_arms(*args, **kwargs))
+        monkeypatch.setattr(forks, "usable_cpus", lambda: 1)
+        cfg_path = tmp_path / "cfg.txt"
+        write_quick_config(cfg_path)
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert run(["noise-sweep", "--noise-kind", "semantic", "--fractions", "0.0,0.2,0.5,0.7,1.0,1.5",
+                    "--seeds", "0..4", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: semantic noise fraction must be in [0,1], got 1.5\n"
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("flag", ["--seeds", "--fractions"])
     def test_empty_list_is_usage_error(self, tmp_path, flag):

@@ -181,7 +181,7 @@ _STALLED_SWEEP = """\
 import os, sys, time
 from probfas import experiments, forks, training
 
-def stalled(trains, group, configs, **kwargs):
+def stalled(trains, arms, configs, keep_logs):
     open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
     time.sleep(120)
     yield from ()
@@ -201,7 +201,7 @@ def _gone(pid):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="children exit with their parent on Linux only")
 def test_a_killed_sweep_leaves_no_worker_running(tmp_path):
-    # the command and its child each stall in a group; killing the command must end the child too
+    # the command and its child each stall in train_arms; killing the command must end the child too
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.Popen([sys.executable, "-c", _STALLED_SWEEP, str(tmp_path)], env=env)
     try:
@@ -293,6 +293,29 @@ class TestDivergence:
             errors.append((exc.value.stage, exc.value.epoch, str(exc.value)))
         assert len(forked) == 1
         assert errors == [(alone.stage, alone.epoch, str(alone))] * 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_arms_out_of_group_order_train_in_arms_order(self, monkeypatch, forked):
+        # a huge stage-2 lr makes s-lq-dq diverge; baseline, of another
+        # stage-1 group, comes between it and s-lq, so it must train before
+        # the divergence ends the one train_arms call of a CPU
+        seeds = [1, 0]
+        splits = [benchmark_cell(seed) for seed in seeds]
+        configs = [tiny_config(seed, epochs=2, batch_size=32) for seed in seeds]
+        for cfg in configs:
+            cfg.stage2.lr = 1e8
+        with pytest.raises(training.TrainingDiverged) as alone:
+            train_one(splits[0][0], configs[0], "s-lq-dq")
+        outcomes = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(forks, "usable_cpus", lambda: cpus)
+            yielded = []
+            with pytest.raises(training.TrainingDiverged) as exc:
+                for arm, *_ in experiments.run_arms(splits, ["s-lq", "baseline", "s-lq-dq"], configs):
+                    yielded.append(arm)
+            outcomes.append((yielded, exc.value.stage, exc.value.epoch, str(exc.value)))
+        assert len(forked) == 1
+        assert outcomes == [(["s-lq", "baseline"], 2, alone.value.epoch, str(alone.value))] * 2
 
     def test_cli_exits_3_with_one_line_for_all_arms(self, tmp_path, capsys, forked):
         code = cli.main(["noise-sweep", "--noise-kind", "binary", "--fractions", "0.7",
@@ -472,9 +495,9 @@ class TestUnreadWork:
 
     @pytest.mark.usefixtures("one_cpu")
     def test_a_cell_builds_each_shuffle_stream_once(self, monkeypatch):
-        # the cell's three stage-1 runs share one shuffle plan in this
-        # process: each (seed, 1, epoch) order stream is built once, not
-        # once per run; the LQ run's noise and s-lq-dq's stage 2 once too
+        # each of the cell's three stage-1 runs builds its own (seed, 1,
+        # epoch) order streams; the LQ run's noise and s-lq-dq's stage 2
+        # are built once, and the stage 1 s-lq-dq shares with s-lq none
         built = []
         seed_sequence = np.random.SeedSequence
 
@@ -489,7 +512,7 @@ class TestUnreadWork:
         list(experiments.run_arms(splits, list(training.ARMS), configs))
         streams = [entropy for entropy in built if isinstance(entropy, tuple) and len(entropy) == 4]
         assert sorted(streams) == sorted((seed, stage, epoch, stream) for seed in seeds for epoch in range(epochs)
-                                         for stage, stream in [(1, 0), (1, 1), (2, 0)])
+                                         for stage, stream in [(1, 0)] * 3 + [(1, 1), (2, 0)])
 
 
 def stacked_stage_case(seeds, n=8, D=4, B=5, hidden=(6,), A=3):
