@@ -184,9 +184,73 @@ def save_config(cfg, path):
 # minibatch driver
 # ---------------------------------------------------------------------------
 
-def _epoch_rng(seed, stage, epoch, stream):
-    """Stream 0 of an epoch shuffles its rows, stream 1 draws its noise."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), stage, epoch, stream])))
+# numpy's SeedSequence hash constants (bit_generator.pyx), mirrored by _seed_states
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_EPOCH_CHUNK = 128  # epochs seeded per pass; it divides 2**32, so a chunk's epochs have as many words
+
+
+def _words(n):
+    """The uint32 words SeedSequence splits an int >= 0 into, low word first."""
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _seed_states(entropy):
+    """SeedSequence(words).generate_state(4, np.uint64) of each column of
+    ``entropy``, (L, R) uint32 words with L >= 4, as (R, 4) uint64: numpy's
+    pool mixing and state generation on all columns at once."""
+    def hashmix(values, consts):  # row i of values with hash constants consts[i] and consts[i + 1]
+        values = (values ^ consts[:-1, None]) * consts[1:, None]
+        return values ^ values >> 16
+
+    def mix(x, y):
+        x = x * _MIX_L - y * _MIX_R
+        return x ^ x >> 16
+
+    L = len(entropy)
+    a = np.cumprod(np.array([_INIT_A] + [_MULT_A] * 4 * L, dtype=np.uint32), dtype=np.uint32)
+    pool = hashmix(entropy[:4], a[:5])
+    for i in range(4):  # each pool word into the three others
+        others = [j for j in range(4) if j != i]
+        pool[others] = mix(pool[others], hashmix(pool[i : i + 1], a[4 + 3 * i : 8 + 3 * i]))
+    for i in range(4, L):  # each word beyond the pool into every pool word
+        pool = mix(pool, hashmix(entropy[i : i + 1], a[4 * i : 4 * i + 5]))
+    b = np.cumprod(np.array([_INIT_B] + [_MULT_B] * 8, dtype=np.uint32), dtype=np.uint32)
+    return hashmix(np.concatenate([pool, pool]), b).T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """A seed sequence holding the 4 uint64 words PCG64 asks it for."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None):
+        return self.words
+
+
+def _epoch_rngs(seeds, stage, epochs, streams):
+    """Yields, for each epoch of the range ``epochs``, each replica's
+    generators of streams 0 .. streams - 1: rngs[r][k] draws as
+    Generator(PCG64(SeedSequence([seeds[r], stage, epoch, k]))) would.
+    Stream 0 shuffles an epoch's rows, stream 1 draws its noise. Seed words
+    come from one _seed_states pass per chunk of epochs and seed word count,
+    so memory does not grow with the epoch count."""
+    # registered here, not at import, which would load numpy.random with this module
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    words = [_words(int(seed)) for seed in seeds]
+    for lo in range(epochs.start - epochs.start % _EPOCH_CHUNK, epochs.stop, _EPOCH_CHUNK):
+        chunk = range(max(lo, epochs.start), min(lo + _EPOCH_CHUNK, epochs.stop))  # differing in the low word only
+        states = np.empty((len(chunk), len(seeds), streams, 4), dtype=np.uint64)
+        for count in set(map(len, words)):
+            group = [r for r, w in enumerate(words) if len(w) == count]
+            base = np.array([words[r] + [stage] + _words(chunk.start) + [k] for r in group for k in range(streams)],
+                            dtype=np.uint32)
+            entropy = np.repeat(base.T[:, None], len(chunk), axis=1)  # (L, len(chunk), len(group) * streams)
+            entropy[count + 1] += np.arange(len(chunk), dtype=np.uint32)[:, None]  # the epoch's low word
+            states[:, group] = _seed_states(entropy.reshape(len(entropy), -1)).reshape(-1, len(group), streams, 4)
+        for epoch_states in states:
+            yield [[np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in replica] for replica in epoch_states]
 
 
 def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
@@ -225,16 +289,16 @@ def run_stage(params, columns, stage, stage_cfg, seeds, step, noise_dim=0):
     t, bs = 0, stage_cfg.batch_size
     order = np.empty((S, n), dtype=np.int64)
     offsets = np.arange(0, S * n, n)[:, None]  # of each replica's rows in a column's (S * n) rows
-    for epoch in range(stage_cfg.epochs):
-        for row, seed in zip(order, seeds):  # Generator.permutation(n) is a shuffle of arange(n)
+    for epoch, rngs in enumerate(_epoch_rngs(seeds, stage, range(stage_cfg.epochs), 2 if noise_dim else 1)):
+        for row, rng in zip(order, rngs):  # Generator.permutation(n) is a shuffle of arange(n)
             row[...] = np.arange(n)
-            _epoch_rng(seed, stage, epoch, 0).shuffle(row)
+            rng[0].shuffle(row)
         order += offsets
         shuffled = [np.take(col.reshape(S * n, *col.shape[2:]), order, axis=0) for col in columns]
         if noise_dim:
             noise = np.empty((S, n, noise_dim))
-            for rows, seed in zip(noise, seeds):
-                _epoch_rng(seed, stage, epoch, 1).standard_normal(out=rows)
+            for rows, rng in zip(noise, rngs):
+                rng[1].standard_normal(out=rows)
         history = {}
         # silenced: a step's non-finite values reach a total, which the divergence check reports
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -473,21 +473,21 @@ class TestUnreadWork:
     @pytest.mark.usefixtures("one_cpu")
     def test_only_the_lq_stage1_run_draws_noise(self, monkeypatch):
         # a cell of all four arms trains three stage-1 runs (s-lq-dq shares
-        # s-lq's); only s-lq's, the third, builds noise streams
+        # s-lq's); only s-lq's, the third, seeds noise streams
         runs, noise_streams = [], []
-        train_stage1_lq, epoch_rng = training.train_stage1_lq, training._epoch_rng
+        train_stage1_lq, seed_states = training.train_stage1_lq, training._seed_states
 
         def counted_run(datasets, configs, **kwargs):
             runs.append(configs[0].enable_lq)
             return train_stage1_lq(datasets, configs, **kwargs)
 
-        def counted_rng(seed, stage, epoch, stream):
-            if stream == 1:
-                noise_streams.append((len(runs), stage, seed))
-            return epoch_rng(seed, stage, epoch, stream)
+        def counted_states(entropy):
+            noise_streams.extend((len(runs), stage, seed) for seed, stage, _, stream in stream_rows(entropy)
+                                 if stream == 1)
+            return seed_states(entropy)
 
         monkeypatch.setattr(training, "train_stage1_lq", counted_run)
-        monkeypatch.setattr(training, "_epoch_rng", counted_rng)
+        monkeypatch.setattr(training, "_seed_states", counted_states)
         cfg = tiny_config(0, epochs=2, batch_size=64)
         experiments.noise_sweep(["semantic"], {"semantic": [0.5]}, None, [1, 0], cfg)
         assert runs == [False, False, True]
@@ -495,24 +495,38 @@ class TestUnreadWork:
 
     @pytest.mark.usefixtures("one_cpu")
     def test_a_cell_builds_each_shuffle_stream_once(self, monkeypatch):
-        # each of the cell's three stage-1 runs builds its own (seed, 1,
+        # each of the cell's three stage-1 runs seeds its own (seed, 1,
         # epoch) order streams; the LQ run's noise and s-lq-dq's stage 2
-        # are built once, and the stage 1 s-lq-dq shares with s-lq none
-        built = []
-        seed_sequence = np.random.SeedSequence
+        # are seeded once, and the stage 1 s-lq-dq shares with s-lq none.
+        # Every stream is seeded from words computed in bulk, none through
+        # a SeedSequence of its own
+        streams, sequences = [], []
+        seed_states, seed_sequence = training._seed_states, np.random.SeedSequence
+
+        def counted_states(entropy):
+            streams.extend(stream_rows(entropy))
+            return seed_states(entropy)
 
         def counted(entropy=None, **kwargs):
-            built.append(tuple(entropy) if isinstance(entropy, list) else entropy)
+            sequences.append(tuple(entropy) if isinstance(entropy, list) else entropy)
             return seed_sequence(entropy, **kwargs)
 
+        monkeypatch.setattr(training, "_seed_states", counted_states)
         monkeypatch.setattr(np.random, "SeedSequence", counted)
         seeds, epochs = [1, 0], 3
         splits = [benchmark_cell(seed) for seed in seeds]
         configs = [tiny_config(seed, epochs=epochs, batch_size=64) for seed in seeds]
         list(experiments.run_arms(splits, list(training.ARMS), configs))
-        streams = [entropy for entropy in built if isinstance(entropy, tuple) and len(entropy) == 4]
         assert sorted(streams) == sorted((seed, stage, epoch, stream) for seed in seeds for epoch in range(epochs)
                                          for stage, stream in [(1, 0)] * 3 + [(1, 1), (2, 0)])
+        assert [entropy for entropy in sequences if isinstance(entropy, tuple) and len(entropy) == 4] == []
+
+
+def stream_rows(entropy):
+    """(seed, stage, epoch, stream) of each column of the words that reach
+    training._seed_states; these tests' seeds and epochs are one word each."""
+    assert len(entropy) == 4
+    return [tuple(column) for column in entropy.T.tolist()]
 
 
 def stacked_stage_case(seeds, n=8, D=4, B=5, hidden=(6,), A=3):

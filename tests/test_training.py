@@ -3,7 +3,13 @@ checkpointing and resume, divergence handling, and the measured
 sigma-statistics of the label-quality head."""
 
 import hashlib
+import itertools
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +119,78 @@ class TestDeterminism:
         p1, _ = train_one(tiny_dataset, small_config(seed=0), "s-lq-dq")
         p2, _ = train_one(tiny_dataset, small_config(seed=1), "s-lq-dq")
         assert not np.array_equal(p1.flat, p2.flat)
+
+
+def seed_sequence_rng(seed, stage, epoch, stream):
+    """An epoch stream's generator as numpy seeds it from its four numbers."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stage, epoch, stream])))
+
+
+class TestEpochStreams:
+    # training seeds its (seed, stage, epoch, stream) generators from words
+    # it computes in bulk; they must be SeedSequence's, so a numpy release
+    # that changes SeedSequence fails here
+    SEEDS = [0, 3, 2**31, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7]
+    EPOCHS = [0, 1, 124, 2**32 - 1, 2**32]
+
+    def test_bulk_words_equal_seed_sequence(self):
+        streams = list(itertools.product(self.SEEDS, (1, 2), self.EPOCHS, (0, 1)))
+        by_length = {}
+        for stream in streams:
+            words = [word for number in stream for word in training._words(number)]
+            by_length.setdefault(len(words), []).append((stream, words))
+        assert sorted(by_length) == [4, 5, 6, 7]
+        for rows in by_length.values():
+            states = training._seed_states(np.array([words for _, words in rows], dtype=np.uint32).T)
+            for (stream, _), state in zip(rows, states):
+                expected = np.random.SeedSequence(list(stream)).generate_state(4, np.uint64)
+                assert state.dtype == expected.dtype and state.tobytes() == expected.tobytes(), stream
+
+    @pytest.mark.parametrize("epochs", [range(0, 300), range(2**32 - 2, 2**32 + 2)], ids=["first", "word-boundary"])
+    def test_generators_draw_the_seed_sequence_bytes(self, epochs):
+        # the replicas' seeds differ in word count, and the first range
+        # spans three chunks
+        for stage in (1, 2):
+            for epoch, rngs in zip(epochs, training._epoch_rngs(self.SEEDS, stage, epochs, 2), strict=True):
+                for seed, (order_rng, noise_rng) in zip(self.SEEDS, rngs, strict=True):
+                    for stream, rng in enumerate((order_rng, noise_rng)):
+                        expected = seed_sequence_rng(seed, stage, epoch, stream)
+                        got, want = np.arange(240), np.arange(240)
+                        rng.shuffle(got)
+                        expected.shuffle(want)
+                        assert got.tobytes() == want.tobytes(), (seed, stage, epoch, stream)
+                        got, want = np.empty((240, 16)), np.empty((240, 16))
+                        rng.standard_normal(out=got)
+                        expected.standard_normal(out=want)
+                        assert got.tobytes() == want.tobytes(), (seed, stage, epoch, stream)
+
+    def test_a_huge_epoch_count_seeds_one_chunk(self):
+        # stage1.epochs = 10**12 is valid and trains for ever: its first
+        # epoch must take what a one-epoch stage's does, not the seed words
+        # of 10**12 epochs (32 TB), which would fail at once
+        ds = data.generate_synthetic(n_per_class=12, D=4, categories={"spoof_type": 3}, cluster_overlap=0.5, seed=0)
+        params = model.ModelParams.stack([model.init_params(4, {"spoof_type": 3}, B=6, hidden=(8,), seed=0)])
+
+        def first_epoch_peak(epochs):
+            stage = training.run_stage(params.copy(), [ds.X()[None]], 1, training.StageConfig("adam", 1e-3, epochs, 8),
+                                       [3], lambda batch, eps, grads: {"total": np.zeros(1)}, noise_dim=6)
+            tracemalloc.start()
+            try:
+                next(stage)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        first_epoch_peak(1)  # numpy.random's first use is not measured
+        assert first_epoch_peak(10**12) <= first_epoch_peak(1) + 64 * 1024
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # numpy loads numpy.random on first use, about 16 ms; training
+        # registers its seed sequence then, not at import
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", "import sys, probfas.cli; print('numpy.random' in sys.modules)"],
+                              env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 # SHA-256 of each arm's stacked params.flat after one short sweep cell at the
