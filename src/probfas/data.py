@@ -79,6 +79,8 @@ class Dataset:
         if bad.size:
             raise DataError(f"row {bad[0]}: binary label {self.c[bad[0]]} is not 0 or 1")
         for name, card in self.categories.items():
+            if card > 2**53:  # a file holds labels as float64 (write_table), exact below 2**53
+                raise DataError(f"category {name!r} cardinality {card} is above 2**53")
             bad = np.flatnonzero((self.s[name] < 0) | (self.s[name] >= card))
             if bad.size:
                 raise DataError(

@@ -46,27 +46,15 @@ def run_arms(splits, arms, configs, threshold=0.5):
     replica) in ``arms`` order. The DQ arm uses stage-2 training and
     corrected inference.
 
-    The stage-1 groups (see stage1_groups) train side by side in this
-    process and a forked child (see _map_groups), each arm ending on the
-    bytes it reaches alone. If an arm diverges, the arms before it are
-    yielded and then its TrainingDiverged is raised: the error one arm after
-    another would meet first."""
-    results = _map_groups(partial(_train, splits, configs, threshold), arms, stage1_groups(arms, configs))
+    The arms train side by side in this process and a forked child (see
+    _map_groups), each arm ending on the bytes it reaches alone. If an arm
+    diverges, the arms before it are yielded and then its TrainingDiverged
+    is raised: the error one arm after another would meet first."""
+    results = _map_groups(partial(_train, splits, configs, threshold), arms)
     for arm in arms:
         if isinstance(results[arm], training.TrainingDiverged):
             raise results[arm]
         yield results[arm]
-
-
-def stage1_groups(arms, configs):
-    """``arms`` split by the stage-1 run they share (training.stage1_key),
-    each group in ``arms`` order, the groups in the order of their first
-    arm."""
-    groups = {}
-    for arm in arms:
-        key = training.stage1_key([training.arm_config(arm, cfg) for cfg in configs])
-        groups.setdefault(key, []).append(arm)
-    return list(groups.values())
 
 
 def _train(splits, configs, threshold, arms):
@@ -85,17 +73,18 @@ def _train(splits, configs, threshold, arms):
     return results
 
 
-def _map_groups(train, arms, groups):
-    """train of ``arms``. With two or more stage-1 ``groups`` and a second
-    CPU, this process trains the LQ group, if any, else the first (the LQ
-    arms draw noise and hold stage 2, so take longest), while a forked child
-    (forks.child) trains the other arms, in ``arms`` order, and sends them
-    back pickled. If there is no child, or it fails, this process trains
-    the child's arms too."""
-    if len(groups) < 2 or not forks.can_fork():
-        return train(arms)
-    mine = min(groups, key=lambda group: group[0] not in training.LQ_ARMS)
+def _map_groups(train, arms):
+    """train of ``arms``. This process trains the LQ arms, if any, else the
+    first arm (the LQ arms share one stage-1 run, draw noise and hold stage
+    2, so take longest). With other arms left and a second CPU, a forked
+    child (forks.child) trains those, in ``arms`` order, and sends them back
+    pickled; no stage-1 run that arms share (see training.train_arms) is
+    split. If there is no child, or it fails, this process trains the
+    child's arms too."""
+    mine = [arm for arm in arms if arm in training.LQ_ARMS] or arms[:1]
     rest = [arm for arm in arms if arm not in mine]
+    if not rest or not forks.can_fork():
+        return train(arms)
     with forks.child(lambda out: out.write(pickle.dumps(train(rest)))) as child:
         results = train(mine)
         if child is not None:
@@ -122,9 +111,9 @@ def noise_sweep(kinds, fractions_by_kind, arms, seeds, base_config=None, thresho
     and arms that share a stage-1 configuration (``s-lq`` and ``s-lq-dq``
     differ only in stage 2) share one stage-1 run per cell, each arm's
     stage 2 starting from a copy of it (see training.train_arms), the
-    cell's stage-1 groups training side by side in two processes. Stage
-    1 reads nothing that tells the two apart, so every row keeps the bytes
-    of a run trained alone. If a run diverges, the TrainingDiverged raised is
+    cell's arms training side by side in two processes. Stage 1 reads
+    nothing that tells the two apart, so every row keeps the bytes of a run
+    trained alone. If a run diverges, the TrainingDiverged raised is
     the one of the first arm, and within it the first seed in ``seeds``
     order, that diverges: the error one run after another would meet first.
     """

@@ -1,5 +1,5 @@
 """One forked child doing part of this process's work, its result sent back
-through a pipe, for the sweep's stage-1 groups and for splitting a large
+through a pipe, for training a sweep cell's arms and for splitting a large
 table: how many CPUs this process may use, a child that dies with its parent,
 and the child itself. Bare os.fork and os.pipe: multiprocessing costs every
 command's start-up about 20 ms and 2 MB when imported."""

@@ -12,7 +12,8 @@ from .losses import l2_normalize_rows
 
 
 class QualityError(ValueError):
-    """A sigma_D^2 that is not finite and >= the smallest normal float."""
+    """A sigma_D^2 that is not finite and >= the smallest normal float, or a
+    score that is not finite."""
 
 
 def data_quality(params, mu):
@@ -88,16 +89,23 @@ def predict_modes(params, X, modes):
     mode's probabilities are computed one block of model._ROW_BLOCK rows at
     a time, with the bytes of one pass over all rows, and no (N, 2, B) or
     normalised copy of mu is held. sigma_D^2 is checked on every row before
-    any block, so its error comes first, as in one pass."""
+    any block, so its error comes first, as in one pass; then each mode's
+    scores, a QualityError naming the first row whose p_live is not finite."""
     mu = model.embed(params, X)
     s2 = data_quality(params, mu)
-    omega_n = l2_normalize_rows(params.omega_c) if any(modes) else None
     probs = [np.empty((len(mu), 2)) for _ in modes]
-    for a in range(0, len(mu), model._ROW_BLOCK):
-        rows = slice(a, a + model._ROW_BLOCK)
-        for out, corrected in zip(probs, modes):
-            out[rows] = (corrected_confidence(l2_normalize_rows(mu[rows]), omega_n, s2[rows]) if corrected
-                         else standard_confidence(mu[rows], params.omega_c))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is reported below
+        omega_n = l2_normalize_rows(params.omega_c) if any(modes) else None
+        for a in range(0, len(mu), model._ROW_BLOCK):
+            rows = slice(a, a + model._ROW_BLOCK)
+            for out, corrected in zip(probs, modes):
+                out[rows] = (corrected_confidence(l2_normalize_rows(mu[rows]), omega_n, s2[rows]) if corrected
+                             else standard_confidence(mu[rows], params.omega_c))
+    for out, corrected in zip(probs, modes):
+        bad = np.flatnonzero(~np.isfinite(out[:, 1]))
+        if bad.size:
+            mode = "corrected" if corrected else "uncorrected"
+            raise QualityError(f"{mode} p_live of row {bad[0]} is {out[bad[0], 1]}, not finite")
     return probs, s2
 
 

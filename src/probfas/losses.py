@@ -243,7 +243,7 @@ def stage2_objective(params, mu, c, grads):
     loss, (_, dw_n, ds2), d2 = dq_gaussian_nll_with_grads(mu_n, w_n, c, s2)
 
     grads.omega_c += l2_normalize_rows_backward(params.omega_c, w_n, dw_n)
-    dw_dq, db_dq, _ = model.dq_variance_backward(params, mu, s2_raw, ds2)
+    dw_dq, db_dq = model.dq_variance_backward(params, mu, s2_raw, ds2)
     grads.w_dq += dw_dq
     grads.b_dq += db_dq
     return loss, {"d2": d2}

@@ -255,9 +255,9 @@ def dq_variance(params, mu):
 
 
 def dq_variance_backward(params, mu, sigma_d_sq, ds2):
-    """Returns (dw_dq, db_dq, dmu)."""
+    """Returns (dw_dq, db_dq); mu gets no gradient, as stage 2 freezes the backbone."""
     da = sigma_d_sq * ds2
-    return _matvec(_t(mu), da), da.sum(axis=-1), da[..., :, None] * params.w_dq[..., None, :]
+    return _matvec(_t(mu), da), da.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -393,7 +393,7 @@ def train_stage1_lq(datasets, configs, keep_logs=True):
     for epoch, means in stage:
         if not keep_logs:
             continue
-        sigma_l, sigma_d_sq, acc = _stage1_figures(params, X, c)
+        sigma_l, sigma_d_sq, acc = _epoch_figures(1, epoch, lambda: _stage1_figures(params, X, c))
         for r, log in enumerate(logs):
             log.append({
                 "stage": 1,
@@ -405,6 +405,16 @@ def train_stage1_lq(datasets, configs, keep_logs=True):
                 "train_acc": float(acc[r]),
             })
     return params, logs
+
+
+def _epoch_figures(stage, epoch, figures):
+    """figures(), the stage's TrainingDiverged at an overflow or invalid
+    value: the check before each step never sees an epoch's last update."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return figures()
+    except FloatingPointError as exc:
+        raise TrainingDiverged(stage, epoch, {"epoch_log": str(exc)}) from None
 
 
 def _stage1_figures(params, X, c):
@@ -447,7 +457,7 @@ def train_stage2_dq(params, datasets, configs, keep_logs=True):
     for epoch, means in stage:
         if not keep_logs:
             continue
-        sigma_d_sq = model.dq_variance(params, model.embed(params, X)).mean(axis=1)
+        sigma_d_sq = _epoch_figures(2, epoch, lambda: model.dq_variance(params, model.embed(params, X)).mean(axis=1))
         for r, log in enumerate(logs):
             log.append({
                 "stage": 2,
@@ -473,16 +483,16 @@ def train_arms(datasets, arms, configs, keep_logs=True):
     meet first: a stack of one raises its own; a larger stack trains the
     arm again run by run, in list order, until one raises.
 
-    Arms whose configs agree on every field that stage 1 reads (all but
-    stage2 and enable_dq) share one stage-1 run, each going on to its own
-    stage 2 from a copy of it; stage 1 is deterministic in those fields,
-    so every arm ends on the bytes it reaches when trained alone.
+    The LQ arms share one stage-1 run, each going on to its own stage 2
+    from a copy of it: arm_config sets them apart by enable_dq alone, which
+    stage 1 does not read, so every arm ends on the bytes it reaches when
+    trained alone. baseline (lambda_s 0) and s (no LQ head) train their own.
     """
     _check_stack(datasets, configs)
     stage1 = {}
     for arm in arms:
         arm_cfgs = [arm_config(arm, cfg) for cfg in configs]
-        key = stage1_key(arm_cfgs)
+        key = LQ_ARMS if arm in LQ_ARMS else arm
         try:
             if key not in stage1:
                 stage1[key] = train_stage1_lq(datasets, arm_cfgs, keep_logs=keep_logs)
@@ -495,15 +505,9 @@ def train_arms(datasets, arms, configs, keep_logs=True):
             if len(datasets) == 1:
                 raise
             for ds, cfg in zip(datasets, configs):
-                next(train_arms([ds], [arm], [cfg], keep_logs=False))
+                next(train_arms([ds], [arm], [cfg], keep_logs=keep_logs))
             raise
         yield arm, arm_cfgs, params, logs
-
-
-def stage1_key(arm_cfgs):
-    """What stage 1 reads of an arm's configs: every field but stage2 and
-    enable_dq, as text. Arms with equal keys train the same stage 1."""
-    return json.dumps([{**cfg.to_dict(), "stage2": None, "enable_dq": None} for cfg in arm_cfgs])
 
 
 def arm_config(arm, base):

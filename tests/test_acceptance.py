@@ -85,7 +85,7 @@ def test_criterion_1_gradient_oracle_suite():
         assert rel_err(dw.ravel(), fd_gradient(f_wlq, params.w_lq.ravel())) < GRAD_TOL
         r = rng.standard_normal(n)
         s2h = model.dq_variance(params, mu)
-        dwd, dbd, _ = model.dq_variance_backward(params, mu, s2h, r)
+        dwd, dbd = model.dq_variance_backward(params, mu, s2h, r)
 
         def f_wdq(v):
             q = params.copy()

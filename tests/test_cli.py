@@ -183,6 +183,24 @@ class TestTrain:
                     "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
         assert (tmp_path / "o").is_dir()
 
+    @pytest.mark.parametrize("stage, arm, settings", [
+        (1, "s", "stage1.lr = 1e300\nstage1.epochs = 1\nstage1.batch_size = 1000\nstage2.epochs = 0\n"),
+        (2, "s-lq-dq", "stage1.epochs = 0\nstage2.lr = 1e300\nstage2.epochs = 1\nstage2.batch_size = 1000\n"),
+    ], ids=["stage1", "stage2"])
+    def test_an_overflow_after_the_last_step_is_exit_three(self, tmp_path, capsys, stage, arm, settings):
+        # one step of 1e300 is the stage's last, which no check before a step
+        # sees: the epoch log's overflow is the divergence, with no numpy
+        # warning on the way (tier-1 makes one an error)
+        assert run(["gen-data", "--n", "20", "--out", str(tmp_path / "d")]) == 0
+        (tmp_path / "cfg.txt").write_text(settings)
+        capsys.readouterr()
+        assert run(["train", "--data", str(tmp_path / "d" / "dataset.txt"), "--config", str(tmp_path / "cfg.txt"),
+                    "--arm", arm, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"training diverged: stage {stage} diverged at epoch 0: {{'epoch_log': 'overflow")
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_is_data_error(self, dataset_dir, tmp_path, capsys, value):
         bad = with_feature(dataset_dir / "dataset.txt", tmp_path / "bad.txt", value)
@@ -397,6 +415,38 @@ def test_out_of_range_sigma_d_sq_is_data_error(dataset_dir, trained, tmp_path, c
                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {ckpt}: sigma_D^2 of row 0 is {value}, not finite and >= 2.2250738585072014e-308\n"
+    assert not out.exists()
+
+
+def test_a_non_finite_score_is_data_error(dataset_dir, trained, tmp_path, capsys):
+    # a finite omega_c of 1e308 overflows the uncorrected logits, whose NaN
+    # scores were written and counted as rejections; tier-1 turns numpy's
+    # warnings into errors, so none may escape on the way
+    params, cfg = training.load_checkpoint(trained)
+    params = params.copy()
+    params.omega_c[...] = 1e308
+    ckpt = tmp_path / "omega_c.ckpt"
+    training.save_checkpoint(ckpt, params, config=cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = model.embed(params, data.load_dataset(dataset_dir / "dataset.txt").X())
+        row = np.flatnonzero(np.isnan(inference.standard_confidence(mu, params.omega_c)[:, 1]))[0]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["eval", "--data", str(dataset_dir / "dataset.txt"), "--checkpoint", str(ckpt),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {ckpt}: uncorrected p_live of row {row} is nan, not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "quality-report"])
+def test_a_cardinality_above_2_53_is_data_error(dataset_dir, trained, tmp_path, capsys, command):
+    # a file holds labels as float64, exact below 2**53
+    bad = tmp_path / "bad.txt"
+    bad.write_text((dataset_dir / "dataset.txt").read_text().replace("spoof_type:3", f"spoof_type:{2**60}", 1))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--data", str(bad), "--checkpoint", str(trained), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: category 'spoof_type' cardinality {2**60} is above 2**53\n"
     assert not out.exists()
 
 

@@ -462,6 +462,16 @@ class TestDatasetValidation:
         with pytest.raises(data.DataError, match="row 2: binary label 2"):
             data.Dataset(**self.columns(tiny_dataset, c=c))
 
+    def test_a_cardinality_above_2_53_is_rejected(self, tmp_path):
+        # a file holds labels as float64: 2**53 + 1 was saved as 9007199254740992
+        with pytest.raises(data.DataError, match=r"'spoof_type' cardinality 1152921504606846976 is above 2\*\*53"):
+            data.Dataset(x=np.zeros((2, 2)), c=[0, 1], s={"spoof_type": [2**53 + 1, 0]},
+                         categories={"spoof_type": 2**60}, seed_provenance=0)
+        ds = data.Dataset(x=np.zeros((2, 2)), c=[0, 1], s={"spoof_type": [2**53 - 1, 0]},
+                          categories={"spoof_type": 2**53}, seed_provenance=0)
+        data.save_dataset(ds, tmp_path / "ds.txt")
+        assert data.load_dataset(tmp_path / "ds.txt") == ds
+
     def test_label_columns_must_match_categories(self, tiny_dataset):
         with pytest.raises(data.DataError, match="categories"):
             data.Dataset(**self.columns(tiny_dataset, s={"other": tiny_dataset.s_labels()}))

@@ -345,18 +345,14 @@ class TestVarianceHeads:
         R = rng.standard_normal(5)
 
         s2 = model.dq_variance(p, mu)
-        dw, db, dmu = model.dq_variance_backward(p, mu, s2, R)
+        dw, db = model.dq_variance_backward(p, mu, s2, R)
 
         def f_w(vec):
             q = p.copy()
             q.w_dq[...] = vec
             return float((model.dq_variance(q, mu) * R).sum())
 
-        def f_mu(vec):
-            return float((model.dq_variance(p, vec.reshape(mu.shape)) * R).sum())
-
         assert rel_err(dw, fd_gradient(f_w, p.w_dq.copy())) < FD_TOL
-        assert rel_err(dmu.ravel(), fd_gradient(f_mu, mu.ravel())) < FD_TOL
         db_num = fd_gradient(
             lambda v: float((np.exp(mu @ p.w_dq + v[0]) * R).sum()),
             np.array([float(p.b_dq)]),

@@ -4,7 +4,10 @@ the same runs trained one at a time (parameters, train logs, predictions
 and divergence reports), and their gradients must pass the
 finite-difference oracles."""
 
+import contextlib
 import errno
+import itertools
+import json
 import os
 import pickle
 import subprocess
@@ -135,12 +138,6 @@ class TestEquivalence:
         experiments.noise_sweep(["semantic"], {"semantic": [0.0, 0.5]}, arms, [1, 0], cfg)
         assert calls == [[1, 0]] * 2 * per_cell
 
-    def test_stage1_groups(self):
-        configs = [tiny_config(seed) for seed in (1, 0)]
-        assert experiments.stage1_groups(training.ARMS, configs) == [["baseline"], ["s"], ["s-lq", "s-lq-dq"]]
-        assert experiments.stage1_groups(["s-lq-dq", "baseline", "s-lq"], configs) == \
-            [["s-lq-dq", "s-lq"], ["baseline"]]
-
     def _run_arms_equals_one_cpu(self, monkeypatch, forked, forks_made):
         """run_arms with a second CPU, whatever the test did to its child, gives
         the bytes it gives on one CPU."""
@@ -252,6 +249,66 @@ def test_sweep_csv_does_not_depend_on_blas_threads(tmp_path):
         )
         texts.append((out / "sweep.csv").read_bytes())
     assert texts[0] == texts[1]
+
+
+def reference_stage1_key(arm_cfgs):
+    """What stage 1 reads of an arm's configs, as text: every field but stage2
+    and enable_dq. Arms with equal keys may share one stage-1 run."""
+    return json.dumps([{**cfg.to_dict(), "stage2": None, "enable_dq": None} for cfg in arm_cfgs])
+
+
+# every ordering of every non-empty subset of the arms
+ARM_ORDERS = [list(arms) for k in range(1, len(training.ARMS) + 1) for arms in itertools.permutations(training.ARMS, k)]
+
+
+class TestStage1Sharing:
+    """Which arms share a stage-1 run, against the reference of comparing all
+    that stage 1 reads of their configs, for every arm order."""
+
+    @staticmethod
+    def reference(arms, lambda_s):
+        configs = [training.TrainConfig(seed=seed, lambda_s=lambda_s) for seed in (1, 0)]
+        return configs, {arm: reference_stage1_key([training.arm_config(arm, cfg) for cfg in configs]) for arm in arms}
+
+    @pytest.mark.parametrize("lambda_s", [0.0, 0.5])
+    def test_train_arms_shares_a_run_exactly_where_the_reference_does(self, monkeypatch, tiny_dataset, lambda_s):
+        runs = []  # the reference key of each stage-1 run's configs
+
+        def stage1(datasets, configs, keep_logs=True):
+            runs.append(reference_stage1_key(configs))
+            return len(runs) - 1, [[] for _ in configs]  # the run's index in place of its params
+
+        monkeypatch.setattr(training, "train_stage1_lq", stage1)
+        monkeypatch.setattr(training, "train_stage2_dq", lambda run, _, configs, **kw: (run, [[] for _ in configs]))
+        for arms in ARM_ORDERS:
+            runs.clear()
+            configs, key = self.reference(arms, lambda_s)
+            run_of = {arm: run for arm, _, run, _ in training.train_arms([tiny_dataset] * 2, arms, configs)}
+            assert list(run_of) == arms
+            assert len(runs) == len(set(key.values())), arms
+            for a in arms:
+                assert runs[run_of[a]] == key[a], (arms, a)
+                for b in arms:
+                    assert (run_of[a] == run_of[b]) == (key[a] == key[b]), (arms, a, b)
+
+    @pytest.mark.parametrize("lambda_s", [0.0, 0.5])
+    def test_map_groups_never_splits_a_shared_run(self, monkeypatch, lambda_s):
+        # a child that cannot be forked: this process trains its own side,
+        # then the child's, so each train call is one process's arms
+        monkeypatch.setattr(forks, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(forks, "child", contextlib.contextmanager(lambda work: (yield None)))
+        for arms in ARM_ORDERS:
+            _, key = self.reference(arms, lambda_s)
+            sides = []
+            results = experiments._map_groups(lambda side: sides.append(list(side)) or dict.fromkeys(side), arms)
+            assert sorted(results) == sorted(arms) == sorted(arm for side in sides for arm in side), arms
+            side_of = {arm: k for k, side in enumerate(sides) for arm in side}
+            for a in arms:
+                for b in arms:
+                    if key[a] == key[b]:
+                        assert side_of[a] == side_of[b], (arms, a, b)
+            # a second process whenever there are two runs to share out
+            assert len(sides) == min(2, len(set(key.values()))), arms
 
 
 class TestDivergence:
